@@ -16,9 +16,10 @@ edge quadrature points; on boundary edges the exterior trace of the trial
 function is the prescribed boundary value, which contributes a right-hand
 side term (see convective_boundary_load).
 
-Dirichlet data enters twice: the nodal boundary dofs are eliminated by
-condensation, and each form's boundary-edge terms keep the condensed system
-consistent by moving their data parts to the right-hand side
+Dirichlet data enters twice: the nodal boundary dofs are eliminated from
+the system with their values lifted into the right-hand side, and each
+form's boundary-edge terms keep the reduced system consistent by moving
+their data parts to the right-hand side
 (sipg_boundary_load, divergence_boundary_load, convective_boundary_load).
 All three loads vanish for homogeneous data.
 
@@ -551,16 +552,49 @@ def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None)
 
 @dataclass
 class SaddleSystem:
-    """Condensed linear system [mu A + C, -B^T, 0; B, 0, m; 0, m^T, 0]."""
+    """Oseen system [mu A + C, -B^T; B, 0] on the free unknowns of one step.
+
+    The unknowns are the unconstrained velocity dofs (`free_velocity`, in
+    increasing order) followed by the pressures of cells 1..nt-1; the
+    pressure of cell 0 is pinned to zero, and the Dirichlet values are
+    lifted into rhs.  Cell 0's continuity row is left out of the square
+    `matrix`: the left-hand sides of all continuity rows sum to zero, so one
+    row is redundant when the data has zero net boundary flux and cannot
+    hold otherwise.  It is kept as `pinned_row`/`pinned_rhs` so that the
+    residual check still sees it.
+
+    `preconditioner` optionally holds the LU factor of a nearby matrix with
+    the same layout; solver.solve_linear then solves by preconditioned GMRES.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    pinned_row: sp.csr_matrix
+    pinned_rhs: float
     layout: DofLayout
-    velocity: slice
-    pressure: slice
-    multiplier: int
+    free_velocity: np.ndarray
+    areas: np.ndarray
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
+    preconditioner: object | None = None  # scipy SuperLU
+
+    @property
+    def velocity(self) -> slice:
+        return slice(0, len(self.free_velocity))
+
+    @property
+    def pressure(self) -> slice:
+        return slice(len(self.free_velocity), self.matrix.shape[0])
+
+    def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full velocity and zero-mean pressure vectors from a solution x of matrix."""
+        u = np.empty(self.layout.n_velocity)
+        u[self.dirichlet_dofs] = self.dirichlet_values
+        u[self.free_velocity] = x[self.velocity]
+        p = np.concatenate([[0.0], x[self.pressure]])
+        # B^T annihilates constants, so shifting p leaves every equation intact
+        p -= (self.areas @ p) / self.areas.sum()
+        return u, p
 
 
 def build_saddle_system(
@@ -573,52 +607,44 @@ def build_saddle_system(
     divergence: sp.csr_matrix | None = None,
     continuity_load: np.ndarray | None = None,
 ) -> SaddleSystem:
-    """Assemble and condense the full saddle system for one Picard step.
+    """Assemble the saddle system of one Picard step on its free unknowns.
 
-    dirichlet is (dofs, values) over nodal velocity dofs; rows and columns of
-    constrained dofs are eliminated with a right-hand-side lift and replaced
-    by identity rows, so the solution carries the boundary values exactly.
+    dirichlet is (dofs, values) over nodal velocity dofs; their rows and
+    columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
-    (zero when omitted).  The zero-mean pressure constraint is an explicit
-    multiplier row/column weighted by the triangle areas.
+    (zero when omitted).  The pressure of cell 0 is pinned; solver.solve_linear
+    restores the zero area-weighted mean afterwards (SaddleSystem.expand).
     """
     layout = layout_for(mesh)
     A = assemble_viscous(mesh, params) if viscous is None else viscous
     B = assemble_divergence(mesh) if divergence is None else divergence
-    K = params.viscosity * A + convection
-    nvel, npre = layout.n_velocity, layout.n_pressure
-    m_col = sp.csr_matrix(mesh.areas[:, None])
-    mat = sp.bmat([[K, -B.T, None], [B, None, m_col], [None, m_col.T, None]], format="csr")
-    cont = np.zeros(npre) if continuity_load is None else np.asarray(continuity_load, dtype=float)
-    rhs = np.concatenate([load, cont, [0.0]])
+    K = (params.viscosity * A + convection).tocsr()
+    cont = np.zeros(layout.n_pressure) if continuity_load is None else np.asarray(continuity_load, dtype=float)
 
     if dirichlet is None:
         dofs = np.empty(0, dtype=np.int64)
         values = np.empty(0)
     else:
         dofs, values = np.asarray(dirichlet[0], dtype=np.int64), np.asarray(dirichlet[1], dtype=float)
-        mat, rhs = _condense(mat, rhs, dofs, values)
+    free = np.setdiff1d(np.arange(layout.n_velocity), dofs)
 
-    mat = _finalize(mat)
+    K_free = K[free]
+    B_free = B[:, free]
+    momentum = load[free] - K_free[:, dofs] @ values
+    continuity = cont - B[:, dofs] @ values
+    # pinning cell 0 drops its pressure column and sets its continuity row aside
+    B_kept = B_free[1:]
+    mat = sp.bmat([[K_free[:, free], -B_kept.T], [B_kept, None]], format="csr")
+    pinned_row = sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr")
+
     return SaddleSystem(
-        matrix=mat,
-        rhs=rhs,
+        matrix=_finalize(mat),
+        rhs=np.concatenate([momentum, continuity[1:]]),
+        pinned_row=pinned_row,
+        pinned_rhs=float(continuity[0]),
         layout=layout,
-        velocity=slice(0, nvel),
-        pressure=slice(nvel, nvel + npre),
-        multiplier=nvel + npre,
+        free_velocity=free,
+        areas=mesh.areas,
         dirichlet_dofs=dofs,
         dirichlet_values=values,
     )
-
-
-def _condense(mat: sp.csr_matrix, rhs: np.ndarray, dofs: np.ndarray, values: np.ndarray):
-    lift = mat.tocsc()[:, dofs] @ values
-    keep = np.ones(mat.shape[0])
-    keep[dofs] = 0.0
-    P = sp.diags(keep)
-    out = (P @ mat @ P).tocsr()
-    out = out + sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=mat.shape).tocsr()
-    new_rhs = keep * (rhs - lift)
-    new_rhs[dofs] = values
-    return out, new_rhs

@@ -291,6 +291,8 @@ def run_cavity(cfg: RunConfig) -> int:
         iterations=report.iterations,
         update_norms=list(report.update_norms),
         linear_residuals=list(report.linear_residuals),
+        krylov_iterations=list(report.krylov_iterations),
+        factorizations=report.factorizations,
         stokes_init=report.stokes_init,
         field_dump=dump_path.name,
         fallback_points=fallback,

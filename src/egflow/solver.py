@@ -1,10 +1,15 @@
 """Linear saddle-point solves and the Picard loop for the stationary problem.
 
 The nonlinear iteration freezes the transport field at the previous iterate,
-reassembles the convection block, and performs one direct sparse solve per
-step.  Convergence is measured on the relative Euclidean update of the
-stacked (velocity, pressure) coefficient vector; the Lagrange multiplier for
-the pressure mean is excluded.  The iteration starts either from zero or
+reassembles the convection block, and solves one linear system per step on
+the free unknowns (see assembly.SaddleSystem: Dirichlet dofs lifted out, one
+pressure pinned, the zero pressure mean restored afterwards).  The first
+system of a solve is factored by sparse LU; later steps reuse that factor as
+the preconditioner of GMRES, and refactor only when GMRES misses its
+tolerance within a fixed budget, which at small viscosity happens once the
+frozen transport has moved far from the factored one.  Convergence is
+measured on the relative Euclidean update of the stacked (velocity,
+pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
 
 An experimental Newton option augments the Picard matrix with the volume
@@ -15,7 +20,9 @@ the right-hand side).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +33,13 @@ from .assembly import FormParams, SaddleSystem
 from .mesh import MeshTopology
 from .reconstruction import reconstruction_matrix
 from .spaces import EGFunction, PressureFunction, layout_for
+
+
+logger = logging.getLogger(__name__)
+
+RESIDUAL_TOL = 1e-10  # relative residual every accepted linear solve must reach
+KRYLOV_RTOL = 1e-12  # GMRES target, well inside RESIDUAL_TOL
+KRYLOV_BUDGET = 20  # GMRES iterations before refactoring
 
 
 class SingularSystemError(RuntimeError):
@@ -64,16 +78,78 @@ class SolveReport:
     update_norms: list[float] = field(default_factory=list)
     converged: bool = False
     linear_residuals: list[float] = field(default_factory=list)
+    krylov_iterations: list[int] = field(default_factory=list)  # per linear solve; 0 where no GMRES ran
+    factorizations: int = 0
     stokes_init: bool = False
 
 
-def solve_linear(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Direct sparse solve of one saddle system.
+class LinearSolution(NamedTuple):
+    """Full velocity and zero-mean pressure of one linear solve, and how it was solved."""
 
-    Returns (velocity coefficients, pressure values, multiplier).  The
-    relative residual must come out at 1e-10 or better, otherwise the
-    system is reported as numerically singular.
+    velocity: np.ndarray
+    pressure: np.ndarray
+    residual: float  # relative, over every unpinned row
+    krylov_iterations: int
+    factor: object | None  # the SuperLU made by this solve, None when it made none
+
+
+def _relative_residual(system: SaddleSystem, x: np.ndarray) -> float:
+    r = np.linalg.norm(system.matrix @ x - system.rhs)
+    r_pinned = (system.pinned_row @ x)[0] - system.pinned_rhs
+    b = np.hypot(np.linalg.norm(system.rhs), system.pinned_rhs)
+    res = np.hypot(r, r_pinned)
+    return float(res / b if b > 0 else res)
+
+
+def _krylov(system: SaddleSystem) -> tuple[np.ndarray, bool, int]:
+    """GMRES preconditioned by system.preconditioner: (x, converged, iterations)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    M = spla.LinearOperator(system.matrix.shape, matvec=system.preconditioner.solve)
+    # "legacy" makes maxiter count inner iterations, so restarts that the
+    # true-residual check asks for stay inside the budget
+    x, info = spla.gmres(
+        system.matrix,
+        system.rhs,
+        rtol=KRYLOV_RTOL,
+        atol=0.0,
+        restart=KRYLOV_BUDGET,
+        maxiter=KRYLOV_BUDGET,
+        M=M,
+        callback=count,
+        callback_type="legacy",
+    )
+    return x, info == 0, iterations
+
+
+def solve_linear(system: SaddleSystem) -> LinearSolution:
+    """Solve one saddle system on its free unknowns.
+
+    Without system.preconditioner, system.matrix is factored and solved
+    directly.  With one, GMRES preconditioned by it runs for at most
+    KRYLOV_BUDGET iterations; if GMRES misses its tolerance or its answer
+    fails the residual check, the preconditioner is dropped from the system
+    and system.matrix is factored and solved directly.  A factor made here
+    is returned for later steps.  The relative residual over every unpinned
+    row, the pinned cell's continuity row included, must come out at 1e-10
+    or better, otherwise the system is reported as singular; boundary data
+    with a nonzero net flux fails here.  The returned velocity and pressure
+    are full vectors, the pressure with zero mean.
     """
+    iterations = 0
+    if system.preconditioner is not None:
+        x, converged, iterations = _krylov(system)
+        if converged:
+            rel = _relative_residual(system, x)
+            if rel <= RESIDUAL_TOL:
+                return LinearSolution(*system.expand(x), rel, iterations, None)
+        logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
+        system.preconditioner = None  # release the stale factor first: holding both grows the heap
+
     mat = system.matrix.tocsc()
     try:
         lu = spla.splu(mat)
@@ -86,12 +162,17 @@ def solve_linear(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray, float]:
     x = lu.solve(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    b_norm = np.linalg.norm(system.rhs)
-    residual = np.linalg.norm(system.matrix @ x - system.rhs)
-    rel = residual / b_norm if b_norm > 0 else residual
-    if rel > 1e-10:
-        raise SingularSystemError(f"linear solve residual {rel:.3e} exceeds 1e-10")
-    return x[system.velocity], x[system.pressure], float(x[system.multiplier])
+    rel = _relative_residual(system, x)
+    if rel > RESIDUAL_TOL:
+        # B^T annihilates constants, so the continuity right-hand sides of all
+        # cells sum to minus the net outward flux of the boundary data, which
+        # a solvable problem has at zero
+        flux = -(system.rhs[system.pressure].sum() + system.pinned_rhs)
+        raise SingularSystemError(
+            f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}; "
+            f"net outward boundary flux of the Dirichlet data is {flux:.3e}"
+        )
+    return LinearSolution(*system.expand(x), rel, iterations, lu)
 
 
 def has_diverged(update_norms: list[float], factor: float = 1e3, run: int = 3) -> bool:
@@ -139,12 +220,30 @@ def solve_navier_stokes(
 
     use_newton = settings.linearization == "newton-experimental" or params.use_newton_experimental
 
-    def record_solve(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray]:
-        u, p, lam = solve_linear(system)
-        b_norm = np.linalg.norm(system.rhs)
-        res = np.linalg.norm(system.matrix @ np.concatenate([u, p, [lam]]) - system.rhs)
-        report.linear_residuals.append(float(res / b_norm if b_norm > 0 else res))
-        return u, p
+    factor = None  # LU of the last factored system, preconditioner of the next
+
+    def linear_solve(convection: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal factor
+        system = asm.build_saddle_system(
+            mesh,
+            params,
+            convection,
+            rhs,
+            dirichlet=(dofs, values),
+            viscous=A,
+            divergence=B,
+            continuity_load=cont_load,
+        )
+        system.preconditioner, factor = factor, None  # the system alone holds it, so a refactor frees it
+        solution = solve_linear(system)
+        if solution.factor is None:
+            factor = system.preconditioner
+        else:
+            factor = solution.factor
+            report.factorizations += 1
+        report.linear_residuals.append(solution.residual)
+        report.krylov_iterations.append(solution.krylov_iterations)
+        return solution.velocity, solution.pressure
 
     def linear_step(z: EGFunction) -> tuple[np.ndarray, np.ndarray]:
         C = asm.assemble_convection(mesh, z, params, R=R)
@@ -153,34 +252,10 @@ def solve_navier_stokes(
             N, shift = asm.newton_volume_blocks(mesh, z, params, R=R)
             C = C + N
             rhs = rhs + shift
-        system = asm.build_saddle_system(
-            mesh,
-            params,
-            C,
-            rhs,
-            dirichlet=(dofs, values),
-            viscous=A,
-            divergence=B,
-            continuity_load=cont_load,
-        )
-        return record_solve(system)
-
-    def stokes_step() -> tuple[np.ndarray, np.ndarray]:
-        no_convection = sp.csr_matrix(A.shape)
-        system = asm.build_saddle_system(
-            mesh,
-            params,
-            no_convection,
-            F,
-            dirichlet=(dofs, values),
-            viscous=A,
-            divergence=B,
-            continuity_load=cont_load,
-        )
-        return record_solve(system)
+        return linear_solve(C, rhs)
 
     if settings.init == "stokes":
-        u0, p0 = stokes_step()
+        u0, p0 = linear_solve(sp.csr_matrix(A.shape), F)
         report.stokes_init = True
         x_old = np.concatenate([u0, p0])
         z = EGFunction.from_vector(mesh, u0)

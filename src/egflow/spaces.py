@@ -39,11 +39,6 @@ class DofLayout:
     def n_pressure(self) -> int:
         return self.num_triangles
 
-    @property
-    def n_total(self) -> int:
-        # velocity + pressure + one multiplier for the zero-mean constraint
-        return self.n_velocity + self.n_pressure + 1
-
     def vertex_dof(self, v: int, comp: int) -> int:
         return 2 * v + comp
 

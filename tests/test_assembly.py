@@ -442,37 +442,44 @@ def test_dirichlet_data_rejects_interior_vertex():
 
 
 def test_saddle_system_shape_and_block_structure():
+    # without Dirichlet data every velocity dof is free; pressure cell 0 is
+    # pinned, so its column is dropped and its continuity row moves aside
     mesh = build_unit_square_mesh(2)
     layout = layout_for(mesh)
     C = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS)
     F = np.zeros(layout.n_velocity)
     sysm = asm.build_saddle_system(mesh, PARAMS, C, F)
-    assert sysm.matrix.shape == (layout.n_total, layout.n_total)
+    nv, npr = layout.n_velocity, layout.n_pressure
+    assert sysm.matrix.shape == (nv + npr - 1, nv + npr - 1)
+    assert np.array_equal(sysm.free_velocity, np.arange(nv))
     M = sysm.matrix.toarray()
     A = asm.assemble_viscous(mesh, PARAMS).toarray()
     B = asm.assemble_divergence(mesh).toarray()
-    nv, npr = layout.n_velocity, layout.n_pressure
     assert np.allclose(M[:nv, :nv], A)
-    assert np.allclose(M[nv : nv + npr, :nv], B)
-    assert np.allclose(M[:nv, nv : nv + npr], -B.T)
-    assert np.allclose(M[nv : nv + npr, -1], mesh.areas)
-    assert np.allclose(M[-1, nv : nv + npr], mesh.areas)
-    assert M[-1, -1] == 0.0
+    assert np.allclose(M[nv:, :nv], B[1:])
+    assert np.allclose(M[:nv, nv:], -B[1:].T)
+    assert np.all(M[nv:, nv:] == 0.0)
+    pinned = sysm.pinned_row.toarray()[0]
+    assert np.allclose(pinned[:nv], B[0])
+    assert np.all(pinned[nv:] == 0.0)
 
 
 def test_saddle_system_is_nonsingular_with_dirichlet_rows():
+    # the reduced system, with the Dirichlet rows and columns eliminated, is
+    # nonsingular, and stays so with convection switched on
     mesh = build_unit_square_mesh(2)
     layout = layout_for(mesh)
-    C = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS)
     dofs, values, _ = asm.dirichlet_data(mesh, None)
-    sysm = asm.build_saddle_system(mesh, PARAMS, C, np.zeros(layout.n_velocity), dirichlet=(dofs, values))
-    sv = np.linalg.svd(sysm.matrix.toarray(), compute_uv=False)
-    assert sv.min() > 1e-8
+    for z in (EGFunction.zero(mesh), random_eg(mesh, 31)):
+        C = asm.assemble_convection(mesh, z, PARAMS)
+        sysm = asm.build_saddle_system(mesh, PARAMS, C, np.zeros(layout.n_velocity), dirichlet=(dofs, values))
+        assert sysm.matrix.shape[0] == layout.n_velocity - len(dofs) + layout.n_pressure - 1
+        sv = np.linalg.svd(sysm.matrix.toarray(), compute_uv=False)
+        assert sv.min() > 1e-8
 
 
 def test_condensation_keeps_boundary_values_exactly():
     mesh = build_unit_square_mesh(2)
-    layout = layout_for(mesh)
     g = asm.lid_values(mesh)
     dofs, values, nodal = asm.dirichlet_data(mesh, g)
     z = random_eg(mesh, 77)
@@ -480,31 +487,48 @@ def test_condensation_keeps_boundary_values_exactly():
     F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), PARAMS)
     F = F + asm.convective_boundary_load(mesh, z, nodal, PARAMS)
     sysm = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values))
-    x = spla.spsolve(sysm.matrix.tocsc(), sysm.rhs)
-    assert np.abs(x[dofs] - values).max() == 0.0
-    assert float(mesh.areas @ x[sysm.pressure]) == pytest.approx(0.0, abs=1e-12)
+    assert not np.isin(sysm.free_velocity, dofs).any()
+    u, p = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
+    assert np.abs(u[dofs] - values).max() == 0.0
+    assert float(mesh.areas @ p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_condensation_equals_manual_reduction():
-    # eliminate rows/columns by hand on the dense full system and compare
-    # the resulting solution with the condensed sparse one
+    # eliminate Dirichlet rows/columns and the pinned pressure by hand on
+    # the dense full system and compare matrix, right-hand side and solution
     mesh = build_unit_square_mesh(2)
     layout = layout_for(mesh)
     g = asm.lid_values(mesh)
-    dofs, values, _ = asm.dirichlet_data(mesh, g)
+    dofs, values, nodal = asm.dirichlet_data(mesh, g)
     z = random_eg(mesh, 55)
     C = asm.assemble_convection(mesh, z, PARAMS)
     F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], x[..., 0] ** 2], axis=-1), PARAMS)
-    full = asm.build_saddle_system(mesh, PARAMS, C, F)
-    M, b = full.matrix.toarray(), full.rhs
-    free = np.setdiff1d(np.arange(layout.n_total), dofs)
-    x_manual = np.zeros(layout.n_total)
-    x_manual[dofs] = values
-    x_manual[free] = np.linalg.solve(M[np.ix_(free, free)], b[free] - M[np.ix_(free, dofs)] @ values)
+    cont = asm.divergence_boundary_load(mesh, nodal)
+    A = asm.assemble_viscous(mesh, PARAMS).toarray()
+    B = asm.assemble_divergence(mesh).toarray()
+    nv, npr = layout.n_velocity, layout.n_pressure
+    full = np.block([[A + C.toarray(), -B.T], [B, np.zeros((npr, npr))]])
+    b = np.concatenate([F, cont])
+    x_full = np.zeros(nv + npr)
+    x_full[dofs] = values
+    free_u = np.setdiff1d(np.arange(nv), dofs)
+    unknowns = np.concatenate([free_u, nv + np.arange(1, npr)])
+    rows = np.concatenate([unknowns, [nv]])  # the pinned cell's continuity row last
+    M = full[np.ix_(rows, unknowns)]
+    r = b[rows] - full[np.ix_(rows, dofs)] @ values
 
-    cond = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values))
-    x = spla.spsolve(cond.matrix.tocsc(), cond.rhs)
-    assert np.allclose(x, x_manual, atol=1e-10)
+    sysm = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=cont)
+    assert np.allclose(sysm.matrix.toarray(), M[:-1], atol=1e-14)
+    assert np.allclose(sysm.pinned_row.toarray()[0], M[-1], atol=1e-14)
+    assert np.allclose(sysm.rhs, r[:-1], atol=1e-14)
+    assert sysm.pinned_rhs == pytest.approx(r[-1], abs=1e-14)
+
+    x_full[unknowns] = np.linalg.solve(M[:-1], r[:-1])
+    x_full[nv:] -= (mesh.areas @ x_full[nv:]) / mesh.areas.sum()
+    u, p = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
+    assert np.allclose(np.concatenate([u, p]), x_full, atol=1e-10)
+    # the lid data carries no net flux, so the pinned row holds as well
+    assert abs(M[-1] @ x_full[unknowns] - r[-1]) <= 1e-12
 
 
 def test_gradient_force_produces_no_flow_in_robust_stokes():
@@ -523,8 +547,7 @@ def test_gradient_force_produces_no_flow_in_robust_stokes():
         C = asm.assemble_convection(mesh, EGFunction.zero(mesh), params)
         F = asm.assemble_load(mesh, grad_phi, params)
         sysm = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values))
-        x = spla.spsolve(sysm.matrix.tocsc(), sysm.rhs)
-        results[params.pressure_robust] = (x[sysm.velocity], x[sysm.pressure])
+        results[params.pressure_robust] = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
 
     u_pr, p_pr = results[True]
     assert np.abs(u_pr).max() <= 1e-12

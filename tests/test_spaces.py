@@ -36,7 +36,7 @@ def test_dof_layout_bijection():
         seen.add(layout.bubble_dof(t))
     assert seen == set(range(layout.n_velocity))
     assert layout.n_velocity == 2 * mesh.num_vertices + mesh.num_triangles
-    assert layout.n_total == layout.n_velocity + mesh.num_triangles + 1
+    assert layout.n_pressure == mesh.num_triangles
 
 
 def test_vector_roundtrip():
