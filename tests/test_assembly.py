@@ -5,6 +5,8 @@ Oracles used here:
     valid for the continuous nodal sub-basis where all jump terms vanish;
   * pointwise trace evaluation through spaces.jump_average, a separate
     code path from the vectorized edge batches;
+  * the whole convection form integrated point by point through
+    EGFunction.value / BDMFunction.value on a perturbed mesh;
   * the reconstruction operator: b(v, q) must equal (div Rv, q) exactly;
   * exact discrete residuals for a linear divergence-free flow.
 """
@@ -15,12 +17,13 @@ import scipy.sparse.linalg as spla
 
 import egflow.assembly as asm
 from egflow.assembly import FormParams
-from egflow.mesh import build_unit_square_mesh
+from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
 from egflow.reconstruction import (
     bdm_divergence_matrix,
     local_p1_embedding,
     bdm_mass_matrix,
+    reconstruct,
     reconstruction_matrix,
 )
 from egflow.spaces import EGFunction, edge_points, jump_average, layout_for
@@ -36,6 +39,16 @@ def random_eg(mesh, seed):
         rng.standard_normal((mesh.num_vertices, 2)),
         rng.standard_normal(mesh.num_triangles),
     )
+
+
+def perturbed_mesh(n, seed, amplitude=0.2):
+    """Unit-square mesh with each interior vertex moved by up to amplitude/n per coordinate."""
+    base = build_unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    inner = ~base.is_boundary_vertex
+    vertices[inner] += amplitude / n * rng.uniform(-1.0, 1.0, (int(inner.sum()), 2))
+    return MeshTopology(vertices, base.triangles)
 
 
 def free_velocity_dofs(mesh):
@@ -284,6 +297,66 @@ def test_convection_volume_term_against_quadrature():
     # continuous z: jump term zero; upwind pairs (u_int - u_ext) = 0 since
     # u is continuous and vanishes on the boundary
     assert got == pytest.approx(acc, rel=1e-12)
+
+
+def convection_by_quadrature(z, u, v):
+    """(volume, skew, upwind) parts of c(z; u, v), integrated point by point.
+
+    z, u, v are EGFunction or BDMFunction; traces come from their value
+    methods and spaces.jump_average, the inflow side from {z}.n at the same
+    Gauss points the assembly uses.
+    """
+    mesh = z.mesh
+    rule = triangle_rule(6)
+    vol = 0.0
+    for t in range(mesh.num_triangles):
+        pts = np.einsum("qk,ki->qi", rule.points, mesh.vertices[mesh.triangles[t]])
+        zq, uq, vq = z.value(t, pts), u.value(t, pts), v.value(t, pts)
+        integrand = np.einsum("qi,ij,qj->q", vq, u.jacobian(t), zq)
+        integrand += 0.5 * z.divergence(t) * np.einsum("qi,qi->q", uq, vq)
+        vol += 2.0 * mesh.areas[t] * float(rule.weights @ integrand)
+    erule = edge_rule(asm.EDGE_DEGREE)
+    s, w = erule.points, erule.weights
+    dot = lambda a, b: np.einsum("qi,qi->q", a, b)
+    skew = upwind = 0.0
+    for e in range(mesh.num_edges):
+        nrm, h = mesh.edge_normal[e], mesh.edge_length[e]
+        x = edge_points(mesh, e, s)
+        z_jump, z_avg = jump_average(z, e, s)
+        zeta = z_avg @ nrm
+        tp, tm = int(mesh.edge_tplus[e]), int(mesh.edge_tminus[e])
+        up, vp = u.value(tp, x), v.value(tp, x)
+        if tm < 0:
+            uv_avg = dot(up, vp)
+            inflow = np.maximum(-zeta, 0.0) * dot(up, vp)  # exterior data is not a matrix term
+        else:
+            um, vm = u.value(tm, x), v.value(tm, x)
+            uv_avg = 0.5 * (dot(up, vp) + dot(um, vm))
+            inflow = np.maximum(-zeta, 0.0) * dot(up - um, vp) + np.maximum(zeta, 0.0) * dot(um - up, vm)
+        skew -= 0.5 * h * float(w @ ((z_jump @ nrm) * uv_avg))
+        upwind += h * float(w @ inflow)
+    return vol, skew, upwind
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_convection_form_against_pointwise_quadrature(robust):
+    # every term of c(z; u, v) with discontinuous z (random bubbles) on a
+    # mesh without structured symmetry; the robust form acts on R z, R u, R v,
+    # whose normal trace is continuous, so its skew term vanishes
+    mesh = perturbed_mesh(3, seed=8)
+    z, u, v = random_eg(mesh, 61), random_eg(mesh, 62), random_eg(mesh, 63)
+    C = asm.assemble_convection(mesh, z, PARAMS_PR if robust else PARAMS)
+    got = float(v.to_vector() @ (C @ u.to_vector()))
+    if robust:
+        z, u, v = reconstruct(z), reconstruct(u), reconstruct(v)
+    vol, skew, upwind = convection_by_quadrature(z, u, v)
+    scale = abs(vol) + abs(skew) + abs(upwind)
+    assert abs(vol) > 1e-2 * scale and abs(upwind) > 1e-2 * scale
+    if robust:
+        assert abs(skew) <= 1e-12 * scale
+    else:
+        assert abs(skew) > 1e-2 * scale
+    assert got == pytest.approx(vol + skew + upwind, abs=1e-12 * scale)
 
 
 def test_convection_upwind_switches_with_flow_direction():
