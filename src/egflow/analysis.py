@@ -32,11 +32,7 @@ from . import assembly as asm
 from .assembly import FormParams
 from .mesh import MeshTopology, build_unit_square_mesh
 from .quadrature import edge_rule, triangle_rule
-from .reconstruction import (
-    bdm_mass_matrix,
-    local_moment_blocks,
-    reconstruction_matrix,
-)
+from .reconstruction import bdm_mass_matrix, local_moment_blocks
 from .solver import DivergedError, NonlinearSettings, SingularSystemError, solve_navier_stokes
 from .spaces import EGFunction, PressureFunction
 
@@ -147,37 +143,23 @@ def _discrete_at(mesh: MeshTopology, u_h: EGFunction, lam: np.ndarray, pts: np.n
     )
 
 
-def _one_sided_trace(mesh, u_h, eids, tris, loc, x, s):
-    """u_h trace along edges from the given side; loc holds local endpoint indices."""
-    nE, nq = x.shape[0], x.shape[1]
-    tri_nodal = u_h.nodal[mesh.triangles[tris]]  # (nE, 3, 2)
-    lamk = np.zeros((nE, 3, nq))
-    lamk[np.arange(nE), loc[:, 0], :] = 1.0 - s[None, :]
-    lamk[np.arange(nE), loc[:, 1], :] = s[None, :]
-    vals = np.einsum("ekq,eki->eqi", lamk, tri_nodal)
-    return vals + u_h.bubble[tris][:, None, None] * (x - mesh.barycenters[tris][:, None, :])
-
-
 def _edge_error_terms(mesh, u_h, ex, penalty):
     """penalty-weighted jump seminorm of the error over all edges."""
     rule = edge_rule(EDGE_ERROR_DEGREE)
     s, w = rule.points, rule.weights
+    u_vertex = asm.vertex_values(u_h)
+
+    def trace(ids, tris, local):
+        return asm.along_edges(u_vertex[tris[ids][:, None], local[ids]], s)
+
     total = 0.0
     ids = mesh.interior_edge_ids
     if len(ids):
-        ev = mesh.edge_vertices[ids]
-        pa, pb = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
-        x = (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
-        tr_p = _one_sided_trace(mesh, u_h, ids, mesh.edge_tplus[ids], mesh.edge_local_plus[ids], x, s)
-        tr_m = _one_sided_trace(mesh, u_h, ids, mesh.edge_tminus[ids], mesh.edge_local_minus[ids], x, s)
-        jump = tr_p - tr_m  # exact field is continuous, its jump cancels
-        total += float(np.einsum("q,eqi,eqi->", w, jump, jump))
+        jump = trace(ids, mesh.edge_tplus, mesh.edge_local_plus) - trace(ids, mesh.edge_tminus, mesh.edge_local_minus)
+        total += float(np.einsum("q,eqi,eqi->", w, jump, jump))  # exact field is continuous, its jump cancels
     ids = mesh.boundary_edge_ids
-    ev = mesh.edge_vertices[ids]
-    pa, pb = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
-    x = (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
-    tr = _one_sided_trace(mesh, u_h, ids, mesh.edge_tplus[ids], mesh.edge_local_plus[ids], x, s)
-    defect = ex.u(x) - tr
+    x = asm.along_edges(mesh.vertices[mesh.edge_vertices[ids]], s)
+    defect = ex.u(x) - trace(ids, mesh.edge_tplus, mesh.edge_local_plus)
     total += float(np.einsum("q,eqi,eqi->", w, defect, defect))
     return penalty * total
 
@@ -189,16 +171,14 @@ def _reconstructed_error_sq(mesh, u_h, ex):
     moments = np.zeros((mesh.num_edges, 2))
     ids = mesh.interior_edge_ids
     if len(ids):
-        ev = mesh.edge_vertices[ids]
-        pa, pb = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
-        x = (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
+        x = asm.along_edges(mesh.vertices[mesh.edge_vertices[ids]], s)
         un = np.einsum("eqi,ei->eq", ex.u(x), mesh.edge_normal[ids])
         h = mesh.edge_length[ids]
         moments[ids, 0] = h * np.einsum("q,eq->e", w, un)
         moments[ids, 1] = h * np.einsum("q,q,eq->e", w, s, un)
     rhs = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
     coeffs_exact = np.linalg.solve(local_moment_blocks(mesh), rhs[..., None])[..., 0].reshape(-1)
-    R = reconstruction_matrix(mesh)
+    R = asm.discretization(mesh).reconstruction()
     diff = coeffs_exact - R @ u_h.to_vector()
     M = bdm_mass_matrix(mesh)
     return float(diff @ (M @ diff))
@@ -286,6 +266,38 @@ def least_squares_rate(hs, errors) -> float:
 # -- experiments ----------------------------------------------------------
 
 
+def _study_level(n, params, settings, ex, force) -> ConvergenceRow:
+    """Error row of one refinement level; a failed solve gives a row of NaNs with a note."""
+    mesh = build_unit_square_mesh(n)
+    try:
+        u_h, p_h, report = solve_navier_stokes(mesh, params, settings, force=force)
+    except DivergedError as err:
+        return ConvergenceRow(
+            h=mesh.h_max,
+            energy_err=float("nan"),
+            energy_r_err=float("nan"),
+            l2_u_err=float("nan"),
+            l2_p_err=float("nan"),
+            iterations=err.report.iterations,
+            note="diverged",
+        )
+    except SingularSystemError as err:
+        return ConvergenceRow(
+            h=mesh.h_max,
+            energy_err=float("nan"),
+            energy_r_err=float("nan"),
+            l2_u_err=float("nan"),
+            l2_p_err=float("nan"),
+            note=f"singular: {err}",
+        )
+    row = error_norms(u_h, p_h, ex, mesh, params)
+    row.iterations = report.iterations
+    row.converged = report.converged
+    if not report.converged:
+        row.note = "max-iterations"
+    return row
+
+
 def convergence_study(
     levels,
     params: FormParams,
@@ -300,42 +312,9 @@ def convergence_study(
     settings = settings or NonlinearSettings()
     ex = exact or example1_solution()
     force = forcing_from_exact(ex, params.viscosity)
-    rows = []
-    for n in levels:
-        mesh = build_unit_square_mesh(n)
-        try:
-            u_h, p_h, report = solve_navier_stokes(mesh, params, settings, force=force)
-        except DivergedError as err:
-            rows.append(
-                ConvergenceRow(
-                    h=mesh.h_max,
-                    energy_err=float("nan"),
-                    energy_r_err=float("nan"),
-                    l2_u_err=float("nan"),
-                    l2_p_err=float("nan"),
-                    iterations=err.report.iterations,
-                    note="diverged",
-                )
-            )
-            continue
-        except SingularSystemError as err:
-            rows.append(
-                ConvergenceRow(
-                    h=mesh.h_max,
-                    energy_err=float("nan"),
-                    energy_r_err=float("nan"),
-                    l2_u_err=float("nan"),
-                    l2_p_err=float("nan"),
-                    note=f"singular: {err}",
-                )
-            )
-            continue
-        row = error_norms(u_h, p_h, ex, mesh, params)
-        row.iterations = report.iterations
-        row.converged = report.converged
-        if not report.converged:
-            row.note = "max-iterations"
-        rows.append(row)
+    # one call per level: a level's mesh, with everything cached on it, is
+    # released before the next, larger one is solved
+    rows = [_study_level(n, params, settings, ex, force) for n in levels]
     return attach_eoc(rows)
 
 
@@ -370,12 +349,12 @@ def pressure_robustness_probe(
         raise ValueError("viscosity list must span at least three decades")
     settings = settings or NonlinearSettings()
     ex = example1_solution()
+    mesh = build_unit_square_mesh(n)  # one mesh, so every cell shares its cached operators
     out: dict[str, list[ProbeCell]] = {}
     for robust, mode in ((False, "standard"), (True, "robust")):
         cells = []
         for mu in mu_list:
             params = FormParams(viscosity=mu, penalty=penalty, pressure_robust=robust)
-            mesh = build_unit_square_mesh(n)
             force = forcing_from_exact(ex, mu)
             note = ""
             try:

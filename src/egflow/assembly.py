@@ -29,10 +29,27 @@ rhs = R^T (f, .)_bdm, where R is the sparse reconstruction operator.  Since
 the reconstructed field has zero normal trace on the boundary, the boundary
 convection terms drop out there automatically.
 
-Every discrete velocity here is affine on each triangle, so all volume
-integrands are low-degree polynomials; a single degree-6 triangle rule and a
-4-point Gauss edge rule are used for every form, which integrates everything
-except the upwind indicator exactly.
+Every basis function and discrete velocity here is affine on each
+triangle, so it is fixed by its values at the three vertices, and its trace
+along an edge is affine in the edge parameter s.  Volume integrals are
+therefore taken exactly from vertex values and the moments of the
+barycentric coordinates; a body force is integrated with a degree-6 triangle
+rule.  Edge integrals see a pointwise weight g(s) only through three moments
+per edge, the integrals of g (1-s)^2, g s(1-s) and g s^2 against the 4-point
+Gauss rule, contracted with the endpoint traces.  That is exact for every
+term except the upwind indicator, which is decided at the 4 Gauss points.
+
+What is built when.  Everything that depends only on the mesh is built once
+per mesh, on first use, in the mesh's Discretization (discretization(mesh))
+and kept there: per local basis the dof map, vertex values, Jacobians,
+volume moments and mass-like block; the interior and boundary edge batches
+reduced to endpoint traces; the fixed CSR pattern of the convection matrix
+with the map from local entries to it; and the matrices R, B and, per
+penalty, the unscaled viscous A.  The solver and analysis.error_norms share
+them.  A Picard step evaluates only the transport field: its vertex values,
+one batched contraction for the volume term, and per edge {z}.n and [z].n
+at the Gauss points, whose upwind and skew weights form the three moments;
+the local blocks then fill the fixed pattern by bincount.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.  The optional
@@ -42,6 +59,7 @@ Newton correction (experimental) adds the volume derivative block
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +73,9 @@ from .spaces import DofLayout, EGFunction, layout_for
 VOLUME_DEGREE = 6
 EDGE_DEGREE = 7  # 4-point Gauss
 
+# int_T lam_k lam_l over the reference triangle (area 1/2)
+_LAMBDA_MASS = (1.0 + np.eye(3)) / 24.0
+
 
 @dataclass(frozen=True)
 class FormParams:
@@ -66,20 +87,60 @@ class FormParams:
     use_newton_experimental: bool = False
 
 
-# -- element tables ------------------------------------------------------
+# -- affine fields ---------------------------------------------------------
+
+
+def vertex_values(z) -> np.ndarray:
+    """(nt, 3, 2) values of an enriched or reconstructed field at each triangle's vertices.
+
+    Both kinds are affine on each triangle, so these values fix the field
+    there, and along each edge it interpolates its two endpoint values.
+    """
+    mesh = z.mesh
+    if isinstance(z, EGFunction):
+        offsets = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
+        return z.nodal[mesh.triangles] + z.bubble[:, None, None] * offsets
+    if isinstance(z, BDMFunction):
+        return z.coeffs
+    raise TypeError(f"unsupported field type {type(z).__name__}")
+
+
+def along_edges(ends: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Values at edge parameters s of fields affine along edges.
+
+    ends (..., 2, d) holds the values at s = 0 and s = 1; the result has
+    shape (..., nq, d).
+    """
+    return (1.0 - s)[:, None] * ends[..., :1, :] + s[:, None] * ends[..., 1:, :]
+
+
+def _hat_moments(g: np.ndarray) -> np.ndarray:
+    """sum_q w_q g(s_q) l_j(s_q) l_k(s_q) for the endpoint hats l = (1 - s, s); (..., nq) -> (..., 2, 2).
+
+    The entries are the three moments of g against (1-s)^2, s(1-s) and s^2,
+    which is all a product of two traces affine in s sees of g.
+    """
+    rule = edge_rule(EDGE_DEGREE)
+    hats = np.stack([1.0 - rule.points, rule.points], axis=1)
+    weighted = rule.weights[:, None, None] * hats[:, :, None] * hats[:, None, :]
+    return (g @ weighted.reshape(len(rule.weights), 4)).reshape(g.shape[:-1] + (2, 2))
+
+
+# -- element tables --------------------------------------------------------
 
 
 class _SpaceTables:
-    """Per-triangle basis data for one of the two local velocity bases.
+    """Per-triangle data of one of the two local velocity bases.
 
     kind "eg": 6 nodal dofs (vertex, component) plus the barycenter bubble;
     kind "p1d": the 6 elementwise P1 dofs used for reconstructed fields.
-    Every basis function is affine per triangle, so its Jacobian is constant.
+    Every basis function is affine per triangle, so it is fixed by its values
+    at the triangle's vertices, vertex_values[t, a, k, i], and its Jacobian
+    is constant.  moments[t, a, i, k] = int_T phi_a,i lam_k / (2 |T|) and
+    mass_like[t, a, b] = int_T phi_a . phi_b / (2 |T|).
     """
 
     def __init__(self, mesh: MeshTopology, kind: str):
-        self.mesh = mesh
-        self.kind = kind
         nt = mesh.num_triangles
         if kind == "eg":
             nv = mesh.num_vertices
@@ -93,98 +154,166 @@ class _SpaceTables:
             self.n_dofs = 6 * nt
         else:
             raise ValueError(f"unknown space kind {kind!r}")
+        self.dofmap = self.dofmap.astype(np.int32)  # halves the index arrays of every scatter
+        vals = np.zeros((nt, self.nl, 3, 2))
         jac = np.zeros((nt, self.nl, 2, 2))
         for a in range(3):
             for i in range(2):
+                vals[:, 2 * a + i, a, i] = 1.0
                 jac[:, 2 * a + i, i, :] = mesh.grad_lambda[:, a, :]
         if kind == "eg":
+            vals[:, 6] = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
             jac[:, 6] = np.eye(2)
+        self.vertex_values = vals
         self.jac = jac
         self.div = jac[:, :, 0, 0] + jac[:, :, 1, 1]
-
-    def volume_values(self, lam: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Basis values at volume points; lam (nq, 3) barycentric, pts (nt, nq, 2)."""
-        nt, nq = pts.shape[0], pts.shape[1]
-        vals = np.zeros((nt, self.nl, nq, 2))
-        for a in range(3):
-            for i in range(2):
-                vals[:, 2 * a + i, :, i] = lam[None, :, a]
-        if self.kind == "eg":
-            vals[:, 6] = pts - self.mesh.barycenters[:, None, :]
-        return vals
-
-    def edge_traces(self, tris, la, lb, s, x) -> np.ndarray:
-        """One-sided basis traces along edges.
-
-        tris, la, lb: (nE,) triangle of the side and local endpoint indices;
-        s: (nq,) edge parameters; x: (nE, nq, 2) physical points.
-        """
-        nE, nq = x.shape[0], x.shape[1]
-        lamk = np.zeros((nE, 3, nq))
-        lamk[np.arange(nE), la, :] = 1.0 - s[None, :]
-        lamk[np.arange(nE), lb, :] = s[None, :]
-        vals = np.zeros((nE, self.nl, nq, 2))
-        for a in range(3):
-            for i in range(2):
-                vals[:, 2 * a + i, :, i] = lamk[:, a, :]
-        if self.kind == "eg":
-            vals[:, 6] = x - self.mesh.barycenters[tris][:, None, :]
-        return vals
+        self.moments = np.einsum("taki,kl->tail", vals, _LAMBDA_MASS)
+        self.mass_like = np.einsum("taik,tbki->tab", self.moments, vals)
 
 
 class _EdgeBatch:
-    """Stacked one-sided trace data for the interior or the boundary edges.
+    """The interior or the boundary edges, with the basis traces of each side.
 
-    Interior batches stack plus-side entries before minus-side entries, so
-    jump_sign is +1 on the first nl entries and -1 on the rest; boundary
-    batches are one-sided with jump = average = trace.
+    Sides are indexed by X (plus first; boundary batches have only the plus
+    side).  A trace is affine in the edge parameter s, so it is stored by its
+    endpoint values: ends[e, X, a, j, i] is component i of basis function a
+    of side X's triangle at s = j.  The stacked local index (X, a) runs over
+    width = sides * nl entries; jump_sign is +1 on the plus side's and -1 on
+    the minus side's, and avg_factor is 1 / sides.
     """
 
-    def __init__(self, mesh: MeshTopology, space: _SpaceTables, eids: np.ndarray, s: np.ndarray):
+    def __init__(self, mesh: MeshTopology, space: _SpaceTables, eids: np.ndarray):
         self.eids = eids
-        self.n = len(eids)
-        ev = mesh.edge_vertices[eids]
-        pa, pb = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
-        self.x = (1.0 - s)[None, :, None] * pa[:, None, :] + s[None, :, None] * pb[:, None, :]
+        self.interior = not mesh.is_boundary_edge[eids[0]]
         self.normal = mesh.edge_normal[eids]
         self.h = mesh.edge_length[eids]
-        tp = mesh.edge_tplus[eids]
-        self.t_plus = tp
-        tr_p = space.edge_traces(tp, mesh.edge_local_plus[eids, 0], mesh.edge_local_plus[eids, 1], s, self.x)
-        self.interior = not bool(mesh.is_boundary_edge[eids[0]]) if self.n else False
         if self.interior:
-            tm = mesh.edge_tminus[eids]
-            self.t_minus = tm
-            tr_m = space.edge_traces(tm, mesh.edge_local_minus[eids, 0], mesh.edge_local_minus[eids, 1], s, self.x)
-            self.traces = np.concatenate([tr_p, tr_m], axis=1)
-            self.jacs = np.concatenate([space.jac[tp], space.jac[tm]], axis=1)
-            self.dofs = np.concatenate([space.dofmap[tp], space.dofmap[tm]], axis=1)
-            self.jump_sign = np.concatenate([np.ones(space.nl), -np.ones(space.nl)])
-            self.avg_factor = 0.5
+            self.tris = np.stack([mesh.edge_tplus[eids], mesh.edge_tminus[eids]], axis=1)
+            self.local = np.stack([mesh.edge_local_plus[eids], mesh.edge_local_minus[eids]], axis=1)
         else:
-            self.t_minus = None
-            self.traces = tr_p
-            self.jacs = space.jac[tp]
-            self.dofs = space.dofmap[tp]
-            self.jump_sign = np.ones(space.nl)
-            self.avg_factor = 1.0
-        self.width = self.traces.shape[1]
+            self.tris = mesh.edge_tplus[eids][:, None]
+            self.local = mesh.edge_local_plus[eids][:, None]
+        sides, nl = self.tris.shape[1], space.nl
+        basis = np.arange(nl)[None, None, :, None]
+        self.ends = space.vertex_values[self.tris[:, :, None, None], basis, self.local[:, :, None, :]]
+        self.dofs = space.dofmap[self.tris].reshape(len(eids), sides * nl)
+        self.side_sign = np.array([1.0, -1.0][:sides])
+        self.jump_sign = np.repeat(self.side_sign, nl)
+        self.avg_factor = 1.0 / sides
+        self.width = sides * nl
+
+    def field_ends(self, zv: np.ndarray) -> np.ndarray:
+        """(nE, sides, 2, 2) endpoint traces of a field from each side, given its vertex_values."""
+        return zv[self.tris[:, :, None], self.local]
+
+    def products(self, g: np.ndarray) -> np.ndarray:
+        """Local matrices sum_q w_q g[e, X, Y, q] phi^X_a(s_q) . phi^Y_b(s_q), (nE, width, width)."""
+        loc = np.einsum("exaji,exyjk,eybki->exayb", self.ends, _hat_moments(g), self.ends, optimize=True)
+        return loc.reshape(len(self.eids), self.width, self.width)
+
+    def mean_traces(self) -> np.ndarray:
+        """(nE, width, 2) edge means of the basis traces, jump signs applied."""
+        return self.jump_sign[None, :, None] * 0.5 * self.ends.sum(axis=3).reshape(len(self.eids), self.width, 2)
 
 
-def _edge_batches(mesh: MeshTopology, space: _SpaceTables, s: np.ndarray):
-    out = []
-    for eids in (mesh.interior_edge_ids, mesh.boundary_edge_ids):
-        if len(eids):
-            out.append(_EdgeBatch(mesh, space, eids, s))
-    return out
+class _Pattern:
+    """Fixed CSR structure of an n x n matrix summed from local blocks.
+
+    Piece k is a stack of square local blocks over the dofs dofmaps[k];
+    positions[k] sends its flattened entries to their slots in the CSR data
+    array, so filling the matrix is one bincount per piece instead of a COO
+    sort.
+    """
+
+    def __init__(self, n: int, dofmaps: list[np.ndarray]):
+        keys = [(dofs[:, :, None].astype(np.int64) * n + dofs[:, None, :]).ravel() for dofs in dofmaps]
+        uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        inverse = inverse.reshape(-1).astype(np.int32)  # half the memory; bincount widens it per call
+        self.positions = np.split(inverse, np.cumsum([len(k) for k in keys])[:-1])
+        self.indices = (uniq % n).astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
+        self.shape = (n, n)
+
+    def matrix(self, blocks: list[np.ndarray]) -> sp.csr_matrix:
+        nnz = len(self.indices)
+        data = sum(np.bincount(pos, weights=blk.ravel(), minlength=nnz) for pos, blk in zip(self.positions, blocks))
+        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        mat.eliminate_zeros()
+        return mat
 
 
-def _scatter(rows_dof, cols_dof, vals, shape) -> sp.csr_matrix:
-    rows = np.broadcast_to(rows_dof[:, :, None], vals.shape).ravel()
-    cols = np.broadcast_to(cols_dof[:, None, :], vals.shape).ravel()
-    mat = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
-    return mat
+class Discretization:
+    """Everything the forms need that depends only on the mesh, built on first use.
+
+    One per mesh, see discretization().  Each piece is built the first time
+    a form asks for it and then kept: the tables, edge batches and
+    convection sparsity pattern of each local basis, the reconstruction R,
+    the divergence matrix B and the unscaled viscous matrix A of each
+    penalty.  The mesh arrays are read-only, so none of it can go stale.
+    """
+
+    def __init__(self, mesh: MeshTopology):
+        # weak: the mesh keeps its Discretization, and a strong reference back
+        # would leave both to the cycle collector instead of freeing them with the mesh
+        self._mesh = weakref.ref(mesh)
+        self._built: dict = {}
+
+    @property
+    def mesh(self) -> MeshTopology:
+        return self._mesh()
+
+    def _memo(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def space(self, kind: str) -> _SpaceTables:
+        return self._memo(("space", kind), lambda: _SpaceTables(self.mesh, kind))
+
+    def edge_batches(self, kind: str) -> list[_EdgeBatch]:
+        """The non-empty batches of interior and of boundary edges, in that order."""
+
+        def build():
+            mesh = self.mesh
+            ids = (mesh.interior_edge_ids, mesh.boundary_edge_ids)
+            return [_EdgeBatch(mesh, self.space(kind), eids) for eids in ids if len(eids)]
+
+        return self._memo(("edges", kind), build)
+
+    def boundary_batch(self, kind: str) -> _EdgeBatch | None:
+        return next((b for b in self.edge_batches(kind) if not b.interior), None)
+
+    def convection_pattern(self, kind: str) -> _Pattern:
+        def build():
+            space = self.space(kind)
+            return _Pattern(space.n_dofs, [space.dofmap] + [b.dofs for b in self.edge_batches(kind)])
+
+        return self._memo(("pattern", kind), build)
+
+    def reconstruction(self) -> sp.csr_matrix:
+        return self._memo("R", lambda: reconstruction_matrix(self.mesh))
+
+    def divergence(self) -> sp.csr_matrix:
+        return self._memo("B", lambda: assemble_divergence(self.mesh))
+
+    def viscous(self, params: FormParams) -> sp.csr_matrix:
+        return self._memo(("A", params.penalty), lambda: assemble_viscous(self.mesh, params))
+
+
+def discretization(mesh: MeshTopology) -> Discretization:
+    """The mesh's Discretization, created on the first call and kept on the mesh."""
+    disc = vars(mesh).get("_discretization")
+    if disc is None:
+        disc = mesh._discretization = Discretization(mesh)
+    return disc
+
+
+def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
+    """n x n matrix summed from stacks of square local blocks, each given as (dofs, values)."""
+    rows = np.concatenate([np.broadcast_to(dofs[:, :, None], vals.shape).ravel() for dofs, vals in blocks])
+    cols = np.concatenate([np.broadcast_to(dofs[:, None, :], vals.shape).ravel() for dofs, vals in blocks])
+    vals = np.concatenate([vals.ravel() for _, vals in blocks])
+    return _finalize(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 def _finalize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -199,226 +328,176 @@ def _volume_points(mesh: MeshTopology, rule):
     return np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
 
 
-def _affine_rep(z) -> tuple[np.ndarray, np.ndarray]:
-    """(value at barycenter, constant Jacobian) per triangle of an affine field."""
-    mesh = z.mesh
+def _boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(nE_boundary, nq, 2) P1 interpolant of nodal boundary data at edge parameters s."""
+    return along_edges(g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
+
+
+def _transport(disc: Discretization, z, params: FormParams) -> tuple[str, np.ndarray]:
+    """Local basis and vertex values of the field the forms transport with.
+
+    In pressure-robust mode an enriched z acts through its reconstruction R z.
+    """
+    if not params.pressure_robust:
+        return "eg", vertex_values(z)
     if isinstance(z, EGFunction):
-        nodal = z.nodal[mesh.triangles]  # (nt, 3, 2)
-        v0 = nodal.mean(axis=1)  # bubble vanishes at the barycenter
-        J = np.einsum("tki,tkj->tij", nodal, mesh.grad_lambda)
-        J = J + z.bubble[:, None, None] * np.eye(2)[None, :, :]
-        return v0, J
-    if isinstance(z, BDMFunction):
-        v0 = z.coeffs.mean(axis=1)
-        J = np.einsum("tki,tkj->tij", z.coeffs, mesh.grad_lambda)
-        return v0, J
-    raise TypeError(f"unsupported field type {type(z).__name__}")
-
-
-def _field_at(v0, J, tris, x, centers) -> np.ndarray:
-    """Evaluate the affine field on given triangles at points x (nE, nq, 2)."""
-    off = x - centers[tris][:, None, :]
-    return v0[tris][:, None, :] + np.einsum("eij,eqj->eqi", J[tris], off)
+        z = BDMFunction.from_vector(z.mesh, disc.reconstruction() @ z.to_vector())
+    return "p1d", vertex_values(z)
 
 
 # -- viscous and divergence forms ----------------------------------------
 
 
-def _viscous_pieces(mesh: MeshTopology):
-    """(volume stiffness, gradient-jump coupling, jump penalty) on the enriched space."""
-    space = _SpaceTables(mesh, "eg")
-    n = space.n_dofs
-    K = _scatter(
-        space.dofmap,
-        space.dofmap,
-        np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac),
-        (n, n),
-    )
-    srule = edge_rule(EDGE_DEGREE)
-    w = srule.weights
-    cons = sp.csr_matrix((n, n))
-    pen = sp.csr_matrix((n, n))
-    for batch in _edge_batches(mesh, space, srule.points):
-        jump = batch.jump_sign[None, :, None, None] * batch.traces
-        int_jump = batch.h[:, None, None] * np.einsum("q,eaqi->eai", w, jump)
-        avg_grad_n = batch.avg_factor * np.einsum("ebij,ej->ebi", batch.jacs, batch.normal)
-        cons = cons + _scatter(batch.dofs, batch.dofs, np.einsum("eai,ebi->eab", int_jump, avg_grad_n), (n, n))
-        pen_loc = np.einsum("q,eaqi,ebqi->eab", w, jump, jump)
-        pen = pen + _scatter(batch.dofs, batch.dofs, pen_loc, (n, n))
-    return K, cons, pen
+def _viscous_blocks(mesh: MeshTopology):
+    """Local blocks of the SIPG pieces on the enriched space.
+
+    Returns (dofs, volume stiffness) and, per edge batch, (dofs,
+    gradient-jump coupling, jump penalty).
+    """
+    disc = discretization(mesh)
+    space = disc.space("eg")
+    stiffness = (space.dofmap, np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac))
+    nq = len(edge_rule(EDGE_DEGREE).points)
+    edges = []
+    for batch in disc.edge_batches("eg"):
+        int_jump = batch.h[:, None, None] * batch.mean_traces()
+        avg_grad_n = batch.avg_factor * np.einsum("exbij,ej->exbi", space.jac[batch.tris], batch.normal)
+        coupling = np.einsum("eai,ebi->eab", int_jump, avg_grad_n.reshape(len(batch.eids), batch.width, 2))
+        # int [u].[v] ds: unit weight, signed by the pair of sides
+        sign = np.multiply.outer(batch.side_sign, batch.side_sign)
+        penalty = batch.products(np.broadcast_to(sign[:, :, None], (len(batch.eids),) + sign.shape + (nq,)))
+        edges.append((batch.dofs, coupling, penalty))
+    return stiffness, edges
 
 
 def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
     """Interior-penalty viscous matrix (symmetric; excludes the viscosity factor)."""
-    K, cons, pen = _viscous_pieces(mesh)
-    return _finalize(K - cons - cons.T + params.penalty * pen)
+    stiffness, edges = _viscous_blocks(mesh)
+    blocks = [(dofs, params.penalty * pen - cons - cons.transpose(0, 2, 1)) for dofs, cons, pen in edges]
+    return _scatter([stiffness] + blocks, layout_for(mesh).n_velocity)
 
 
 def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
     """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
-    K, _, pen = _viscous_pieces(mesh)
-    return _finalize(K + penalty * pen)
+    stiffness, edges = _viscous_blocks(mesh)
+    return _scatter([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
 
 
 def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:
     """L2 mass matrix of the enriched velocity space."""
-    space = _SpaceTables(mesh, "eg")
-    rule = triangle_rule(VOLUME_DEGREE)
-    pts = _volume_points(mesh, rule)
-    phi = space.volume_values(rule.points, pts)
-    vals = 2.0 * mesh.areas[:, None, None] * np.einsum("q,taqi,tbqi->tab", rule.weights, phi, phi)
-    return _finalize(_scatter(space.dofmap, space.dofmap, vals, (space.n_dofs, space.n_dofs)))
+    space = discretization(mesh).space("eg")
+    return _scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * space.mass_like)], space.n_dofs)
 
 
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     """Rows q (one per triangle), columns velocity dofs: b(u, q)."""
-    space = _SpaceTables(mesh, "eg")
+    disc = discretization(mesh)
+    space = disc.space("eg")
     nt = mesh.num_triangles
-    shape = (nt, space.n_dofs)
-    rows = np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)
-    vol = sp.coo_matrix(
-        ((mesh.areas[:, None] * space.div).ravel(), (rows.ravel(), space.dofmap.ravel())), shape=shape
-    ).tocsr()
-
-    srule = edge_rule(EDGE_DEGREE)
-    w = srule.weights
-    B = vol
-    for batch in _edge_batches(mesh, space, srule.points):
-        jump = batch.jump_sign[None, :, None, None] * batch.traces
-        jn = batch.h[:, None] * np.einsum("q,ebqi,ei->eb", w, jump, batch.normal)
-        sides = [batch.t_plus] if batch.t_minus is None else [batch.t_plus, batch.t_minus]
-        for tri_rows in sides:
-            prow = np.broadcast_to(tri_rows[:, None], jn.shape)
-            B = B + sp.coo_matrix(
-                ((-batch.avg_factor * jn).ravel(), (prow.ravel(), batch.dofs.ravel())), shape=shape
-            ).tocsr()
-    return _finalize(B)
+    rows = [np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)]
+    cols = [space.dofmap]
+    vals = [mesh.areas[:, None] * space.div]
+    for batch in disc.edge_batches("eg"):
+        # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged
+        jn = -batch.avg_factor * batch.h[:, None] * np.einsum("ebi,ei->eb", batch.mean_traces(), batch.normal)
+        for tri_rows in batch.tris.T:
+            rows.append(np.broadcast_to(tri_rows[:, None], jn.shape))
+            cols.append(batch.dofs)
+            vals.append(jn)
+    flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
+    return _finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
 
 
 # -- convection ----------------------------------------------------------
 
 
-def _convection_on_space(mesh: MeshTopology, space: _SpaceTables, v0, Jz, h_factor=None) -> sp.csr_matrix:
-    """Picard convection matrix on the given local basis for the affine field (v0, Jz)."""
-    n = space.n_dofs
-    rule = triangle_rule(VOLUME_DEGREE)
-    pts = _volume_points(mesh, rule)
-    zq = v0[:, None, :] + np.einsum("tij,tqj->tqi", Jz, pts - mesh.barycenters[:, None, :])
+def _convection_on_space(disc: Discretization, kind: str, zv: np.ndarray) -> sp.csr_matrix:
+    """Picard convection matrix on one local basis for the field with vertex values zv."""
+    mesh = disc.mesh
+    space = disc.space(kind)
+    Jz = np.einsum("tki,tkj->tij", zv, mesh.grad_lambda)
     divz = Jz[:, 0, 0] + Jz[:, 1, 1]
-    phi = space.volume_values(rule.points, pts)
-    transport = np.einsum("q,taqi,tbij,tqj->tab", rule.weights, phi, space.jac, zq)
-    mass_like = np.einsum("q,taqi,tbqi->tab", rule.weights, phi, phi)
-    vol = 2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divz[:, None, None] * mass_like)
-    C = _scatter(space.dofmap, space.dofmap, vol, (n, n))
+    # int_T phi_a . (grad phi_b) z: the basis moments against z's vertex values
+    transport = np.einsum("taik,tkj,tbij->tab", space.moments, zv, space.jac, optimize=True)
+    blocks = [2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divz[:, None, None] * space.mass_like)]
 
-    srule = edge_rule(EDGE_DEGREE)
-    w = srule.weights
-    for batch in _edge_batches(mesh, space, srule.points):
-        zp = _field_at(v0, Jz, batch.t_plus, batch.x, mesh.barycenters)
+    s = edge_rule(EDGE_DEGREE).points
+    for batch in disc.edge_batches(kind):
+        zn = along_edges(np.einsum("exji,ei->exj", batch.field_ends(zv), batch.normal)[..., None], s)[..., 0]
         if batch.interior:
-            zm = _field_at(v0, Jz, batch.t_minus, batch.x, mesh.barycenters)
-            zeta = 0.5 * np.einsum("eqi,ei->eq", zp + zm, batch.normal)
-            zjn = np.einsum("eqi,ei->eq", zp - zm, batch.normal)
-            nl = space.nl
-            same = np.zeros((batch.width, batch.width))
-            same[:nl, :nl] = 1.0
-            same[nl:, nl:] = 1.0
+            zeta = 0.5 * (zn[:, 0] + zn[:, 1])
+            # -1/2 <[z].n, {u.v}> pairs only one-sided traces, with {.} = 1/2 (plus + minus)
+            skew = -0.25 * (zn[:, 0] - zn[:, 1])
+            # upwind: each side's test rows see the jump where the averaged field enters that side
+            into_plus, into_minus = np.maximum(-zeta, 0.0), np.maximum(zeta, 0.0)
+            g = np.stack(
+                [np.stack([skew + into_plus, -into_plus], axis=1), np.stack([-into_minus, skew + into_minus], axis=1)],
+                axis=1,
+            )
         else:
-            zeta = np.einsum("eqi,ei->eq", zp, batch.normal)
-            zjn = zeta
-            same = np.ones((batch.width, batch.width))
-
-        tr = batch.traces
-        # -1/2 <[z].n, {u.v}>: products pair only one-sided traces
-        skew = np.einsum("q,eq,eaqi,ebqi->eab", w, zjn, tr, tr) * same[None, :, :]
-        loc = -0.5 * batch.avg_factor * skew
-        # upwind: each side contributes where the averaged field enters it
-        w_plus = np.maximum(-zeta, 0.0)
-        nl = space.nl
-        up_p = np.einsum("q,eq,eaqi,ebqi->eab", w, w_plus, tr, tr)
-        up_p = up_p * batch.jump_sign[None, None, :]
-        if batch.interior:
-            up_p[:, nl:, :] = 0.0  # test rows of the plus side only
-            w_minus = np.maximum(zeta, 0.0)
-            up_m = np.einsum("q,eq,eaqi,ebqi->eab", w, w_minus, tr, tr)
-            up_m = up_m * (-batch.jump_sign[None, None, :])
-            up_m[:, :nl, :] = 0.0
-            loc = loc + up_p + up_m
-        else:
-            loc = loc + up_p
-        C = C + _scatter(batch.dofs, batch.dofs, batch.h[:, None, None] * loc, (n, n))
-    return C
+            zeta = zn[:, 0]
+            g = (-0.5 * zeta + np.maximum(-zeta, 0.0))[:, None, None, :]
+        blocks.append(batch.products(batch.h[:, None, None, None] * g))
+    return disc.convection_pattern(kind).matrix(blocks)
 
 
-def assemble_convection(mesh: MeshTopology, z, params: FormParams, R: sp.csr_matrix | None = None) -> sp.csr_matrix:
+def assemble_convection(mesh: MeshTopology, z, params: FormParams) -> sp.csr_matrix:
     """Picard convection matrix on the enriched space for the iterate z.
 
     In pressure-robust mode both the transport data and the trial/test slots
     act through the reconstruction: R^T C_bdm(R z) R.
     """
+    disc = discretization(mesh)
+    kind, zv = _transport(disc, z, params)
+    C = _convection_on_space(disc, kind, zv)
     if params.pressure_robust:
-        if R is None:
-            R = reconstruction_matrix(mesh)
-        zb = BDMFunction.from_vector(mesh, R @ z.to_vector()) if isinstance(z, EGFunction) else z
-        v0, Jz = _affine_rep(zb)
-        Cb = _convection_on_space(mesh, _SpaceTables(mesh, "p1d"), v0, Jz)
-        return _finalize(R.T @ Cb @ R)
-    v0, Jz = _affine_rep(z)
-    return _finalize(_convection_on_space(mesh, _SpaceTables(mesh, "eg"), v0, Jz))
+        R = disc.reconstruction()
+        return _finalize(R.T @ C @ R)
+    return C
 
 
-def newton_volume_blocks(mesh: MeshTopology, z, params: FormParams, R: sp.csr_matrix | None = None):
+def newton_volume_blocks(mesh: MeshTopology, z, params: FormParams):
     """Experimental Newton correction: volume derivative block and its rhs shift.
 
     Linearizing the volume part of c(u; u, v) at z adds (u.grad z, v)
     + 1/2 ((div u) z, v) to the matrix and (z.grad z, v) + 1/2 ((div z) z, v)
     to the right-hand side; upwind set and weight stay frozen at z.
     """
-
-    def blocks_on(space, v0, Jz):
-        rule = triangle_rule(VOLUME_DEGREE)
-        pts = _volume_points(mesh, rule)
-        zq = v0[:, None, :] + np.einsum("tij,tqj->tqi", Jz, pts - mesh.barycenters[:, None, :])
-        divz = Jz[:, 0, 0] + Jz[:, 1, 1]
-        phi = space.volume_values(rule.points, pts)
-        t1 = np.einsum("q,taqi,tij,tbqj->tab", rule.weights, phi, Jz, phi)
-        t2 = 0.5 * np.einsum("q,taqi,tqi,tb->tab", rule.weights, phi, zq, space.div)
-        mat = _scatter(space.dofmap, space.dofmap, 2.0 * mesh.areas[:, None, None] * (t1 + t2), (space.n_dofs,) * 2)
-        r1 = np.einsum("q,taqi,tij,tqj->ta", rule.weights, phi, Jz, zq)
-        r2 = 0.5 * divz[:, None] * np.einsum("q,taqi,tqi->ta", rule.weights, phi, zq)
-        vec = np.zeros(space.n_dofs)
-        np.add.at(vec, space.dofmap.ravel(), (2.0 * mesh.areas[:, None] * (r1 + r2)).ravel())
-        return mat, vec
-
+    disc = discretization(mesh)
+    kind, zv = _transport(disc, z, params)
+    space = disc.space(kind)
+    Jz = np.einsum("tki,tkj->tij", zv, mesh.grad_lambda)
+    divz = Jz[:, 0, 0] + Jz[:, 1, 1]
+    phi_z = np.einsum("taik,tki->ta", space.moments, zv)  # int_T phi_a . z / (2 |T|)
+    t1 = np.einsum("taik,tij,tbkj->tab", space.moments, Jz, space.vertex_values)
+    t2 = 0.5 * phi_z[:, :, None] * space.div[:, None, :]
+    mat = _scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * (t1 + t2))], space.n_dofs)
+    r1 = np.einsum("taik,tij,tkj->ta", space.moments, Jz, zv)
+    r2 = 0.5 * divz[:, None] * phi_z
+    vec = np.zeros(space.n_dofs)
+    np.add.at(vec, space.dofmap.ravel(), (2.0 * mesh.areas[:, None] * (r1 + r2)).ravel())
     if params.pressure_robust:
-        if R is None:
-            R = reconstruction_matrix(mesh)
-        zb = BDMFunction.from_vector(mesh, R @ z.to_vector()) if isinstance(z, EGFunction) else z
-        v0, Jz = _affine_rep(zb)
-        mat, vec = blocks_on(_SpaceTables(mesh, "p1d"), v0, Jz)
+        R = disc.reconstruction()
         return _finalize(R.T @ mat @ R), R.T @ vec
-    v0, Jz = _affine_rep(z)
-    mat, vec = blocks_on(_SpaceTables(mesh, "eg"), v0, Jz)
-    return _finalize(mat), vec
+    return mat, vec
 
 
 # -- right-hand side -----------------------------------------------------
 
 
-def assemble_load(mesh: MeshTopology, f, params: FormParams, R: sp.csr_matrix | None = None) -> np.ndarray:
+def assemble_load(mesh: MeshTopology, f, params: FormParams) -> np.ndarray:
     """Body-force functional (f, v); reconstructed test functions in robust mode."""
+    disc = discretization(mesh)
     rule = triangle_rule(VOLUME_DEGREE)
-    pts = _volume_points(mesh, rule)
-    fvals = np.asarray(f(pts), dtype=float)
-    space = _SpaceTables(mesh, "p1d" if params.pressure_robust else "eg")
-    phi = space.volume_values(rule.points, pts)
-    loc = 2.0 * mesh.areas[:, None] * np.einsum("q,taqi,tqi->ta", rule.weights, phi, fvals)
+    fvals = np.asarray(f(_volume_points(mesh, rule)), dtype=float)
+    space = disc.space("p1d" if params.pressure_robust else "eg")
+    # int_T phi_a . f = 2 |T| sum_k,i phi_a,i(vertex k) int lam_k f_i
+    f_lam = np.einsum("q,qk,tqi->tki", rule.weights, rule.points, fvals)
+    loc = 2.0 * mesh.areas[:, None] * np.einsum("taki,tki->ta", space.vertex_values, f_lam)
     vec = np.zeros(space.n_dofs)
     np.add.at(vec, space.dofmap.ravel(), loc.ravel())
     if params.pressure_robust:
-        if R is None:
-            R = reconstruction_matrix(mesh)
-        return R.T @ vec
+        return disc.reconstruction().T @ vec
     return vec
 
 
@@ -440,21 +519,17 @@ def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params:
     vec = np.zeros(layout.n_velocity)
     if params.pressure_robust or not g_nodal.any():
         return vec
-    space = _SpaceTables(mesh, "eg")
+    batch = discretization(mesh).boundary_batch("eg")
+    if batch is None:
+        return vec
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
-    eids = mesh.boundary_edge_ids
-    if not len(eids):
-        return vec
-    batch = _EdgeBatch(mesh, space, eids, s)
-    v0, Jz = _affine_rep(z)
-    ztr = _field_at(v0, Jz, batch.t_plus, batch.x, mesh.barycenters)
+    ztr = along_edges(batch.field_ends(vertex_values(z))[:, 0], s)
     w_in = np.maximum(-np.einsum("eqi,ei->eq", ztr, batch.normal), 0.0)
-    ev = mesh.edge_vertices[eids]
-    ga, gb = g_nodal[ev[:, 0]], g_nodal[ev[:, 1]]
-    gq = (1.0 - s)[None, :, None] * ga[:, None, :] + s[None, :, None] * gb[:, None, :]
+    gq = _boundary_data(mesh, g_nodal, s)
     gn = np.einsum("eqi,ei->eq", gq, batch.normal)
-    loc = batch.h[:, None] * np.einsum("q,eq,eqi,eaqi->ea", w, w_in - 0.5 * gn, gq, batch.traces)
+    traces = along_edges(batch.ends[:, 0], s)
+    loc = batch.h[:, None] * np.einsum("q,eq,eqi,eaqi->ea", w, w_in - 0.5 * gn, gq, traces)
     np.add.at(vec, batch.dofs.ravel(), loc.ravel())
     return vec
 
@@ -472,18 +547,15 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     """
     layout = layout_for(mesh)
     vec = np.zeros(layout.n_velocity)
-    eids = mesh.boundary_edge_ids
-    if not len(eids) or not np.any(g_nodal):
+    disc = discretization(mesh)
+    batch = disc.boundary_batch("eg")
+    if batch is None or not np.any(g_nodal):
         return vec
-    space = _SpaceTables(mesh, "eg")
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
-    batch = _EdgeBatch(mesh, space, eids, s)
-    ev = mesh.edge_vertices[eids]
-    ga, gb = g_nodal[ev[:, 0]], g_nodal[ev[:, 1]]
-    gq = (1.0 - s)[None, :, None] * ga[:, None, :] + s[None, :, None] * gb[:, None, :]
-    pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, batch.traces)
-    gradn = np.einsum("eaij,ej->eai", batch.jacs, batch.normal)
+    gq = _boundary_data(mesh, g_nodal, s)
+    pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, along_edges(batch.ends[:, 0], s))
+    gradn = np.einsum("eaij,ej->eai", disc.space("eg").jac[batch.tris[:, 0]], batch.normal)
     g_int = batch.h[:, None] * np.einsum("q,eqi->ei", w, gq)
     cons = np.einsum("eai,ei->ea", gradn, g_int)
     np.add.at(vec, batch.dofs.ravel(), (pen - cons).ravel())
@@ -501,11 +573,8 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
     if not len(eids) or not np.any(g_nodal):
         return vec
     srule = edge_rule(EDGE_DEGREE)
-    s, w = srule.points, srule.weights
-    ev = mesh.edge_vertices[eids]
-    ga, gb = g_nodal[ev[:, 0]], g_nodal[ev[:, 1]]
-    gq = (1.0 - s)[None, :, None] * ga[:, None, :] + s[None, :, None] * gb[:, None, :]
-    gn = mesh.edge_length[eids] * np.einsum("q,eqi,ei->e", w, gq, mesh.edge_normal[eids])
+    gq = _boundary_data(mesh, g_nodal, srule.points)
+    gn = mesh.edge_length[eids] * np.einsum("q,eqi,ei->e", srule.weights, gq, mesh.edge_normal[eids])
     np.add.at(vec, mesh.edge_tplus[eids], -gn)
     return vec
 
@@ -603,8 +672,6 @@ def build_saddle_system(
     convection: sp.csr_matrix,
     load: np.ndarray,
     dirichlet=None,
-    viscous: sp.csr_matrix | None = None,
-    divergence: sp.csr_matrix | None = None,
     continuity_load: np.ndarray | None = None,
 ) -> SaddleSystem:
     """Assemble the saddle system of one Picard step on its free unknowns.
@@ -612,12 +679,15 @@ def build_saddle_system(
     dirichlet is (dofs, values) over nodal velocity dofs; their rows and
     columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
-    (zero when omitted).  The pressure of cell 0 is pinned; solver.solve_linear
-    restores the zero area-weighted mean afterwards (SaddleSystem.expand).
+    (zero when omitted).  The viscous and divergence matrices come from the
+    mesh's Discretization.  The pressure of cell 0 is pinned;
+    solver.solve_linear restores the zero area-weighted mean afterwards
+    (SaddleSystem.expand).
     """
     layout = layout_for(mesh)
-    A = assemble_viscous(mesh, params) if viscous is None else viscous
-    B = assemble_divergence(mesh) if divergence is None else divergence
+    disc = discretization(mesh)
+    A = disc.viscous(params)
+    B = disc.divergence()
     K = (params.viscosity * A + convection).tocsr()
     cont = np.zeros(layout.n_pressure) if continuity_load is None else np.asarray(continuity_load, dtype=float)
 

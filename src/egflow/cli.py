@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -168,38 +169,52 @@ def locate_points(mesh: MeshTopology, pts: np.ndarray):
     return tri, bary, int((~found).sum())
 
 
-def write_field_dump(
-    u_h: EGFunction,
-    p_h: PressureFunction,
-    mesh: MeshTopology,
-    nx: int,
-    ny: int,
-    path,
-) -> int:
-    """Sample velocity (bubbles included) and pressure on a Cartesian grid.
+class SampleGrid(NamedTuple):
+    """Cartesian sample points over the mesh's bounding box, located once."""
+
+    nx: int
+    ny: int
+    points: np.ndarray  # (nx * ny, 2), x fastest
+    triangles: np.ndarray
+    bary: np.ndarray
+    fallback: int
+
+
+def sample_grid(mesh: MeshTopology, nx: int, ny: int) -> SampleGrid:
+    """nx x ny grid over the bounding box of the mesh with its containing triangles."""
+    lo = mesh.vertices.min(axis=0)
+    hi = mesh.vertices.max(axis=0)
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], nx), np.linspace(lo[1], hi[1], ny))
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    tri, bary, fallback = locate_points(mesh, pts)
+    return SampleGrid(nx, ny, pts, tri, bary, fallback)
+
+
+def sample_velocity(u_h: EGFunction, grid: SampleGrid) -> np.ndarray:
+    """Velocity (bubbles included) at the grid points, (nx * ny, 2)."""
+    mesh = u_h.mesh
+    tri = grid.triangles
+    vals = np.einsum("pk,pki->pi", grid.bary, u_h.nodal[mesh.triangles[tri]])
+    return vals + u_h.bubble[tri, None] * (grid.points - mesh.barycenters[tri])
+
+
+def write_field_dump(u_h: EGFunction, p_h: PressureFunction, grid: SampleGrid, path) -> int:
+    """Write velocity (bubbles included) and pressure at the grid points.
 
     Rows run x fastest, y slowest.  Returns the fallback-point count, which
     is also recorded in the header.
     """
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], nx)
-    ys = np.linspace(lo[1], hi[1], ny)
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    tri, bary, fallback = locate_points(mesh, pts)
-    nodal = u_h.nodal[mesh.triangles[tri]]  # (npts, 3, 2)
-    vals = np.einsum("pk,pki->pi", bary, nodal)
-    vals += u_h.bubble[tri, None] * (pts - mesh.barycenters[tri])
-    press = p_h.values[tri]
-    lines = [f"# nx={nx} ny={ny} fallback_points={fallback}", "# x y u1 u2 p"]
+    pts = grid.points
+    vals = sample_velocity(u_h, grid)
+    press = p_h.values[grid.triangles]
+    lines = [f"# nx={grid.nx} ny={grid.ny} fallback_points={grid.fallback}", "# x y u1 u2 p"]
     for q in range(len(pts)):
         lines.append(
             f"{pts[q, 0]:.12e} {pts[q, 1]:.12e} "
             f"{vals[q, 0]:.12e} {vals[q, 1]:.12e} {press[q]:.12e}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-    return fallback
+    return grid.fallback
 
 
 def _write_report(path, payload: dict) -> None:
@@ -225,16 +240,7 @@ def run_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def _grid_velocity(u_h: EGFunction, mesh: MeshTopology, nx: int, ny: int) -> np.ndarray:
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], nx), np.linspace(lo[1], hi[1], ny))
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    tri, bary, _ = locate_points(mesh, pts)
-    vals = np.einsum("pk,pki->pi", bary, u_h.nodal[mesh.triangles[tri]])
-    return vals + u_h.bubble[tri, None] * (pts - mesh.barycenters[tri])
-
-
-def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: EGFunction) -> dict:
+def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: EGFunction, grid: SampleGrid) -> dict:
     """Re-solve with the lid corners at rest; the report documents the gap."""
     try:
         u_wt, _, rep = solve_navier_stokes(
@@ -245,8 +251,8 @@ def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: EGFuncti
         )
     except (DivergedError, SingularSystemError) as err:
         return {"converged": False, "error": str(err)}
-    leaky = _grid_velocity(u_leaky, mesh, cfg.grid, cfg.grid)
-    wt = _grid_velocity(u_wt, mesh, cfg.grid, cfg.grid)
+    leaky = sample_velocity(u_leaky, grid)
+    wt = sample_velocity(u_wt, grid)
     return {
         "converged": rep.converged,
         "iterations": rep.iterations,
@@ -284,7 +290,8 @@ def run_cavity(cfg: RunConfig) -> int:
         print(f"solver failed: {err}; report at {report_path}", file=sys.stderr)
         return 1
     dump_path = cfg.out_dir / "cavity_field.txt"
-    fallback = write_field_dump(u_h, p_h, mesh, cfg.grid, cfg.grid, dump_path)
+    grid = sample_grid(mesh, cfg.grid, cfg.grid)
+    fallback = write_field_dump(u_h, p_h, grid, dump_path)
     payload = dict(
         meta,
         converged=report.converged,
@@ -296,7 +303,7 @@ def run_cavity(cfg: RunConfig) -> int:
         stokes_init=report.stokes_init,
         field_dump=dump_path.name,
         fallback_points=fallback,
-        watertight_comparison=_watertight_comparison(mesh, cfg, u_h),
+        watertight_comparison=_watertight_comparison(mesh, cfg, u_h, grid),
     )
     _write_report(report_path, payload)
     print(

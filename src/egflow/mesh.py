@@ -5,7 +5,8 @@ triangles, a fixed unit normal, and the edge length; per triangle it needs
 the area, the barycenter, the barycentric-coordinate gradients and the
 orientation of its three edges relative to the stored normals.  All of that
 is computed once in the constructor and kept in flat numpy arrays so the
-assembly loops can gather instead of recomputing geometry.
+assembly loops can gather instead of recomputing geometry.  The arrays are
+read-only: assembly caches what it derives from them on the mesh object.
 
 Conventions fixed here and relied on everywhere else:
   * triangle vertices are counterclockwise,
@@ -50,8 +51,9 @@ class MeshTopology:
     """
 
     def __init__(self, vertices, triangles):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
+        # own copies: every array is made read-only below, and the caller's stay writable
+        self.vertices = np.array(vertices, dtype=float)
+        self.triangles = np.array(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -60,6 +62,11 @@ class MeshTopology:
             raise ValueError("triangle vertex index out of range")
         self._build_geometry()
         self._build_edges()
+        # assembly caches what it derives from these on the mesh
+        # (assembly.discretization), so they must not change afterwards
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     # -- construction ---------------------------------------------------
 
@@ -104,16 +111,15 @@ class MeshTopology:
         self.tri_to_edges = inverse.reshape(nt, 3)
 
         # incident triangles: plus = smaller index
-        tplus = np.full(ne, -1, dtype=np.int64)
-        tminus = np.full(ne, -1, dtype=np.int64)
-        owner = np.repeat(np.arange(nt), 3)
-        for t, e in zip(owner, inverse):
-            if tplus[e] < 0:
-                tplus[e] = t
-            elif tminus[e] < 0:
-                tplus[e], tminus[e] = min(tplus[e], t), max(tplus[e], t)
-            else:
-                raise ValueError(f"edge {e} shared by more than two triangles")
+        count = np.bincount(inverse, minlength=ne)
+        if count.max(initial=0) > 2:
+            raise ValueError(f"edge {int(np.argmax(count > 2))} shared by more than two triangles")
+        # a stable sort keeps each edge's owners in ascending triangle order
+        owner = np.repeat(np.arange(nt), 3)[np.argsort(inverse, kind="stable")]
+        first = np.concatenate([[0], np.cumsum(count)[:-1]])
+        tplus = owner[first]
+        second = np.minimum(first + 1, len(owner) - 1)  # kept in range where an edge has one owner
+        tminus = np.where(count == 2, owner[second], -1)
         self.edge_tplus = tplus
         self.edge_tminus = tminus
         self.is_boundary_edge = tminus < 0
@@ -223,15 +229,13 @@ def build_unit_square_mesh(n: int) -> MeshTopology:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    vid = lambda i, j: j * (n + 1) + i
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
-    return MeshTopology(vertices, np.array(triangles, dtype=np.int64))
+    # cells row by row (j slowest), two triangles per cell
+    j, i = np.divmod(np.arange(n * n), n)
+    ll = j * (n + 1) + i
+    lr, ul = ll + 1, ll + n + 1
+    ur = ul + 1
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    return MeshTopology(vertices, triangles)
 
 
 def refine_uniform(mesh: MeshTopology) -> MeshTopology:

@@ -68,33 +68,31 @@ def edge_moment_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     """Moments int_e {v}.n_e s^j ds (j = 0, 1) as rows 2e + j; boundary rows zero."""
     layout = layout_for(mesh)
     nv2 = 2 * mesh.num_vertices
+    ids = mesh.interior_edge_ids
+    a, b = mesh.edge_vertices[ids, 0], mesh.edge_vertices[ids, 1]
+    n = mesh.edge_normal[ids]
+    h = mesh.edge_length[ids]
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    c1 = np.sum((pb - pa) * n, axis=1)
     rows, cols, vals = [], [], []
-    for e in mesh.interior_edge_ids:
-        a, b = mesh.edge_vertices[e]
-        n = mesh.edge_normal[e]
-        h = mesh.edge_length[e]
-        for j in range(2):
-            r = 2 * e + j
-            for i in range(2):
-                rows += [r, r]
-                cols += [2 * a + i, 2 * b + i]
-                vals += [h * _M_A[j] * n[i], h * _M_B[j] * n[i]]
-            # bubble of either side contributes half its trace (x(s) - x_T).n
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            for t in (mesh.edge_tplus[e], mesh.edge_tminus[e]):
-                xt = mesh.barycenters[t]
-                c0 = np.dot(pa - xt, n)
-                c1 = np.dot(pb - pa, n)
-                # 0.5 * int (c0 + c1 s) s^j ds, scaled by h
-                if j == 0:
-                    m = c0 + 0.5 * c1
-                else:
-                    m = 0.5 * c0 + c1 / 3.0
-                rows.append(r)
-                cols.append(nv2 + int(t))
-                vals.append(0.5 * h * m)
+    for j in range(2):
+        r = 2 * ids + j
+        for i in range(2):
+            rows += [r, r]
+            cols += [2 * a + i, 2 * b + i]
+            vals += [h * _M_A[j] * n[:, i], h * _M_B[j] * n[:, i]]
+        # bubble of either side contributes half its trace (x(s) - x_T).n
+        for t in (mesh.edge_tplus[ids], mesh.edge_tminus[ids]):
+            c0 = np.sum((pa - mesh.barycenters[t]) * n, axis=1)
+            # 0.5 * int (c0 + c1 s) s^j ds, scaled by h
+            m = c0 + 0.5 * c1 if j == 0 else 0.5 * c0 + c1 / 3.0
+            rows.append(r)
+            cols.append(nv2 + t)
+            vals.append(0.5 * h * m)
     shape = (2 * mesh.num_edges, layout.n_velocity)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
 
 
 def local_moment_blocks(mesh: MeshTopology) -> np.ndarray:
@@ -162,10 +160,8 @@ def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
     return E
 
 
-def reconstruct(v: EGFunction, R: sp.csr_matrix | None = None) -> BDMFunction:
-    if R is None:
-        R = reconstruction_matrix(v.mesh)
-    return BDMFunction.from_vector(v.mesh, R @ v.to_vector())
+def reconstruct(v: EGFunction) -> BDMFunction:
+    return BDMFunction.from_vector(v.mesh, reconstruction_matrix(v.mesh) @ v.to_vector())
 
 
 def bdm_mass_matrix(mesh: MeshTopology) -> sp.csr_matrix:

@@ -31,7 +31,6 @@ import scipy.sparse.linalg as spla
 from . import assembly as asm
 from .assembly import FormParams, SaddleSystem
 from .mesh import MeshTopology
-from .reconstruction import reconstruction_matrix
 from .spaces import EGFunction, PressureFunction, layout_for
 
 
@@ -206,14 +205,18 @@ def solve_navier_stokes(
     layout = layout_for(mesh)
     report = SolveReport()
 
-    A = asm.assemble_viscous(mesh, params)
-    B = asm.assemble_divergence(mesh)
-    R = reconstruction_matrix(mesh) if params.pressure_robust else None
+    disc = asm.discretization(mesh)
+    # build the mesh-bound operators here, on the mesh's first solve, rather
+    # than inside whichever form first needs them
+    disc.viscous(params)
+    disc.divergence()
+    if params.pressure_robust:
+        disc.reconstruction()
     dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
     if force is None:
         F = np.zeros(layout.n_velocity)
     else:
-        F = asm.assemble_load(mesh, force, params, R=R)
+        F = asm.assemble_load(mesh, force, params)
     # weak Dirichlet data of the viscous and divergence forms (zero for g = 0)
     F = F + params.viscosity * asm.sipg_boundary_load(mesh, g_nodal, params)
     cont_load = asm.divergence_boundary_load(mesh, g_nodal)
@@ -230,8 +233,6 @@ def solve_navier_stokes(
             convection,
             rhs,
             dirichlet=(dofs, values),
-            viscous=A,
-            divergence=B,
             continuity_load=cont_load,
         )
         system.preconditioner, factor = factor, None  # the system alone holds it, so a refactor frees it
@@ -246,16 +247,16 @@ def solve_navier_stokes(
         return solution.velocity, solution.pressure
 
     def linear_step(z: EGFunction) -> tuple[np.ndarray, np.ndarray]:
-        C = asm.assemble_convection(mesh, z, params, R=R)
+        C = asm.assemble_convection(mesh, z, params)
         rhs = F + asm.convective_boundary_load(mesh, z, g_nodal, params)
         if use_newton:
-            N, shift = asm.newton_volume_blocks(mesh, z, params, R=R)
+            N, shift = asm.newton_volume_blocks(mesh, z, params)
             C = C + N
             rhs = rhs + shift
         return linear_solve(C, rhs)
 
     if settings.init == "stokes":
-        u0, p0 = linear_solve(sp.csr_matrix(A.shape), F)
+        u0, p0 = linear_solve(sp.csr_matrix((layout.n_velocity, layout.n_velocity)), F)
         report.stokes_init = True
         x_old = np.concatenate([u0, p0])
         z = EGFunction.from_vector(mesh, u0)

@@ -229,11 +229,10 @@ def test_convection_is_positive_semidefinite_in_quadratic_sense(n, robust):
     # the skew part plus upwinding make c(z; v, v) >= 0 for every pair
     mesh = build_unit_square_mesh(n)
     params = PARAMS_PR if robust else PARAMS
-    R = reconstruction_matrix(mesh) if robust else None
     for seed in range(50):
         z = random_eg(mesh, 100 + seed)
         v = random_eg(mesh, 500 + seed)
-        C = asm.assemble_convection(mesh, z, params, R=R)
+        C = asm.assemble_convection(mesh, z, params)
         vec = v.to_vector()
         assert float(vec @ (C @ vec)) >= -1e-12
 
@@ -246,7 +245,6 @@ def test_convection_is_bounded_in_the_energy_norm(robust):
     worst = []
     for n in (2, 4):
         mesh = build_unit_square_mesh(n)
-        R = reconstruction_matrix(mesh) if robust else None
         E = asm.assemble_energy_gram(mesh, penalty=10.0)
         energy = lambda w: np.sqrt(float(w.to_vector() @ (E @ w.to_vector())))
         mx = 0.0
@@ -254,7 +252,7 @@ def test_convection_is_bounded_in_the_energy_norm(robust):
             z = random_eg(mesh, 1000 + seed)
             u = random_eg(mesh, 2000 + seed)
             v = random_eg(mesh, 3000 + seed)
-            C = asm.assemble_convection(mesh, z, params, R=R)
+            C = asm.assemble_convection(mesh, z, params)
             val = abs(float(v.to_vector() @ (C @ u.to_vector())))
             mx = max(mx, val / (energy(z) * energy(u) * energy(v)))
         worst.append(mx)
@@ -380,12 +378,20 @@ def test_convection_upwind_switches_with_flow_direction():
 
 
 def test_pressure_robust_convection_is_reconstruction_sandwich():
+    # C = R^T C_bdm(R z) R: a field that R maps to zero neither feels nor
+    # drives convection, in either slot or as the transport field
     mesh = build_unit_square_mesh(3)
     z = random_eg(mesh, 21)
-    R = reconstruction_matrix(mesh)
-    C1 = asm.assemble_convection(mesh, z, PARAMS_PR)
-    C2 = asm.assemble_convection(mesh, z, PARAMS_PR, R=R)
-    assert abs(C1 - C2).max() == 0.0
+    R = reconstruction_matrix(mesh).toarray()
+    _, sv, vt = np.linalg.svd(R)
+    kernel = vt[np.sum(sv > 1e-10 * sv[0]) :]
+    assert len(kernel) > 0
+    C = asm.assemble_convection(mesh, z, PARAMS_PR).toarray()
+    scale = np.abs(C).max()
+    assert np.abs(C @ kernel.T).max() <= 1e-12 * scale
+    assert np.abs(kernel @ C).max() <= 1e-12 * scale
+    shifted = EGFunction.from_vector(mesh, z.to_vector() + kernel[0])
+    assert abs(asm.assemble_convection(mesh, shifted, PARAMS_PR).toarray() - C).max() <= 1e-12 * scale
 
 
 def test_newton_blocks_reproduce_rhs_at_linearization_point():
@@ -648,6 +654,47 @@ def test_inf_sup_constant_does_not_collapse_under_refinement():
         beta.append(np.sqrt(max(eigs[1], 0.0)))
     assert beta[2] > 0.5 * beta[0]
     assert beta[2] > 0.05
+
+
+def test_cached_operators_belong_to_their_mesh():
+    # same n and topology, moved interior vertices: nothing may be shared
+    base, moved = build_unit_square_mesh(4), perturbed_mesh(4, seed=3)
+    for mesh in (base, moved):
+        asm.assemble_convection(mesh, random_eg(mesh, 71), PARAMS_PR)
+    disc_b, disc_m = asm.discretization(base), asm.discretization(moved)
+    assert disc_b is not disc_m and asm.discretization(base) is disc_b
+    for get in (lambda d: d.reconstruction(), lambda d: d.divergence(), lambda d: d.viscous(PARAMS)):
+        assert abs(get(disc_b) - get(disc_m)).max() > 1e-3
+    assert abs(disc_m.reconstruction() - reconstruction_matrix(moved)).max() == 0.0
+    assert abs(disc_m.viscous(PARAMS) - asm.assemble_viscous(moved, PARAMS)).max() == 0.0
+    # a different penalty is a different matrix, not the cached one
+    assert abs(disc_m.viscous(FormParams(penalty=20.0)) - disc_m.viscous(PARAMS)).max() > 1.0
+
+
+def test_repeated_convection_builds_mesh_data_once(monkeypatch):
+    builds = {"R": 0, "tables": 0}
+    real_R, real_tables = asm.reconstruction_matrix, asm._SpaceTables
+
+    def counted_R(mesh):
+        builds["R"] += 1
+        return real_R(mesh)
+
+    def counted_tables(mesh, kind):
+        builds["tables"] += 1
+        return real_tables(mesh, kind)
+
+    monkeypatch.setattr(asm, "reconstruction_matrix", counted_R)
+    monkeypatch.setattr(asm, "_SpaceTables", counted_tables)
+    mesh = build_unit_square_mesh(3)
+    first = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
+    for seed in (82, 83):
+        asm.assemble_convection(mesh, random_eg(mesh, seed), PARAMS_PR)
+    assert builds == {"R": 1, "tables": 1}  # only the reconstructed basis is used
+    asm.assemble_convection(mesh, random_eg(mesh, 84), PARAMS)
+    asm.assemble_convection(mesh, random_eg(mesh, 85), PARAMS)
+    assert builds == {"R": 1, "tables": 2}
+    again = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
+    assert abs(again - first).max() == 0.0
 
 
 def test_assembly_is_deterministic():

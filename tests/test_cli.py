@@ -17,6 +17,7 @@ from egflow.cli import (
     build_parser,
     locate_points,
     read_convergence_csv,
+    sample_grid,
     write_convergence_csv,
     write_field_dump,
 )
@@ -122,7 +123,7 @@ def test_field_dump_zero_solution_and_grid_shape(tmp_path):
     path = tmp_path / "dump.txt"
     fallback = write_field_dump(
         EGFunction.zero(mesh), PressureFunction(mesh, np.zeros(mesh.num_triangles)),
-        mesh, 2, 2, path,
+        sample_grid(mesh, 2, 2), path,
     )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# nx=2 ny=2 fallback_points=0"
@@ -142,7 +143,7 @@ def test_field_dump_reproduces_continuous_field(tmp_path):
     u_h = EGFunction(mesh, nodal, np.zeros(mesh.num_triangles))
     p_h = PressureFunction(mesh, np.arange(mesh.num_triangles, dtype=float))
     path = tmp_path / "dump.txt"
-    write_field_dump(u_h, p_h, mesh, 7, 5, path)
+    write_field_dump(u_h, p_h, sample_grid(mesh, 7, 5), path)
     rows = np.loadtxt(path)
     assert rows.shape == (35, 5)
     assert np.allclose(rows[:, 2], a + b * rows[:, 1], atol=1e-12)
@@ -160,7 +161,7 @@ def test_field_dump_includes_bubble_contribution(tmp_path):
     vals = np.array([u_h.value(int(t), x) for t, x in zip(tri, pts)])
     assert np.abs(vals).max() > 0  # bubbles really sampled
     path = tmp_path / "dump.txt"
-    write_field_dump(u_h, PressureFunction(mesh, np.zeros(mesh.num_triangles)), mesh, 9, 9, path)
+    write_field_dump(u_h, PressureFunction(mesh, np.zeros(mesh.num_triangles)), sample_grid(mesh, 9, 9), path)
     rows = np.loadtxt(path)
     assert np.abs(rows[:, 2:4]).max() > 1e-3
 

@@ -204,3 +204,22 @@ def test_mesh_dump_roundtrip(tmp_path):
     tris = np.array([[int(v) for v in ln.split()] for ln in lines[1 + nv :]])
     assert np.array_equal(verts, mesh.vertices)
     assert np.array_equal(tris, mesh.triangles)
+
+
+def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
+    base = build_unit_square_mesh(2)
+    vertices = base.vertices.copy()
+    mesh = MeshTopology(vertices, base.triangles)
+    vertices[0, 0] = 0.5  # the caller's array is copied, not frozen
+    assert mesh.vertices[0, 0] == 0.0
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert {"vertices", "triangles", "areas", "grad_lambda", "edge_normal", "edge_tplus"} <= set(arrays)
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+def test_edge_of_three_triangles_is_rejected():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]]
+    with pytest.raises(ValueError, match="shared by more than two triangles"):
+        MeshTopology(vertices, [[0, 1, 2], [0, 1, 3], [1, 0, 4]])

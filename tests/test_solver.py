@@ -9,7 +9,6 @@ import scipy.sparse as sp
 import egflow.assembly as asm
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
-from egflow.reconstruction import reconstruction_matrix
 from egflow.solver import (
     DivergedError,
     NonlinearSettings,
@@ -49,17 +48,16 @@ def multiplier_picard(mesh, params, force, boundary, steps):
     multiplier for the zero area-weighted pressure mean; Dirichlet dofs keep
     identity rows and their values are lifted out of the other rows.
     """
-    R = reconstruction_matrix(mesh) if params.pressure_robust else None
     A = asm.assemble_viscous(mesh, params).toarray()
     B = asm.assemble_divergence(mesh).toarray()
     dofs, values, g = asm.dirichlet_data(mesh, boundary)
-    F = asm.assemble_load(mesh, force, params, R=R) + params.viscosity * asm.sipg_boundary_load(mesh, g, params)
+    F = asm.assemble_load(mesh, force, params) + params.viscosity * asm.sipg_boundary_load(mesh, g, params)
     cont = asm.divergence_boundary_load(mesh, g)
     nt, nv = B.shape
     z = EGFunction.zero(mesh)
     for _ in range(steps):
         M = np.zeros((nv + nt + 1, nv + nt + 1))
-        M[:nv, :nv] = params.viscosity * A + asm.assemble_convection(mesh, z, params, R=R).toarray()
+        M[:nv, :nv] = params.viscosity * A + asm.assemble_convection(mesh, z, params).toarray()
         M[:nv, nv:-1] = -B.T
         M[nv:-1, :nv] = B
         M[nv:-1, -1] = M[-1, nv:-1] = mesh.areas
