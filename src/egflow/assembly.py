@@ -310,9 +310,9 @@ def discretization(mesh: MeshTopology) -> Discretization:
 
 def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
     """n x n matrix summed from stacks of square local blocks, each given as (dofs, values)."""
-    rows = np.concatenate([np.broadcast_to(dofs[:, :, None], vals.shape).ravel() for dofs, vals in blocks])
-    cols = np.concatenate([np.broadcast_to(dofs[:, None, :], vals.shape).ravel() for dofs, vals in blocks])
-    vals = np.concatenate([vals.ravel() for _, vals in blocks])
+    rows = np.concatenate([np.broadcast_to(dofs[:, :, None], blk.shape).ravel() for dofs, blk in blocks])
+    cols = np.concatenate([np.broadcast_to(dofs[:, None, :], blk.shape).ravel() for dofs, blk in blocks])
+    vals = np.concatenate([blk.ravel() for _, blk in blocks])
     return _finalize(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
