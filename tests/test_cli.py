@@ -1,5 +1,6 @@
 """CLI plumbing: argument handling, writers, drivers, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -177,6 +178,69 @@ def test_config_file_precedence(tmp_path):
     assert cfg.levels == (2, 4)  # file beats default
     assert cfg.rho == 7.0
     assert cfg.tol == 1e-10  # default survives
+
+
+_BUILT_IN = dict(
+    levels=(4, 8, 16, 32, 64),
+    mu=1.0,
+    rho=10.0,
+    mode="eg",
+    tol=1e-10,
+    max_iters=20,
+    init="zero",
+    mu_list=(1.0, 1e-2, 1e-4),
+    grid=101,
+    out_dir=Path("."),
+)
+_PER_EXPERIMENT = {
+    "converge": {},
+    "cavity": {"levels": (32,), "init": "stokes"},
+    "probe": {"levels": (16,)},
+}
+_FULL_FILE = {
+    "levels": [2, 4],
+    "n": 6,
+    "mu": 0.5,
+    "rho": 7.0,
+    "mode": "pr-eg",
+    "tol": 1e-8,
+    "max_iters": 7,
+    "init": "stokes",
+    "mu_list": [1, 0.1, 0.001],
+    "grid": 11,
+    "out": "results",
+}
+_FULL_EXPECTED = dict(
+    mu=0.5,
+    rho=7.0,
+    mode="pr-eg",
+    tol=1e-8,
+    max_iters=7,
+    init="stokes",
+    mu_list=(1.0, 0.1, 0.001),
+    grid=11,
+    out_dir=Path("results"),
+)
+
+
+@pytest.mark.parametrize("source", ["flags", "partial-file", "full-file"])
+@pytest.mark.parametrize("experiment", ["converge", "cavity", "probe"])
+def test_every_run_config_field_default(tmp_path, experiment, source):
+    expected = dict(_BUILT_IN, **_PER_EXPERIMENT[experiment])
+    argv = [experiment]
+    if source != "flags":
+        if source == "full-file":
+            values = _FULL_FILE
+            expected.update(_FULL_EXPECTED)
+        else:
+            values = {"levels": [3], "n": 5, "mu": 0.25}
+            expected["mu"] = 0.25
+        expected["levels"] = tuple(values["levels"]) if experiment == "converge" else (values["n"],)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        argv += ["--config", str(cfg_file)]
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert dataclasses.asdict(cfg) == dict(expected, experiment=experiment)
 
 
 def test_converge_driver_matches_api(tmp_path):
