@@ -9,12 +9,11 @@ velocity reconstruction makes the scheme pressure-robust.
 
 __version__ = "0.1.0"
 
-from .mesh import MeshTopology, Edge, build_unit_square_mesh, refine_uniform
+from .mesh import MeshTopology, build_unit_square_mesh, refine_uniform
 from .quadrature import QuadRule, triangle_rule, edge_rule
 
 __all__ = [
     "MeshTopology",
-    "Edge",
     "build_unit_square_mesh",
     "refine_uniform",
     "QuadRule",

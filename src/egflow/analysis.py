@@ -31,7 +31,7 @@ import numpy as np
 from . import assembly as asm
 from .assembly import FormParams
 from .mesh import MeshTopology, build_unit_square_mesh
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import edge_rule, map_to_triangle, triangle_rule
 from .reconstruction import bdm_mass_matrix, local_moment_blocks
 from .solver import DivergedError, NonlinearSettings, SingularSystemError, solve_navier_stokes
 from .spaces import EGFunction, PressureFunction
@@ -193,7 +193,7 @@ def error_norms(
 ) -> ConvergenceRow:
     """All error columns for one solved level (EOC fields left unset)."""
     rule = triangle_rule(VOLUME_ERROR_DEGREE)
-    pts = np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
+    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     wq = rule.weights
 
     J_h = np.einsum("tki,tkj->tij", u_h.nodal[mesh.triangles], mesh.grad_lambda)
@@ -266,29 +266,22 @@ def least_squares_rate(hs, errors) -> float:
 # -- experiments ----------------------------------------------------------
 
 
-def _study_level(n, params, settings, ex, force) -> ConvergenceRow:
-    """Error row of one refinement level; a failed solve gives a row of NaNs with a note."""
-    mesh = build_unit_square_mesh(n)
+def _solved_row(mesh, params, settings, ex) -> ConvergenceRow:
+    """Error row of the manufactured problem on mesh; a failed solve gives a row of NaNs with a note."""
+    force = forcing_from_exact(ex, params.viscosity)
     try:
         u_h, p_h, report = solve_navier_stokes(mesh, params, settings, force=force)
-    except DivergedError as err:
+    except (DivergedError, SingularSystemError) as err:
+        diverged = isinstance(err, DivergedError)
+        nan = float("nan")
         return ConvergenceRow(
             h=mesh.h_max,
-            energy_err=float("nan"),
-            energy_r_err=float("nan"),
-            l2_u_err=float("nan"),
-            l2_p_err=float("nan"),
-            iterations=err.report.iterations,
-            note="diverged",
-        )
-    except SingularSystemError as err:
-        return ConvergenceRow(
-            h=mesh.h_max,
-            energy_err=float("nan"),
-            energy_r_err=float("nan"),
-            l2_u_err=float("nan"),
-            l2_p_err=float("nan"),
-            note=f"singular: {err}",
+            energy_err=nan,
+            energy_r_err=nan,
+            l2_u_err=nan,
+            l2_p_err=nan,
+            iterations=err.report.iterations if diverged else 0,
+            note="diverged" if diverged else f"singular: {err}",
         )
     row = error_norms(u_h, p_h, ex, mesh, params)
     row.iterations = report.iterations
@@ -311,10 +304,9 @@ def convergence_study(
     """
     settings = settings or NonlinearSettings()
     ex = exact or example1_solution()
-    force = forcing_from_exact(ex, params.viscosity)
-    # one call per level: a level's mesh, with everything cached on it, is
-    # released before the next, larger one is solved
-    rows = [_study_level(n, params, settings, ex, force) for n in levels]
+    # each mesh lives only through its own call: a level's mesh, with
+    # everything cached on it, is released before the next, larger one is solved
+    rows = [_solved_row(build_unit_square_mesh(n), params, settings, ex) for n in levels]
     return attach_eoc(rows)
 
 
@@ -342,7 +334,8 @@ def pressure_robustness_probe(
     Returns cells per mode keyed "standard" / "robust"; each cell carries
     the ratio of its errors to the mu = 1 cell of the same mode.  The
     viscosity list must span at least three decades so the contrast
-    between the two schemes is visible.
+    between the two schemes is visible.  A failed solve gives a cell of
+    NaNs with a note, as in convergence_study.
     """
     mu_list = list(mu_list)
     if not mu_list or max(mu_list) / min(mu_list) < 1e3:
@@ -355,39 +348,16 @@ def pressure_robustness_probe(
         cells = []
         for mu in mu_list:
             params = FormParams(viscosity=mu, penalty=penalty, pressure_robust=robust)
-            force = forcing_from_exact(ex, mu)
-            note = ""
-            try:
-                u_h, p_h, report = solve_navier_stokes(mesh, params, settings, force=force)
-                iterations, converged = report.iterations, report.converged
-                if not converged:
-                    note = "max-iterations"
-            except DivergedError as err:
-                u_h = p_h = None
-                iterations, converged, note = err.report.iterations, False, "diverged"
-            if u_h is None:
-                cells.append(
-                    ProbeCell(
-                        mu=mu,
-                        energy_err=float("nan"),
-                        energy_r_err=float("nan"),
-                        l2_u_err=float("nan"),
-                        iterations=iterations,
-                        converged=False,
-                        note=note,
-                    )
-                )
-                continue
-            row = error_norms(u_h, p_h, ex, mesh, params)
+            row = _solved_row(mesh, params, settings, ex)
             cells.append(
                 ProbeCell(
                     mu=mu,
                     energy_err=row.energy_err,
                     energy_r_err=row.energy_r_err,
                     l2_u_err=row.l2_u_err,
-                    iterations=iterations,
-                    converged=converged,
-                    note=note,
+                    iterations=row.iterations,
+                    converged=row.converged,
+                    note=row.note,
                 )
             )
         base = next((c for c in cells if c.mu == 1.0), cells[0])

@@ -52,9 +52,7 @@ at the Gauss points, whose upwind and skew weights form the three moments;
 the local blocks then fill the fixed pattern by bincount.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
-and the upwind geometry frozen at the previous iterate z.  The optional
-Newton correction (experimental) adds the volume derivative block
-(u.grad z, v) + 1/2 ((div u) z, v) while keeping the upwind terms frozen.
+and the upwind geometry frozen at the previous iterate z.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshTopology
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import edge_rule, map_to_triangle, triangle_rule
 from .reconstruction import BDMFunction, reconstruction_matrix
 from .spaces import DofLayout, EGFunction, layout_for
 
@@ -84,7 +82,6 @@ class FormParams:
     viscosity: float = 1.0
     penalty: float = 10.0
     pressure_robust: bool = False
-    use_newton_experimental: bool = False
 
 
 # -- affine fields ---------------------------------------------------------
@@ -324,10 +321,6 @@ def _finalize(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
-def _volume_points(mesh: MeshTopology, rule):
-    return np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
-
-
 def _boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.ndarray:
     """(nE_boundary, nq, 2) P1 interpolant of nodal boundary data at edge parameters s."""
     return along_edges(g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
@@ -456,32 +449,6 @@ def assemble_convection(mesh: MeshTopology, z, params: FormParams) -> sp.csr_mat
     return C
 
 
-def newton_volume_blocks(mesh: MeshTopology, z, params: FormParams):
-    """Experimental Newton correction: volume derivative block and its rhs shift.
-
-    Linearizing the volume part of c(u; u, v) at z adds (u.grad z, v)
-    + 1/2 ((div u) z, v) to the matrix and (z.grad z, v) + 1/2 ((div z) z, v)
-    to the right-hand side; upwind set and weight stay frozen at z.
-    """
-    disc = discretization(mesh)
-    kind, zv = _transport(disc, z, params)
-    space = disc.space(kind)
-    Jz = np.einsum("tki,tkj->tij", zv, mesh.grad_lambda)
-    divz = Jz[:, 0, 0] + Jz[:, 1, 1]
-    phi_z = np.einsum("taik,tki->ta", space.moments, zv)  # int_T phi_a . z / (2 |T|)
-    t1 = np.einsum("taik,tij,tbkj->tab", space.moments, Jz, space.vertex_values)
-    t2 = 0.5 * phi_z[:, :, None] * space.div[:, None, :]
-    mat = _scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * (t1 + t2))], space.n_dofs)
-    r1 = np.einsum("taik,tij,tkj->ta", space.moments, Jz, zv)
-    r2 = 0.5 * divz[:, None] * phi_z
-    vec = np.zeros(space.n_dofs)
-    np.add.at(vec, space.dofmap.ravel(), (2.0 * mesh.areas[:, None] * (r1 + r2)).ravel())
-    if params.pressure_robust:
-        R = disc.reconstruction()
-        return _finalize(R.T @ mat @ R), R.T @ vec
-    return mat, vec
-
-
 # -- right-hand side -----------------------------------------------------
 
 
@@ -489,7 +456,7 @@ def assemble_load(mesh: MeshTopology, f, params: FormParams) -> np.ndarray:
     """Body-force functional (f, v); reconstructed test functions in robust mode."""
     disc = discretization(mesh)
     rule = triangle_rule(VOLUME_DEGREE)
-    fvals = np.asarray(f(_volume_points(mesh, rule)), dtype=float)
+    fvals = np.asarray(f(map_to_triangle(rule, mesh.vertices[mesh.triangles])), dtype=float)
     space = disc.space("p1d" if params.pressure_robust else "eg")
     # int_T phi_a . f = 2 |T| sum_k,i phi_a,i(vertex k) int lam_k f_i
     f_lam = np.einsum("q,qk,tqi->tki", rule.weights, rule.points, fvals)

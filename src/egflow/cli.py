@@ -23,13 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .analysis import (
-    ConvergenceRow,
-    convergence_study,
-    example1_solution,
-    forcing_from_exact,
-    pressure_robustness_probe,
-)
+from .analysis import ConvergenceRow, convergence_study, pressure_robustness_probe
 from .assembly import FormParams, lid_values
 from .mesh import MeshTopology, build_unit_square_mesh
 from .solver import (
@@ -38,7 +32,7 @@ from .solver import (
     SingularSystemError,
     solve_navier_stokes,
 )
-from .spaces import EGFunction, PressureFunction
+from .spaces import EGFunction, PressureFunction, barycentric_coords
 
 CSV_HEADER = "h,energy_err,energy_eoc,l2u_err,l2u_eoc,l2p_err,l2p_eoc"
 
@@ -150,13 +144,7 @@ def locate_points(mesh: MeshTopology, pts: np.ndarray):
     k = min(12, mesh.num_triangles)
     _, cand = cKDTree(mesh.barycenters).query(pts, k=k)
     cand = np.atleast_2d(cand)
-    p = mesh.vertices[mesh.triangles[cand]]  # (npts, k, 3, 2)
-    det = 2.0 * mesh.areas[cand]
-    vx = pts[:, None, 0] - p[..., 0, 0]
-    vy = pts[:, None, 1] - p[..., 0, 1]
-    lam1 = (vx * (p[..., 2, 1] - p[..., 0, 1]) - vy * (p[..., 2, 0] - p[..., 0, 0])) / det
-    lam2 = ((p[..., 1, 0] - p[..., 0, 0]) * vy - (p[..., 1, 1] - p[..., 0, 1]) * vx) / det
-    lam = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)  # (npts, k, 3)
+    lam = barycentric_coords(mesh, cand, pts[:, None, :])  # (npts, k, 3)
     inside = lam.min(axis=-1) >= -1e-10
     first = np.argmax(inside, axis=1)  # nearest containing candidate
     found = inside[np.arange(len(pts)), first]
@@ -355,18 +343,16 @@ def run_probe(cfg: RunConfig) -> int:
 # -- argument handling -----------------------------------------------------
 
 
-def _parse_levels(text: str):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from err
+def _list_parser(kind, what: str):
+    """argparse type for a comma-separated list of kind values."""
 
+    def parse(text: str):
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from err
 
-def _parse_mu_list(text: str):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad viscosity list {text!r}") from err
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="refinement study on the manufactured solution")
     common(p)
-    p.add_argument("--levels", type=_parse_levels, help="comma-separated mesh levels")
+    p.add_argument("--levels", type=_list_parser(int, "level"), help="comma-separated mesh levels")
 
     p = sub.add_parser("cavity", help="lid-driven cavity benchmark")
     common(p)
@@ -398,14 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="error-vs-viscosity comparison of both modes")
     common(p)
     p.add_argument("--n", type=int, help="mesh level (default 16)")
-    p.add_argument("--mu-list", type=_parse_mu_list, help="comma-separated viscosities")
+    p.add_argument("--mu-list", type=_list_parser(float, "viscosity"), help="comma-separated viscosities")
     return parser
 
 
-_DEFAULTS = {
-    "converge": {"levels": (4, 8, 16, 32, 64), "init": "zero"},
-    "cavity": {"n": 32, "init": "stokes", "grid": 101},
-    "probe": {"n": 16, "init": "zero", "mu_list": (1.0, 1e-2, 1e-4)},
+# what each experiment changes of the RunConfig defaults; cavity and probe
+# solve the one level given by --n
+_EXPERIMENT_DEFAULTS = {
+    "converge": {},
+    "cavity": {"levels": (32,), "init": "stokes"},
+    "probe": {"levels": (16,)},
+}
+# config-file values whose JSON form is not the one RunConfig takes
+_FROM_FILE = {
+    "levels": lambda raw: tuple(int(v) for v in raw),
+    "mu_list": lambda raw: tuple(float(v) for v in raw),
+    "out": Path,
 }
 
 
@@ -417,39 +411,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_vals, dict):
             raise ValueError("config file must hold a JSON object")
 
-    def pick(name, default):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        if name in file_vals:
-            raw = file_vals[name]
-            if name == "levels":
-                return tuple(int(v) for v in raw)
-            if name == "mu_list":
-                return tuple(float(v) for v in raw)
-            if name == "out":
-                return Path(raw)
-            return raw
-        return default
-
-    defaults = _DEFAULTS[args.experiment]
-    if args.experiment == "converge":
-        levels = pick("levels", defaults["levels"])
-    else:
-        levels = (pick("n", defaults["n"]),)
-    return RunConfig(
-        experiment=args.experiment,
-        levels=tuple(levels),
-        mu=pick("mu", 1.0),
-        rho=pick("rho", 10.0),
-        mode=pick("mode", "eg"),
-        tol=pick("tol", 1e-10),
-        max_iters=pick("max_iters", 20),
-        init=pick("init", defaults["init"]),
-        mu_list=tuple(pick("mu_list", _DEFAULTS["probe"]["mu_list"])),
-        grid=pick("grid", _DEFAULTS["cavity"]["grid"]),
-        out_dir=Path(pick("out", Path("."))),
-    )
+    values = dict(_EXPERIMENT_DEFAULTS[args.experiment])
+    level_flag = "levels" if args.experiment == "converge" else "n"
+    for name in (level_flag, "mu", "rho", "mode", "tol", "max_iters", "init", "mu_list", "grid", "out"):
+        if getattr(args, name, None) is not None:
+            value = getattr(args, name)
+        elif name in file_vals:
+            value = _FROM_FILE.get(name, lambda raw: raw)(file_vals[name])
+        else:
+            continue
+        if name == "n":
+            name, value = "levels", (value,)
+        values["out_dir" if name == "out" else name] = value
+    return RunConfig(experiment=args.experiment, **values)
 
 
 def cli_main(argv=None) -> int:

@@ -2,8 +2,7 @@
 
 Assembly of interior-penalty forms needs, for every edge, the two incident
 triangles, a fixed unit normal, and the edge length; per triangle it needs
-the area, the barycenter, the barycentric-coordinate gradients and the
-orientation of its three edges relative to the stored normals.  All of that
+the area, the barycenter and the barycentric-coordinate gradients.  All of that
 is computed once in the constructor and kept in flat numpy arrays so the
 assembly loops can gather instead of recomputing geometry.  The arrays are
 read-only: assembly caches what it derives from them on the mesh object.
@@ -20,25 +19,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One mesh edge; a read-only view into the topology arrays."""
-
-    vertices: tuple[int, int]
-    t_plus: int
-    t_minus: int
-    normal: np.ndarray
-    length: float
-    kind: str
 
 
 class MeshTopology:
@@ -138,12 +119,6 @@ class MeshTopology:
         nrm[flip] *= -1.0
         self.edge_normal = nrm
 
-        # orientation sign: +1 where the stored normal is outward for the triangle
-        sign = np.ones((nt, 3), dtype=np.int64)
-        e_of = self.tri_to_edges
-        sign[tminus[e_of] == np.arange(nt)[:, None]] = -1
-        self.tri_edge_sign = sign
-
         # local position (0..2) of each edge endpoint inside either triangle
         def local_index(tris, verts):
             out = np.full(len(verts), -1, dtype=np.int64)
@@ -179,41 +154,6 @@ class MeshTopology:
     @property
     def num_edges(self) -> int:
         return len(self.edge_vertices)
-
-    @cached_property
-    def edges(self) -> list[Edge]:
-        out = []
-        for e in range(self.num_edges):
-            out.append(
-                Edge(
-                    vertices=(int(self.edge_vertices[e, 0]), int(self.edge_vertices[e, 1])),
-                    t_plus=int(self.edge_tplus[e]),
-                    t_minus=int(self.edge_tminus[e]),
-                    normal=self.edge_normal[e].copy(),
-                    length=float(self.edge_length[e]),
-                    kind=BOUNDARY if self.is_boundary_edge[e] else INTERIOR,
-                )
-            )
-        return out
-
-    def triangle_geometry(self, t: int):
-        """(area, h_T, barycenter, [(edge id, outward normal), ...]) for one triangle."""
-        normals = [
-            (int(self.tri_to_edges[t, k]), self.tri_edge_sign[t, k] * self.edge_normal[self.tri_to_edges[t, k]])
-            for k in range(3)
-        ]
-        return float(self.areas[t]), float(self.h_tri[t]), self.barycenters[t].copy(), normals
-
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            v = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.degrees(np.min(angles)))
 
 
 def build_unit_square_mesh(n: int) -> MeshTopology:
@@ -256,13 +196,3 @@ def refine_uniform(mesh: MeshTopology) -> MeshTopology:
     children[2::4] = np.stack([tri[:, 2], m[:, 2], m[:, 1]], axis=1)
     children[3::4] = m
     return MeshTopology(vertices, children)
-
-
-def write_mesh_dump(mesh: MeshTopology, path) -> None:
-    """Debugging dump: counts header, then vertex coordinates, then triples."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_vertices} {mesh.num_edges} {mesh.num_triangles}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")

@@ -11,11 +11,6 @@ frozen transport has moved far from the factored one.  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
 pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
-
-An experimental Newton option augments the Picard matrix with the volume
-derivative block; the upwind edge terms stay frozen, so the fixed point is
-unchanged (the extra block applied to the expansion point is added back on
-the right-hand side).
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ class DivergedError(RuntimeError):
 class NonlinearSettings:
     tol: float = 1e-10
     max_iters: int = 20
-    linearization: str = "picard"  # or "newton-experimental"
     init: str = "zero"  # or "stokes"
 
     def __post_init__(self):
@@ -65,8 +59,6 @@ class NonlinearSettings:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.linearization not in ("picard", "newton-experimental"):
-            raise ValueError(f"unknown linearization {self.linearization!r}")
         if self.init not in ("zero", "stokes"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -221,8 +213,6 @@ def solve_navier_stokes(
     F = F + params.viscosity * asm.sipg_boundary_load(mesh, g_nodal, params)
     cont_load = asm.divergence_boundary_load(mesh, g_nodal)
 
-    use_newton = settings.linearization == "newton-experimental" or params.use_newton_experimental
-
     factor = None  # LU of the last factored system, preconditioner of the next
 
     def linear_solve(convection: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,15 +236,6 @@ def solve_navier_stokes(
         report.krylov_iterations.append(solution.krylov_iterations)
         return solution.velocity, solution.pressure
 
-    def linear_step(z: EGFunction) -> tuple[np.ndarray, np.ndarray]:
-        C = asm.assemble_convection(mesh, z, params)
-        rhs = F + asm.convective_boundary_load(mesh, z, g_nodal, params)
-        if use_newton:
-            N, shift = asm.newton_volume_blocks(mesh, z, params)
-            C = C + N
-            rhs = rhs + shift
-        return linear_solve(C, rhs)
-
     if settings.init == "stokes":
         u0, p0 = linear_solve(sp.csr_matrix((layout.n_velocity, layout.n_velocity)), F)
         report.stokes_init = True
@@ -264,10 +245,11 @@ def solve_navier_stokes(
         x_old = np.zeros(layout.n_velocity + layout.n_pressure)
         z = EGFunction.zero(mesh)
 
-    u = x_old[: layout.n_velocity]
-    p = x_old[layout.n_velocity :]
-    for _ in range(settings.max_iters):
-        u, p = linear_step(z)
+    for _ in range(settings.max_iters):  # at least once: NonlinearSettings checks max_iters >= 1
+        u, p = linear_solve(
+            asm.assemble_convection(mesh, z, params),
+            F + asm.convective_boundary_load(mesh, z, g_nodal, params),
+        )
         x_new = np.concatenate([u, p])
         update = _relative_update(x_new, x_old)
         report.iterations += 1

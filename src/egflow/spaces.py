@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MeshTopology
-from .quadrature import triangle_rule
+from .quadrature import map_to_triangle, triangle_rule
 
 VOLUME_QUAD_DEGREE = 6
 
@@ -45,23 +45,24 @@ class DofLayout:
     def bubble_dof(self, t: int) -> int:
         return 2 * self.num_vertices + t
 
-    def pressure_dof(self, t: int) -> int:
-        return t
-
 
 def layout_for(mesh: MeshTopology) -> DofLayout:
     return DofLayout(num_vertices=mesh.num_vertices, num_triangles=mesh.num_triangles)
 
 
-def barycentric_coords(mesh: MeshTopology, t: int, x: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of points x (..., 2) relative to triangle t."""
+def barycentric_coords(mesh: MeshTopology, t, x: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of points x (..., 2) relative to triangles t.
+
+    t is one triangle index or an index array; its shape broadcasts against
+    x.shape[:-1], so x[:, None, :] pairs each point with a row of triangles.
+    """
     x = np.asarray(x, dtype=float)
-    p = mesh.vertices[mesh.triangles[t]]
+    p = mesh.vertices[mesh.triangles[t]]  # t.shape + (3, 2)
     det = 2.0 * mesh.areas[t]
-    vx = x[..., 0] - p[0, 0]
-    vy = x[..., 1] - p[0, 1]
-    lam1 = (vx * (p[2, 1] - p[0, 1]) - vy * (p[2, 0] - p[0, 0])) / det
-    lam2 = ((p[1, 0] - p[0, 0]) * vy - (p[1, 1] - p[0, 1]) * vx) / det
+    vx = x[..., 0] - p[..., 0, 0]
+    vy = x[..., 1] - p[..., 0, 1]
+    lam1 = (vx * (p[..., 2, 1] - p[..., 0, 1]) - vy * (p[..., 2, 0] - p[..., 0, 0])) / det
+    lam2 = ((p[..., 1, 0] - p[..., 0, 0]) * vy - (p[..., 1, 1] - p[..., 0, 1]) * vx) / det
     return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
 
 
@@ -116,10 +117,6 @@ class PressureFunction:
         return float(np.dot(self.mesh.areas, self.values) / np.sum(self.mesh.areas))
 
 
-def remove_mean(p: PressureFunction) -> PressureFunction:
-    return PressureFunction(p.mesh, p.values - p.mean())
-
-
 def edge_points(mesh: MeshTopology, e: int, s: np.ndarray) -> np.ndarray:
     """Points x(s) = (1-s) p_a + s p_b on edge e; endpoint order is ascending."""
     s = np.asarray(s, dtype=float)
@@ -152,7 +149,7 @@ def interpolate_velocity(mesh: MeshTopology, w, div_w) -> EGFunction:
     """
     nodal = np.asarray(w(mesh.vertices), dtype=float)
     rule = triangle_rule(VOLUME_QUAD_DEGREE)
-    pts = np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
+    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     div_vals = np.asarray(div_w(pts), dtype=float)
     int_div = 2.0 * mesh.areas * np.einsum("q,tq->t", rule.weights, div_vals)
     div_nodal = np.einsum("tki,tki->t", nodal[mesh.triangles], mesh.grad_lambda)
@@ -163,6 +160,6 @@ def interpolate_velocity(mesh: MeshTopology, w, div_w) -> EGFunction:
 def project_pressure(mesh: MeshTopology, q) -> PressureFunction:
     """Cellwise mean projection onto piecewise constants."""
     rule = triangle_rule(VOLUME_QUAD_DEGREE)
-    pts = np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
+    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     vals = np.asarray(q(pts), dtype=float)
     return PressureFunction(mesh, 2.0 * np.einsum("q,tq->t", rule.weights, vals))

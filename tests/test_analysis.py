@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import egflow.analysis as analysis
 from egflow.analysis import (
     ConvergenceRow,
     ExactSolution,
@@ -26,7 +27,7 @@ from egflow.assembly import FormParams, assemble_energy_gram, assemble_mass
 from egflow.mesh import build_unit_square_mesh
 from egflow.quadrature import triangle_rule
 from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
-from egflow.solver import NonlinearSettings
+from egflow.solver import NonlinearSettings, SingularSystemError
 from egflow.spaces import EGFunction, PressureFunction, layout_for
 
 
@@ -357,3 +358,27 @@ def test_probe_base_cell_matches_convergence_study():
     cell = pressure_robustness_probe(4, [1.0, 1e-2, 1e-4])["robust"][0]
     assert cell.energy_err == pytest.approx(row.energy_err, rel=1e-13)
     assert cell.l2_u_err == pytest.approx(row.l2_u_err, rel=1e-13)
+
+
+def test_singular_solve_is_a_noted_row_in_study_and_probe(monkeypatch):
+    real_solve = analysis.solve_navier_stokes
+
+    def singular_at_one_hundredth(mesh, params, *args, **kwargs):
+        if params.viscosity == 1e-2:
+            raise SingularSystemError("injected")
+        return real_solve(mesh, params, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_navier_stokes", singular_at_one_hundredth)
+    row = convergence_study([4], FormParams(viscosity=1e-2, penalty=10.0))[0]
+    assert row.note == "singular: injected" and not row.converged
+    assert math.isnan(row.energy_err) and math.isnan(row.l2_p_err)
+
+    probe = pressure_robustness_probe(4, [1.0, 1e-2, 1e-4])
+    for cells in probe.values():
+        assert [c.mu for c in cells] == [1.0, 1e-2, 1e-4]
+        base, failed, last = cells
+        assert failed.note == "singular: injected" and not failed.converged
+        assert math.isnan(failed.energy_err) and math.isnan(failed.energy_r_ratio)
+        # the cells around the failed one are still solved
+        assert base.converged and base.energy_r_ratio == 1.0
+        assert math.isfinite(last.energy_r_err) and last.iterations > 0

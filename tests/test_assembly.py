@@ -394,16 +394,6 @@ def test_pressure_robust_convection_is_reconstruction_sandwich():
     assert abs(asm.assemble_convection(mesh, shifted, PARAMS_PR).toarray() - C).max() <= 1e-12 * scale
 
 
-def test_newton_blocks_reproduce_rhs_at_linearization_point():
-    # the derivative block is linear in its trial slot, so applying it to
-    # the expansion point itself must reproduce the rhs shift
-    mesh = build_unit_square_mesh(3)
-    z = random_eg(mesh, 31)
-    for params in (PARAMS, PARAMS_PR):
-        mat, vec = asm.newton_volume_blocks(mesh, z, params)
-        assert np.allclose(mat @ z.to_vector(), vec, atol=1e-13)
-
-
 # -- right-hand sides -----------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from egflow.cli import (
     write_convergence_csv,
     write_field_dump,
 )
-from egflow.mesh import build_unit_square_mesh
+from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
 from egflow.spaces import EGFunction, PressureFunction, barycentric_coords
 
@@ -117,6 +117,27 @@ def test_locate_points_agrees_with_barycentric_search():
         lam = barycentric_coords(mesh, int(tri[q]), pts[q])
         assert lam.min() >= -1e-10  # really contains the point
         assert np.allclose(lam, bary[q], atol=1e-12)
+
+
+def test_broadcast_barycentric_coords_match_scalar_calls():
+    # a seeded perturbed mesh: interior vertices moved, the boundary kept on the unit square
+    base = build_unit_square_mesh(6)
+    rng = np.random.default_rng(21)
+    shift = rng.uniform(-0.04, 0.04, (base.num_vertices, 2))
+    vertices = base.vertices + np.where(base.is_boundary_vertex[:, None], 0.0, shift)
+    mesh = MeshTopology(vertices, base.triangles)
+    pts = rng.uniform(-0.05, 1.05, (60, 2))
+    cand = rng.integers(0, mesh.num_triangles, (60, 5))
+    lam = barycentric_coords(mesh, cand, pts[:, None, :])
+    assert lam.shape == (60, 5, 3)
+    for q in range(len(pts)):
+        for j in range(cand.shape[1]):
+            assert np.array_equal(lam[q, j], barycentric_coords(mesh, int(cand[q, j]), pts[q]))
+    # exactly the points outside the square fall back to their nearest triangle
+    _, bary, fallback = locate_points(mesh, pts)
+    outside = np.any((pts < 0.0) | (pts > 1.0), axis=1)
+    assert 0 < fallback == int(outside.sum())
+    assert np.allclose(bary.sum(axis=1), 1.0) and bary.min() >= 0.0
 
 
 def test_field_dump_zero_solution_and_grid_shape(tmp_path):

@@ -7,14 +7,7 @@ brute force from the triangle list, independent of the production edge code.
 import numpy as np
 import pytest
 
-from egflow.mesh import (
-    BOUNDARY,
-    INTERIOR,
-    MeshTopology,
-    build_unit_square_mesh,
-    refine_uniform,
-    write_mesh_dump,
-)
+from egflow.mesh import MeshTopology, build_unit_square_mesh, refine_uniform
 
 
 def brute_force_edges(triangles):
@@ -36,9 +29,8 @@ def test_unit_cell_counts():
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
     assert mesh.num_edges == 5
-    kinds = [e.kind for e in mesh.edges]
-    assert kinds.count(BOUNDARY) == 4
-    assert kinds.count(INTERIOR) == 1
+    assert np.count_nonzero(mesh.is_boundary_edge) == 4
+    assert np.count_nonzero(~mesh.is_boundary_edge) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -79,18 +71,18 @@ def test_reject_clockwise_triangle():
 
 def test_reference_triangle_geometry():
     mesh = reference_triangle_mesh()
-    area, h, bary, normals = mesh.triangle_geometry(0)
-    assert area == pytest.approx(0.5)
-    assert h == pytest.approx(np.sqrt(2.0))
+    assert mesh.areas[0] == pytest.approx(0.5)
+    assert mesh.h_tri[0] == pytest.approx(np.sqrt(2.0))
+    bary = mesh.barycenters[0]
     assert bary == pytest.approx(np.array([1.0, 1.0]) / 3.0)
+    # every edge is a boundary edge, so each stored normal is the outward one
+    assert mesh.is_boundary_edge.all()
     # outward normals weighted by edge length sum to zero on any closed boundary
-    total = sum(mesh.edge_length[e] * nrm for e, nrm in normals)
+    total = mesh.edge_length @ mesh.edge_normal
     assert np.allclose(total, 0.0, atol=1e-14)
     # all outward normals point away from the barycenter
-    for e, nrm in normals:
-        a, b = mesh.edge_vertices[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        assert np.dot(nrm, mid - bary) > 0
+    mid = mesh.vertices[mesh.edge_vertices].mean(axis=1)
+    assert np.all(np.sum(mesh.edge_normal * (mid - bary), axis=1) > 0)
 
 
 def test_three_four_five_triangle():
@@ -102,29 +94,17 @@ def test_three_four_five_triangle():
 def test_edge_normals_unit_and_plus_to_minus():
     mesh = build_unit_square_mesh(3)
     assert np.allclose(np.linalg.norm(mesh.edge_normal, axis=1), 1.0, atol=1e-14)
-    for e in mesh.edges:
-        a, b = e.vertices
-        assert a < b
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        away_plus = np.dot(e.normal, mid - mesh.barycenters[e.t_plus])
-        assert away_plus > 0
-        if e.kind == INTERIOR:
-            assert e.t_plus < e.t_minus
-            toward_minus = np.dot(e.normal, mesh.barycenters[e.t_minus] - mid)
-            assert toward_minus > 0
-        else:
-            assert e.t_minus == -1
-
-
-def test_tri_edge_signs_give_outward_normals():
-    mesh = build_unit_square_mesh(2)
-    for t in range(mesh.num_triangles):
-        for k in range(3):
-            e = mesh.tri_to_edges[t, k]
-            nrm = mesh.tri_edge_sign[t, k] * mesh.edge_normal[e]
-            a, b = mesh.edge_vertices[e]
-            mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            assert np.dot(nrm, mid - mesh.barycenters[t]) > 0
+    assert np.all(mesh.edge_vertices[:, 0] < mesh.edge_vertices[:, 1])
+    mid = mesh.vertices[mesh.edge_vertices].mean(axis=1)
+    away_plus = np.sum(mesh.edge_normal * (mid - mesh.barycenters[mesh.edge_tplus]), axis=1)
+    assert np.all(away_plus > 0)
+    interior = ~mesh.is_boundary_edge
+    assert np.all(mesh.edge_tplus[interior] < mesh.edge_tminus[interior])
+    toward_minus = np.sum(
+        mesh.edge_normal[interior] * (mesh.barycenters[mesh.edge_tminus[interior]] - mid[interior]), axis=1
+    )
+    assert np.all(toward_minus > 0)
+    assert np.all(mesh.edge_tminus[mesh.is_boundary_edge] == -1)
 
 
 def test_edge_local_indices_are_endpoints():
@@ -145,10 +125,6 @@ def test_edge_local_indices_are_endpoints():
 def test_h_max_is_diagonal():
     mesh = build_unit_square_mesh(4)
     assert mesh.h_max == pytest.approx(np.sqrt(2.0) / 4.0)
-
-
-def test_min_angle_right_triangle_family():
-    assert build_unit_square_mesh(5).min_angle() == pytest.approx(45.0)
 
 
 def canonical_triangle_set(mesh):
@@ -191,19 +167,6 @@ def test_refine_halves_h_exactly():
 def test_invalid_subdivision_count():
     with pytest.raises(ValueError):
         build_unit_square_mesh(0)
-
-
-def test_mesh_dump_roundtrip(tmp_path):
-    mesh = build_unit_square_mesh(2)
-    path = tmp_path / "mesh.txt"
-    write_mesh_dump(mesh, path)
-    lines = path.read_text().strip().splitlines()
-    nv, ne, nt = map(int, lines[0].split())
-    assert (nv, ne, nt) == (9, 16, 8)
-    verts = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + nv]])
-    tris = np.array([[int(v) for v in ln.split()] for ln in lines[1 + nv :]])
-    assert np.array_equal(verts, mesh.vertices)
-    assert np.array_equal(tris, mesh.triangles)
 
 
 def test_mesh_arrays_are_read_only_and_inputs_stay_writable():

@@ -197,16 +197,6 @@ def test_affine_solution_with_inhomogeneous_data_is_reproduced_exactly():
         assert np.abs(p.values - p.values.mean()).max() < 1e-11
 
 
-def test_newton_variant_reaches_the_picard_fixed_point():
-    mesh = build_unit_square_mesh(4)
-    u1, p1, r1 = solve_navier_stokes(mesh, PARAMS, force=poly_force)
-    settings = NonlinearSettings(linearization="newton-experimental")
-    u2, p2, r2 = solve_navier_stokes(mesh, PARAMS, settings, force=poly_force)
-    assert r1.converged and r2.converged
-    assert np.allclose(u1.to_vector(), u2.to_vector(), atol=1e-8)
-    assert np.allclose(p1.values, p2.values, atol=1e-8)
-
-
 def test_unit_viscosity_factors_once_and_matches_the_multiplier_system():
     mesh = build_unit_square_mesh(8)
     params = FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True)
@@ -267,8 +257,6 @@ def test_settings_validation():
         NonlinearSettings(tol=0.0)
     with pytest.raises(ValueError):
         NonlinearSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        NonlinearSettings(linearization="trust-region")
     with pytest.raises(ValueError):
         NonlinearSettings(init="random")
 

@@ -13,7 +13,6 @@ from egflow.spaces import (
     jump_average,
     layout_for,
     project_pressure,
-    remove_mean,
 )
 
 
@@ -206,8 +205,6 @@ def test_pressure_projection_and_mean_removal():
     assert p.values[t] == pytest.approx(mean, rel=1e-13)
     # global mean: int q = 1/2 + 2/3
     assert p.mean() == pytest.approx(0.5 + 2.0 / 3.0, rel=1e-12)
-    p0 = remove_mean(p)
-    assert p0.mean() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_constant_pressure_projection_exact():
