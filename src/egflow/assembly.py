@@ -58,7 +58,7 @@ and the upwind geometry frozen at the previous iterate z.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,16 +219,23 @@ class _Pattern:
     Piece k is a stack of square local blocks over the dofs dofmaps[k];
     positions[k] sends its flattened entries to their slots in the CSR data
     array, so filling the matrix is one bincount per piece instead of a COO
-    sort.
+    sort.  The structure is that of the scattered blocks of ones, and the
+    slots are found chunk by chunk in its sorted (row, column) keys, so no
+    index array over all local entries is sorted at once.
     """
 
     def __init__(self, n: int, dofmaps: list[np.ndarray]):
-        keys = [(dofs[:, :, None].astype(np.int64) * n + dofs[:, None, :]).ravel() for dofs in dofmaps]
-        uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        inverse = inverse.reshape(-1).astype(np.int32)  # half the memory; bincount widens it per call
-        self.positions = np.split(inverse, np.cumsum([len(k) for k in keys])[:-1])
-        self.indices = (uniq % n).astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
+        ones = _scatter([(dofs, np.broadcast_to(1.0, dofs.shape + dofs.shape[1:])) for dofs in dofmaps], n)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(ones.indptr)) + ones.indices
+
+        def slots(dofs: np.ndarray) -> np.ndarray:
+            chunks = _chunks(dofs, dofs.shape[1] ** 2)
+            local_keys = ((d[:, :, None].astype(np.int64) * n + d[:, None, :]).ravel() for d in chunks)
+            return np.concatenate([np.searchsorted(keys, k).astype(np.int32) for k in local_keys])
+
+        self.positions = [slots(dofs) for dofs in dofmaps]
+        self.indices = ones.indices.astype(np.int32)
+        self.indptr = ones.indptr.astype(np.int32)
         self.shape = (n, n)
 
     def matrix(self, blocks: list[np.ndarray]) -> sp.csr_matrix:
@@ -247,6 +254,9 @@ class Discretization:
     convection sparsity pattern of each local basis, the reconstruction R,
     the divergence matrix B and the unscaled viscous matrix A of each
     penalty.  The mesh arrays are read-only, so none of it can go stale.
+    `saddle_orders` keeps the solver's nested-dissection orders of the saddle
+    matrices factored on this mesh, keyed by their sparsity pattern; a solve
+    meets only a few patterns (Stokes, Oseen), each factored many times.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -254,6 +264,7 @@ class Discretization:
         # would leave both to the cycle collector instead of freeing them with the mesh
         self._mesh = weakref.ref(mesh)
         self._built: dict = {}
+        self.saddle_orders: dict = {}
 
     @property
     def mesh(self) -> MeshTopology:
@@ -305,12 +316,25 @@ def discretization(mesh: MeshTopology) -> Discretization:
     return disc
 
 
+_CHUNK_ENTRIES = 1 << 18  # local entries scattered at a time; bounds the transient index arrays
+
+
+def _chunks(array: np.ndarray, entries_per_row: int):
+    """Consecutive row slices of array, each covering at most _CHUNK_ENTRIES local entries."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_row)
+    return (array[start : start + step] for start in range(0, len(array), step))
+
+
 def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
     """n x n matrix summed from stacks of square local blocks, each given as (dofs, values)."""
-    rows = np.concatenate([np.broadcast_to(dofs[:, :, None], blk.shape).ravel() for dofs, blk in blocks])
-    cols = np.concatenate([np.broadcast_to(dofs[:, None, :], blk.shape).ravel() for dofs, blk in blocks])
-    vals = np.concatenate([blk.ravel() for _, blk in blocks])
-    return _finalize(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    mat = sp.csr_matrix((n, n))
+    for dofs, blk in blocks:
+        width = blk.shape[1] * blk.shape[2]
+        for d, b in zip(_chunks(dofs, width), _chunks(blk, width)):
+            rows = np.broadcast_to(d[:, :, None], b.shape).ravel()
+            cols = np.broadcast_to(d[:, None, :], b.shape).ravel()
+            mat = mat + sp.csr_matrix((b.ravel(), (rows, cols)), shape=(n, n))
+    return _finalize(mat)
 
 
 def _finalize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -599,6 +623,15 @@ class SaddleSystem:
     hold otherwise.  It is kept as `pinned_row`/`pinned_rhs` so that the
     residual check still sees it.
 
+    Each unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal
+    dofs, num_vertices + t for the bubble and the pressure of cell t.
+    `node_positions` holds the vertices, then the cell barycenters.  The
+    sparse factorization orders the unknowns by these positions and keeps
+    each pressure, whose diagonal is zero, together with its bubble.
+
+    `orders` caches the factorization orders of matrices on these unknowns;
+    build_saddle_system shares its mesh's Discretization.saddle_orders.
+
     `preconditioner` optionally holds the LU factor of a nearby matrix with
     the same layout; solver.solve_linear then solves by preconditioned GMRES.
     """
@@ -612,7 +645,10 @@ class SaddleSystem:
     areas: np.ndarray
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
-    preconditioner: object | None = None  # scipy SuperLU
+    nodes: np.ndarray
+    node_positions: np.ndarray
+    orders: dict = field(default_factory=dict)
+    preconditioner: object | None = None  # solver.OrderedFactor
 
     @property
     def velocity(self) -> slice:
@@ -631,6 +667,10 @@ class SaddleSystem:
         # B^T annihilates constants, so shifting p leaves every equation intact
         p -= (self.areas @ p) / self.areas.sum()
         return u, p
+
+    def restrict(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The unknowns of matrix for full velocity and pressure vectors; the inverse of expand."""
+        return np.concatenate([u[self.free_velocity], p[1:] - p[0]])
 
 
 def build_saddle_system(
@@ -673,6 +713,8 @@ def build_saddle_system(
     B_kept = B_free[1:]
     mat = sp.bmat([[K_free[:, free], -B_kept.T], [B_kept, None]], format="csr")
     pinned_row = sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr")
+    nv = mesh.num_vertices
+    velocity_nodes = np.where(free < 2 * nv, free // 2, free - nv)  # bubble dof 2 nv + t sits at node nv + t
 
     return SaddleSystem(
         matrix=_finalize(mat),
@@ -684,4 +726,7 @@ def build_saddle_system(
         areas=mesh.areas,
         dirichlet_dofs=dofs,
         dirichlet_values=values,
+        nodes=np.concatenate([velocity_nodes, nv + np.arange(1, layout.n_pressure)]),
+        node_positions=np.concatenate([mesh.vertices, mesh.barycenters]),
+        orders=disc.saddle_orders,
     )

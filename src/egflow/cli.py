@@ -362,28 +362,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def common(p):
+    def common(p, defaults: RunConfig):
         p.add_argument("--config", type=Path, help="JSON file with default flag values")
-        p.add_argument("--mu", type=float, help="viscosity (default 1.0)")
-        p.add_argument("--rho", type=float, help="jump penalty (default 10.0)")
+        p.add_argument("--mu", type=float, help=f"viscosity (default {defaults.mu})")
+        p.add_argument("--rho", type=float, help=f"jump penalty (default {defaults.rho})")
         p.add_argument("--mode", choices=["eg", "pr-eg"], help="discretization mode")
         p.add_argument("--tol", type=float, help="nonlinear relative-update tolerance")
         p.add_argument("--max-iters", type=int, help="nonlinear iteration cap")
         p.add_argument("--init", choices=["zero", "stokes"], help="nonlinear initial guess")
-        p.add_argument("--out", type=Path, help="output directory (default .)")
+        p.add_argument("--out", type=Path, help=f"output directory (default {defaults.out_dir})")
 
-    p = sub.add_parser("converge", help="refinement study on the manufactured solution")
-    common(p)
+    def subcommand(name: str, summary: str) -> tuple[argparse.ArgumentParser, RunConfig]:
+        p = sub.add_parser(name, help=summary)
+        defaults = RunConfig(experiment=name, **_EXPERIMENT_DEFAULTS[name])
+        common(p, defaults)
+        return p, defaults
+
+    p, _ = subcommand("converge", "refinement study on the manufactured solution")
     p.add_argument("--levels", type=_list_parser(int, "level"), help="comma-separated mesh levels")
 
-    p = sub.add_parser("cavity", help="lid-driven cavity benchmark")
-    common(p)
-    p.add_argument("--n", type=int, help="mesh level (default 32)")
-    p.add_argument("--grid", type=int, help="dump sampling resolution (default 101)")
+    p, defaults = subcommand("cavity", "lid-driven cavity benchmark")
+    p.add_argument("--n", type=int, help=f"mesh level (default {defaults.levels[0]})")
+    p.add_argument("--grid", type=int, help=f"dump sampling resolution (default {defaults.grid})")
 
-    p = sub.add_parser("probe", help="error-vs-viscosity comparison of both modes")
-    common(p)
-    p.add_argument("--n", type=int, help="mesh level (default 16)")
+    p, defaults = subcommand("probe", "error-vs-viscosity comparison of both modes")
+    p.add_argument("--n", type=int, help=f"mesh level (default {defaults.levels[0]})")
     p.add_argument("--mu-list", type=_list_parser(float, "viscosity"), help="comma-separated viscosities")
     return parser
 

@@ -5,9 +5,13 @@ reassembles the convection block, and solves one linear system per step on
 the free unknowns (see assembly.SaddleSystem: Dirichlet dofs lifted out, one
 pressure pinned, the zero pressure mean restored afterwards).  The first
 system of a solve is factored by sparse LU; later steps reuse that factor as
-the preconditioner of GMRES, and refactor only when GMRES misses its
-tolerance within a fixed budget, which at small viscosity happens once the
-frozen transport has moved far from the factored one.  Convergence is
+the preconditioner of GMRES, started from the previous iterate, and refactor
+only when GMRES misses its tolerance within a fixed budget, which at small
+viscosity happens once the frozen transport has moved far from the factored
+one.  Each LU is taken of the symmetrically scaled matrix in a
+nested-dissection order of the mesh, with every cell's pressure right after
+its bubble, so that threshold partial pivoting keeps the pivots on the
+diagonal and the factor keeps the fill of the dissection.  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
 pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
@@ -15,6 +19,8 @@ from the solution of the Stokes problem (same system without convection).
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,6 +40,8 @@ logger = logging.getLogger(__name__)
 RESIDUAL_TOL = 1e-10  # relative residual every accepted linear solve must reach
 KRYLOV_RTOL = 1e-12  # GMRES target, well inside RESIDUAL_TOL
 KRYLOV_BUDGET = 20  # GMRES iterations before refactoring
+DIAG_PIVOT_THRESH = 0.01  # SuperLU keeps the diagonal pivot unless it is below this share of the column's largest
+DISSECTION_LEAF = 16  # parts of at most this many mesh nodes are not split further
 
 
 class SingularSystemError(RuntimeError):
@@ -81,7 +89,7 @@ class LinearSolution(NamedTuple):
     pressure: np.ndarray
     residual: float  # relative, over every unpinned row
     krylov_iterations: int
-    factor: object | None  # the SuperLU made by this solve, None when it made none
+    factor: OrderedFactor | None  # the factor made by this solve, None when it made none
 
 
 def _relative_residual(system: SaddleSystem, x: np.ndarray) -> float:
@@ -92,8 +100,8 @@ def _relative_residual(system: SaddleSystem, x: np.ndarray) -> float:
     return float(res / b if b > 0 else res)
 
 
-def _krylov(system: SaddleSystem) -> tuple[np.ndarray, bool, int]:
-    """GMRES preconditioned by system.preconditioner: (x, converged, iterations)."""
+def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int]:
+    """GMRES from x0 preconditioned by system.preconditioner: (x, converged, iterations)."""
     iterations = 0
 
     def count(_):
@@ -106,6 +114,7 @@ def _krylov(system: SaddleSystem) -> tuple[np.ndarray, bool, int]:
     x, info = spla.gmres(
         system.matrix,
         system.rhs,
+        x0=x0,
         rtol=KRYLOV_RTOL,
         atol=0.0,
         restart=KRYLOV_BUDGET,
@@ -117,23 +126,157 @@ def _krylov(system: SaddleSystem) -> tuple[np.ndarray, bool, int]:
     return x, info == 0, iterations
 
 
-def solve_linear(system: SaddleSystem) -> LinearSolution:
+# -- direct factorization --------------------------------------------------
+
+
+def _neighbours(adjacency: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(source, neighbour) for every stored entry of the given rows of a CSR graph."""
+    starts = adjacency.indptr[nodes]
+    counts = adjacency.indptr[nodes + 1] - starts
+    source = np.repeat(np.arange(len(nodes)), counts)
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return source, adjacency.indices[slots]
+
+
+def _dissection_order(system: SaddleSystem) -> np.ndarray:
+    """Nested-dissection permutation of the unknowns of system.matrix.
+
+    The unknowns sharing a mesh node (system.nodes) move together: the two
+    components of a vertex, and the bubble of a cell with that cell's
+    pressure, which has a zero diagonal and so must follow its bubble.
+    Nodes are split recursively at the median of their positions along the
+    longer side of their bounding box.  Every edge of the matrix graph
+    across the cut puts one of its ends into the separator, the end with
+    more such edges, so the separator runs along the middle of the band of
+    cut edges; it is ordered after both halves.  Within a node, unknowns keep
+    their order, so a pressure comes right after its bubble.
+    """
+    n = system.matrix.shape[0]
+    num_nodes = len(system.node_positions)
+    member = sp.csr_matrix((np.ones(n), (np.arange(n), system.nodes)), shape=(n, num_nodes))
+    pattern = abs(system.matrix)
+    adjacency = (member.T @ (pattern + pattern.T) @ member).tocsr()
+    owner = np.full(num_nodes, -1)  # the split a node last took part in
+    local = np.zeros(num_nodes, dtype=np.int64)  # its index in that part
+    splits = itertools.count()
+    order = []
+
+    def dissect(part: np.ndarray) -> None:
+        if len(part) <= DISSECTION_LEAF:
+            order.append(part)
+            return
+        xy = system.node_positions[part]
+        axis = int(np.argmax(np.ptp(xy, axis=0)))
+        lower = np.zeros(len(part), dtype=bool)
+        lower[np.argpartition(xy[:, axis], len(part) // 2)[: len(part) // 2]] = True
+        split = next(splits)
+        owner[part] = split
+        local[part] = np.arange(len(part))
+        source, neighbour = _neighbours(adjacency, part)
+        inside = owner[neighbour] == split
+        source, target = source[inside], local[neighbour[inside]]
+        across = lower[source] & ~lower[target]
+        low, high = source[across], target[across]
+        degree = np.bincount(low, minlength=len(part)) + np.bincount(high, minlength=len(part))
+        keep_low = degree[low] >= degree[high]
+        separator = np.zeros(len(part), dtype=bool)
+        separator[low[keep_low]] = True
+        separator[high[~keep_low]] = True
+        for half in (lower, ~lower):
+            dissect(part[half & ~separator])
+        order.append(part[separator])
+
+    dissect(np.flatnonzero(np.bincount(system.nodes, minlength=num_nodes)))
+    rank = np.empty(num_nodes, dtype=np.int64)
+    ordered = np.concatenate(order)
+    rank[ordered] = np.arange(len(ordered))
+    return np.lexsort((np.arange(n), rank[system.nodes]))
+
+
+def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
+    """Diagonal D under which D @ matrix @ D has unit velocity diagonal and pressure rows of largest entry 1.
+
+    A velocity unknown is scaled by |A_ii|^-1/2, a pressure row so that its
+    largest scaled velocity coupling is 1; unknowns without such an entry
+    keep scale 1, so a structurally singular matrix still reaches the
+    factorization and is reported there.
+    """
+    mat = system.matrix
+    scale = np.ones(mat.shape[0])
+    vel = system.velocity
+    diag = np.abs(mat.diagonal()[vel])
+    scale[vel] = np.divide(1.0, np.sqrt(diag), out=np.ones_like(diag), where=diag > 0)
+    coupling = abs(mat[system.pressure][:, vel]) @ sp.diags(scale[vel])
+    largest = coupling.max(axis=1).toarray().ravel()
+    scale[system.pressure] = np.divide(1.0, largest, out=np.ones_like(largest), where=largest > 0)
+    return scale
+
+
+class OrderedFactor:
+    """LU of P D A D P^T for a saddle matrix A, D diagonal and P a permutation.
+
+    solve() takes and returns vectors in the unknown order of A.
+    """
+
+    def __init__(self, lu, scale: np.ndarray, order: np.ndarray):
+        self.nnz = lu.nnz  # stored factor size, supernode padding included
+        self._lu = lu
+        self._scale = scale
+        self._order = order
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._lu.solve(self._scale[self._order] * rhs[self._order])
+        x = np.empty_like(y)
+        x[self._order] = y
+        return self._scale * x
+
+
+def _factor(system: SaddleSystem) -> OrderedFactor:
+    """Sparse LU of system.matrix, symmetrically scaled and in nested-dissection order.
+
+    With the pressures right after their bubbles and the matrix scaled, a
+    threshold on partial pivoting keeps nearly every pivot on the diagonal,
+    so the dissection order survives the factorization.  The order depends
+    only on the sparsity pattern, so it is computed once per pattern and
+    kept in system.orders.
+    """
+    mat = system.matrix
+    scale = _symmetric_scaling(system)
+    pattern = hashlib.blake2b(b"".join(a.tobytes() for a in (mat.indptr, mat.indices, system.nodes))).digest()
+    if pattern not in system.orders:
+        system.orders[pattern] = _dissection_order(system)
+    order = system.orders[pattern]
+    D = sp.diags(scale)
+    ordered = (D @ mat @ D).tocsr()[order][:, order].tocsc()
+    try:
+        lu = spla.splu(ordered, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH)
+    except RuntimeError as err:
+        empty_rows = int(np.sum(np.diff(mat.indptr) == 0))
+        raise SingularSystemError(
+            f"sparse factorization failed ({err}); matrix {mat.shape[0]}x{mat.shape[1]}, "
+            f"{empty_rows} structurally empty rows"
+        ) from err
+    return OrderedFactor(lu, scale, order)
+
+
+def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSolution:
     """Solve one saddle system on its free unknowns.
 
-    Without system.preconditioner, system.matrix is factored and solved
-    directly.  With one, GMRES preconditioned by it runs for at most
-    KRYLOV_BUDGET iterations; if GMRES misses its tolerance or its answer
-    fails the residual check, the preconditioner is dropped from the system
-    and system.matrix is factored and solved directly.  A factor made here
-    is returned for later steps.  The relative residual over every unpinned
-    row, the pinned cell's continuity row included, must come out at 1e-10
-    or better, otherwise the system is reported as singular; boundary data
-    with a nonzero net flux fails here.  The returned velocity and pressure
-    are full vectors, the pressure with zero mean.
+    Without system.preconditioner, system.matrix is factored (see _factor())
+    and solved directly.  With one, GMRES preconditioned by it starts from
+    x0 (zero when omitted) and runs for at most KRYLOV_BUDGET iterations; if
+    GMRES misses its tolerance or its answer fails the residual check, the
+    preconditioner is dropped from the system and system.matrix is factored
+    and solved directly.  A factor made here is returned for later steps.
+    The relative residual over every unpinned row, the pinned cell's
+    continuity row included, must come out at 1e-10 or better, otherwise the
+    system is reported as singular; boundary data with a nonzero net flux
+    fails here.  The returned velocity and pressure are full vectors, the
+    pressure with zero mean.
     """
     iterations = 0
     if system.preconditioner is not None:
-        x, converged, iterations = _krylov(system)
+        x, converged, iterations = _krylov(system, x0)
         if converged:
             rel = _relative_residual(system, x)
             if rel <= RESIDUAL_TOL:
@@ -141,15 +284,7 @@ def solve_linear(system: SaddleSystem) -> LinearSolution:
         logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
         system.preconditioner = None  # release the stale factor first: holding both grows the heap
 
-    mat = system.matrix.tocsc()
-    try:
-        lu = spla.splu(mat)
-    except RuntimeError as err:
-        empty_rows = int(np.sum(np.diff(system.matrix.indptr) == 0))
-        raise SingularSystemError(
-            f"sparse factorization failed ({err}); matrix {mat.shape[0]}x{mat.shape[1]}, "
-            f"{empty_rows} structurally empty rows"
-        ) from err
+    lu = _factor(system)
     x = lu.solve(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
@@ -214,9 +349,10 @@ def solve_navier_stokes(
     cont_load = asm.divergence_boundary_load(mesh, g_nodal)
 
     factor = None  # LU of the last factored system, preconditioner of the next
+    last = None  # (velocity, pressure) of the last solve, where GMRES starts
 
     def linear_solve(convection: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal factor
+        nonlocal factor, last
         system = asm.build_saddle_system(
             mesh,
             params,
@@ -226,7 +362,8 @@ def solve_navier_stokes(
             continuity_load=cont_load,
         )
         system.preconditioner, factor = factor, None  # the system alone holds it, so a refactor frees it
-        solution = solve_linear(system)
+        solution = solve_linear(system, None if last is None else system.restrict(*last))
+        last = solution.velocity, solution.pressure
         if solution.factor is None:
             factor = system.preconditioner
         else:

@@ -264,6 +264,20 @@ def test_every_run_config_field_default(tmp_path, experiment, source):
     assert dataclasses.asdict(cfg) == dict(expected, experiment=experiment)
 
 
+@pytest.mark.parametrize("experiment", ["converge", "cavity", "probe"])
+def test_help_states_the_defaults_a_run_without_flags_uses(experiment, capsys):
+    cfg = config_from_args(build_parser().parse_args([experiment]))
+    assert cli_main([experiment, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    stated = [f"viscosity (default {cfg.mu})", f"jump penalty (default {cfg.rho})", f"output directory (default {cfg.out_dir})"]
+    if experiment != "converge":
+        stated.append(f"mesh level (default {cfg.levels[0]})")
+    if experiment == "cavity":
+        stated.append(f"dump sampling resolution (default {cfg.grid})")
+    for phrase in stated:
+        assert phrase in text
+
+
 def test_converge_driver_matches_api(tmp_path):
     rc = cli_main(["converge", "--levels", "4", "--mode", "eg", "--out", str(tmp_path)])
     assert rc == 0

@@ -1,12 +1,15 @@
 """Tests for the linear solve wrapper and the Picard driver."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import egflow.assembly as asm
+import egflow.solver as solver
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
 from egflow.solver import (
@@ -18,14 +21,16 @@ from egflow.solver import (
     solve_linear,
     solve_navier_stokes,
 )
-from egflow.spaces import DofLayout, EGFunction, layout_for
+from egflow.spaces import DofLayout, EGFunction, interpolate_velocity, layout_for
+from test_assembly import perturbed_mesh
 
 PARAMS = FormParams(viscosity=1.0, penalty=10.0)
 
 
 def toy_system(matrix, rhs):
     # a layout without vertices: nt bubble dofs and nt pressure cells, the
-    # first pinned, so the unknowns are nt velocities and nt - 1 pressures
+    # first pinned, so the unknowns are nt velocities and nt - 1 pressures;
+    # cell t's bubble and pressure share node t
     n = matrix.shape[0]
     nt = (n + 1) // 2
     return asm.SaddleSystem(
@@ -38,6 +43,8 @@ def toy_system(matrix, rhs):
         areas=np.ones(nt),
         dirichlet_dofs=np.empty(0, dtype=np.int64),
         dirichlet_values=np.empty(0),
+        nodes=np.concatenate([np.arange(nt), np.arange(1, nt)]),
+        node_positions=np.zeros((nt, 2)),
     )
 
 
@@ -91,6 +98,49 @@ def test_solve_linear_rejects_singular_matrix():
     m = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(SingularSystemError):
         solve_linear(toy_system(m, [1.0, 1.0, 1.0]))
+
+
+def test_pressure_row_without_velocity_coupling_is_reported_as_structurally_empty():
+    # the pressure row has nothing to scale by; that must reach the
+    # factorization as a singular matrix, not divide by zero on the way
+    m = np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="1 structurally empty rows"):
+            solve_linear(toy_system(m, [1.0, 1.0, 1.0]))
+
+
+def rotating_flow(mesh):
+    def w(x):
+        return np.stack(
+            [np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1]), -np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])],
+            axis=-1,
+        )
+
+    return interpolate_velocity(mesh, w, lambda x: np.zeros(x.shape[:-1]))
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("oseen", [False, True])
+def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
+    # R^T C R couples cells up to three apart, so at n = 16 the separators of
+    # the robust Oseen matrix hold a large share of the nodes and COLAMD
+    # fills less; from n = 32 on the dissection order wins there as well
+    n = 32 if robust and oseen else 16
+    mesh = perturbed_mesh(n, seed=5)
+    layout = layout_for(mesh)
+    params = FormParams(viscosity=1e-3 if oseen else 1.0, penalty=10.0, pressure_robust=robust)
+    if oseen:
+        C = asm.assemble_convection(mesh, rotating_flow(mesh), params)
+    else:
+        C = sp.csr_matrix((layout.n_velocity, layout.n_velocity))
+    F = asm.assemble_load(mesh, poly_force, params)
+    dofs, values, _ = asm.dirichlet_data(mesh, asm.lid_values(mesh))
+    system = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values))
+    factor = solve_linear(system).factor
+    x = factor.solve(system.rhs)
+    assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-12 * np.linalg.norm(system.rhs)
+    assert factor.nnz < spla.splu(system.matrix.tocsc()).nnz
 
 
 def test_stokes_solve_residual_and_mean_constraint():
@@ -207,6 +257,23 @@ def test_unit_viscosity_factors_once_and_matches_the_multiplier_system():
     assert report.krylov_iterations[0] == 0  # the first (Stokes) step is factored
     assert all(k > 0 for k in report.krylov_iterations[1:])
     u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, report.iterations)
+    x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_gmres_starts_from_the_previous_iterate(monkeypatch):
+    mesh = build_unit_square_mesh(8)
+    params = FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True)
+    g = asm.lid_values(mesh)
+    u, p, warm = solve_navier_stokes(mesh, params, force=poly_force, boundary=g)
+    original = solver.solve_linear
+    monkeypatch.setattr(solver, "solve_linear", lambda system, x0=None: original(system))
+    _, _, cold = solve_navier_stokes(mesh, params, force=poly_force, boundary=g)
+    assert warm.converged and cold.converged
+    assert warm.iterations == cold.iterations
+    assert all(w <= c for w, c in zip(warm.krylov_iterations, cold.krylov_iterations))
+    assert sum(warm.krylov_iterations) < sum(cold.krylov_iterations)
+    u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, warm.iterations)
     x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
