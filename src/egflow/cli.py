@@ -362,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def common(p, defaults: RunConfig):
+    def subcommand(name: str, summary: str) -> tuple[argparse.ArgumentParser, RunConfig]:
+        """The experiment's parser with the common flags, and the defaults it runs with."""
+        p = sub.add_parser(name, help=summary)
+        defaults = RunConfig(experiment=name, **_EXPERIMENT_DEFAULTS[name])
         p.add_argument("--config", type=Path, help="JSON file with default flag values")
         p.add_argument("--mu", type=float, help=f"viscosity (default {defaults.mu})")
         p.add_argument("--rho", type=float, help=f"jump penalty (default {defaults.rho})")
@@ -371,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, help="nonlinear iteration cap")
         p.add_argument("--init", choices=["zero", "stokes"], help="nonlinear initial guess")
         p.add_argument("--out", type=Path, help=f"output directory (default {defaults.out_dir})")
-
-    def subcommand(name: str, summary: str) -> tuple[argparse.ArgumentParser, RunConfig]:
-        p = sub.add_parser(name, help=summary)
-        defaults = RunConfig(experiment=name, **_EXPERIMENT_DEFAULTS[name])
-        common(p, defaults)
         return p, defaults
 
     p, _ = subcommand("converge", "refinement study on the manufactured solution")
