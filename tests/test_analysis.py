@@ -5,6 +5,7 @@ pointwise, so the hand-coded derivative chains in the package never serve
 as their own oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,10 +26,11 @@ from egflow.analysis import (
 )
 from egflow.assembly import FormParams, assemble_energy_gram, assemble_mass
 from egflow.mesh import build_unit_square_mesh
-from egflow.quadrature import triangle_rule
-from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
+from egflow.quadrature import edge_rule, triangle_rule
+from egflow.reconstruction import BDMFunction, bdm_mass_matrix, local_moment_blocks, reconstruction_matrix
 from egflow.solver import NonlinearSettings, SingularSystemError
-from egflow.spaces import EGFunction, PressureFunction, layout_for
+from egflow.spaces import EGFunction, PressureFunction, edge_points, jump_average, layout_for
+from test_assembly import perturbed_mesh
 
 
 def _symbolic_reference():
@@ -203,6 +205,72 @@ def test_interpolant_errors_scale_at_expected_rates():
     assert 1.5 <= rows[0].energy_err / rows[1].energy_err <= 2.6
     assert 3.0 <= rows[0].l2_u_err / rows[1].l2_u_err <= 4.8
     assert 1.6 <= rows[0].l2_p_err / rows[1].l2_p_err <= 2.4
+
+
+def _pointwise_error_columns(u_h, p_h, ex, mesh, params):
+    """error_norms' four columns, one triangle and one edge at a time through the pointwise evaluators."""
+    vrule = triangle_rule(analysis.VOLUME_ERROR_DEGREE)
+    erule = edge_rule(analysis.EDGE_ERROR_DEGREE)
+    s = erule.points
+    grad2 = l2u2 = p_int = 0.0
+    for t in range(mesh.num_triangles):
+        x = vrule.points @ mesh.vertices[mesh.triangles[t]]
+        wt = 2.0 * mesh.areas[t] * vrule.weights
+        grad2 += float(np.einsum("q,qij->", wt, (ex.grad_u(x) - u_h.jacobian(t)) ** 2))
+        l2u2 += float(np.einsum("q,qi->", wt, (ex.u(x) - u_h.value(t, x)) ** 2))
+        p_int += float(wt @ ex.p(x))
+    jumps2 = 0.0
+    moments = np.zeros((mesh.num_edges, 2))
+    for e in range(mesh.num_edges):
+        h = mesh.edge_length[e]
+        x = edge_points(mesh, e, s)
+        jump, avg = jump_average(u_h, e, s)
+        if mesh.edge_tminus[e] < 0:
+            jump = ex.u(x) - jump
+        else:
+            # moments of the error average {u - u_h}.n against 1 and s
+            en = (ex.u(x) - avg) @ mesh.edge_normal[e]
+            moments[e] = h * np.array([erule.weights @ en, erule.weights @ (s * en)])
+        jumps2 += params.penalty / h * h * float(np.einsum("q,qi->", erule.weights, jump**2))
+    L = local_moment_blocks(mesh)
+    rec2 = 0.0
+    for t in range(mesh.num_triangles):
+        coeffs = np.linalg.solve(L[t], moments[mesh.tri_to_edges[t]].ravel()).reshape(3, 2)
+        rec = BDMFunction(mesh, np.zeros((mesh.num_triangles, 3, 2)))
+        rec.coeffs[t] = coeffs
+        x = vrule.points @ mesh.vertices[mesh.triangles[t]]
+        rec2 += float(np.einsum("q,qi->", 2.0 * mesh.areas[t] * vrule.weights, rec.value(t, x) ** 2))
+    area = float(mesh.areas.sum())
+    p_h_mean = float(mesh.areas @ p_h.values) / area
+    l2p2 = 0.0
+    for t in range(mesh.num_triangles):
+        x = vrule.points @ mesh.vertices[mesh.triangles[t]]
+        diff = ex.p(x) - p_int / area - (p_h.values[t] - p_h_mean)
+        l2p2 += float(2.0 * mesh.areas[t] * vrule.weights @ diff**2)
+    mu = params.viscosity
+    return {
+        "energy_err": math.sqrt(mu * (grad2 + jumps2) + l2u2),
+        "energy_r_err": math.sqrt(mu * (grad2 + jumps2) + rec2),
+        "l2_u_err": math.sqrt(l2u2),
+        "l2_p_err": math.sqrt(l2p2),
+    }
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_error_norms_match_pointwise_evaluation_on_perturbed_mesh(seed):
+    # random nodal values (boundary ones included) and random bubbles, so the
+    # volume, jump, boundary-defect and reconstructed terms all see both parts;
+    # the exact velocity is shifted off zero so its boundary trace is nonzero
+    mesh = perturbed_mesh(5, seed=seed)
+    rng = np.random.default_rng(seed)
+    u_h = EGFunction(mesh, 0.1 * rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
+    p_h = PressureFunction(mesh, rng.standard_normal(mesh.num_triangles))
+    params = FormParams(viscosity=0.37, penalty=7.0)
+    base = example1_solution()
+    ex = dataclasses.replace(base, u=lambda x: base.u(x) + np.array([0.3, -0.2]))
+    row = error_norms(u_h, p_h, ex, mesh, params)
+    for name, want in _pointwise_error_columns(u_h, p_h, ex, mesh, params).items():
+        assert getattr(row, name) == pytest.approx(want, rel=1e-12), name
 
 
 def test_eoc_is_exactly_one_on_synthetic_halving():

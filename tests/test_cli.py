@@ -16,15 +16,18 @@ from egflow.cli import (
     cli_main,
     config_from_args,
     build_parser,
+    SampleGrid,
     locate_points,
     read_convergence_csv,
     sample_grid,
+    sample_velocity,
     write_convergence_csv,
     write_field_dump,
 )
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
 from egflow.spaces import EGFunction, PressureFunction, barycentric_coords
+from test_assembly import perturbed_mesh
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -186,6 +189,18 @@ def test_field_dump_includes_bubble_contribution(tmp_path):
     write_field_dump(u_h, PressureFunction(mesh, np.zeros(mesh.num_triangles)), sample_grid(mesh, 9, 9), path)
     rows = np.loadtxt(path)
     assert np.abs(rows[:, 2:4]).max() > 1e-3
+
+
+def test_sampled_velocity_matches_pointwise_value_on_perturbed_mesh():
+    mesh = perturbed_mesh(6, seed=9)
+    rng = np.random.default_rng(9)
+    u_h = EGFunction(mesh, rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
+    pts = rng.uniform(0.02, 0.98, (200, 2))
+    tri, bary, fallback = locate_points(mesh, pts)
+    assert fallback == 0
+    vals = sample_velocity(u_h, SampleGrid(len(pts), 1, pts, tri, bary, fallback))
+    want = np.array([u_h.value(int(t), x) for t, x in zip(tri, pts)])
+    assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_config_file_precedence(tmp_path):
