@@ -125,7 +125,6 @@ class ConvergenceRow:
     l2_u_err: float
     l2_p_err: float
     energy_eoc: float | None = None
-    energy_r_eoc: float | None = None
     l2_u_eoc: float | None = None
     l2_p_eoc: float | None = None
     iterations: int = 0
@@ -136,31 +135,18 @@ class ConvergenceRow:
 # -- norm evaluation ------------------------------------------------------
 
 
-def _discrete_at(mesh: MeshTopology, u_h: EGFunction, lam: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    nodal = u_h.nodal[mesh.triangles]
-    return np.einsum("qk,tki->tqi", lam, nodal) + u_h.bubble[:, None, None] * (
-        pts - mesh.barycenters[:, None, :]
-    )
-
-
-def _edge_error_terms(mesh, u_h, ex, penalty):
-    """penalty-weighted jump seminorm of the error over all edges."""
+def _edge_error_terms(mesh, u_vertex, ex, penalty):
+    """penalty-weighted jump seminorm of the error over all edges, given u_h's vertex_values."""
     rule = edge_rule(EDGE_ERROR_DEGREE)
     s, w = rule.points, rule.weights
-    u_vertex = asm.vertex_values(u_h)
-
-    def trace(ids, tris, local):
-        return asm.along_edges(u_vertex[tris[ids][:, None], local[ids]], s)
-
     total = 0.0
-    ids = mesh.interior_edge_ids
-    if len(ids):
-        jump = trace(ids, mesh.edge_tplus, mesh.edge_local_plus) - trace(ids, mesh.edge_tminus, mesh.edge_local_minus)
-        total += float(np.einsum("q,eqi,eqi->", w, jump, jump))  # exact field is continuous, its jump cancels
-    ids = mesh.boundary_edge_ids
-    x = asm.along_edges(mesh.vertices[mesh.edge_vertices[ids]], s)
-    defect = ex.u(x) - trace(ids, mesh.edge_tplus, mesh.edge_local_plus)
-    total += float(np.einsum("q,eqi,eqi->", w, defect, defect))
+    for batch in asm.discretization(mesh).edge_batches("eg"):
+        traces = asm.along_edges(batch.field_ends(u_vertex), s)  # (nE, sides, nq, 2)
+        if batch.interior:
+            jump = traces[:, 0] - traces[:, 1]  # exact field is continuous, its jump cancels
+        else:
+            jump = ex.u(asm.along_edges(mesh.vertices[mesh.edge_vertices[batch.eids]], s)) - traces[:, 0]
+        total += float(np.einsum("q,eqi,eqi->", w, jump, jump))
     return penalty * total
 
 
@@ -196,15 +182,14 @@ def error_norms(
     pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     wq = rule.weights
 
-    J_h = np.einsum("tki,tkj->tij", u_h.nodal[mesh.triangles], mesh.grad_lambda)
-    J_h += u_h.bubble[:, None, None] * np.eye(2)[None]
-    grad_diff = ex.grad_u(pts) - J_h[:, None, :, :]
+    u_vertex = asm.vertex_values(u_h)
+    grad_diff = ex.grad_u(pts) - asm.field_jacobians(mesh, u_vertex)[:, None, :, :]
     grad2 = float(np.einsum("t,q,tqij,tqij->", 2.0 * mesh.areas, wq, grad_diff, grad_diff))
 
-    u_diff = ex.u(pts) - _discrete_at(mesh, u_h, rule.points, pts)
+    u_diff = ex.u(pts) - np.einsum("qk,tki->tqi", rule.points, u_vertex)
     l2u2 = float(np.einsum("t,q,tqi,tqi->", 2.0 * mesh.areas, wq, u_diff, u_diff))
 
-    e_norm2 = grad2 + _edge_error_terms(mesh, u_h, ex, params.penalty)
+    e_norm2 = grad2 + _edge_error_terms(mesh, u_vertex, ex, params.penalty)
     mu = params.viscosity
     energy = math.sqrt(mu * e_norm2 + l2u2)
     energy_r = math.sqrt(mu * e_norm2 + _reconstructed_error_sq(mesh, u_h, ex))
@@ -247,20 +232,11 @@ def attach_eoc(rows: list[ConvergenceRow]) -> list[ConvergenceRow]:
             replace(
                 row,
                 energy_eoc=rate(prev.energy_err, row.energy_err),
-                energy_r_eoc=rate(prev.energy_r_err, row.energy_r_err),
                 l2_u_eoc=rate(prev.l2_u_err, row.l2_u_err),
                 l2_p_eoc=rate(prev.l2_p_err, row.l2_p_err),
             )
         )
     return out
-
-
-def least_squares_rate(hs, errors) -> float:
-    """Slope of log(error) against log(h) in the least-squares sense."""
-    hs, errors = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
-    if len(hs) < 2:
-        raise ValueError("need at least two levels for a rate")
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
 # -- experiments ----------------------------------------------------------
@@ -295,15 +271,14 @@ def convergence_study(
     levels,
     params: FormParams,
     settings: NonlinearSettings | None = None,
-    exact: ExactSolution | None = None,
 ) -> list[ConvergenceRow]:
-    """Solve the manufactured problem on each level and tabulate errors.
+    """Solve the manufactured problem of example1_solution on each level and tabulate errors.
 
     levels are grid subdivision counts (h = 1/n).  Solve failures are
     recorded in the row note instead of aborting the study.
     """
     settings = settings or NonlinearSettings()
-    ex = exact or example1_solution()
+    ex = example1_solution()
     # each mesh lives only through its own call: a level's mesh, with
     # everything cached on it, is released before the next, larger one is solved
     rows = [_solved_row(build_unit_square_mesh(n), params, settings, ex) for n in levels]

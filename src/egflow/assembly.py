@@ -70,6 +70,7 @@ from .spaces import DofLayout, EGFunction, layout_for
 
 VOLUME_DEGREE = 6
 EDGE_DEGREE = 7  # 4-point Gauss
+LID_VELOCITY = (1.0, 0.0)  # cavity lid, see lid_values
 
 # int_T lam_k lam_l over the reference triangle (area 1/2)
 _LAMBDA_MASS = (1.0 + np.eye(3)) / 24.0
@@ -100,6 +101,11 @@ def vertex_values(z) -> np.ndarray:
     if isinstance(z, BDMFunction):
         return z.coeffs
     raise TypeError(f"unsupported field type {type(z).__name__}")
+
+
+def field_jacobians(mesh: MeshTopology, zv: np.ndarray) -> np.ndarray:
+    """(nt, 2, 2) constant Jacobians J[t, i, j] = d z_i / d x_j of a field with vertex_values zv."""
+    return np.einsum("tki,tkj->tij", zv, mesh.grad_lambda)
 
 
 def along_edges(ends: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -288,8 +294,8 @@ class Discretization:
 
         return self._memo(("edges", kind), build)
 
-    def boundary_batch(self, kind: str) -> _EdgeBatch | None:
-        return next((b for b in self.edge_batches(kind) if not b.interior), None)
+    def boundary_batch(self, kind: str) -> _EdgeBatch:
+        return next(b for b in self.edge_batches(kind) if not b.interior)
 
     def convection_pattern(self, kind: str) -> _Pattern:
         def build():
@@ -357,9 +363,7 @@ def _transport(disc: Discretization, z, params: FormParams) -> tuple[str, np.nda
     """
     if not params.pressure_robust:
         return "eg", vertex_values(z)
-    if isinstance(z, EGFunction):
-        z = BDMFunction.from_vector(z.mesh, disc.reconstruction() @ z.to_vector())
-    return "p1d", vertex_values(z)
+    return "p1d", vertex_values(BDMFunction.from_vector(z.mesh, disc.reconstruction() @ z.to_vector()))
 
 
 # -- viscous and divergence forms ----------------------------------------
@@ -394,18 +398,6 @@ def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
     return _scatter([stiffness] + blocks, layout_for(mesh).n_velocity)
 
 
-def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
-    """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
-    stiffness, edges = _viscous_blocks(mesh)
-    return _scatter([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
-
-
-def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:
-    """L2 mass matrix of the enriched velocity space."""
-    space = discretization(mesh).space("eg")
-    return _scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * space.mass_like)], space.n_dofs)
-
-
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     """Rows q (one per triangle), columns velocity dofs: b(u, q)."""
     disc = discretization(mesh)
@@ -432,7 +424,7 @@ def _convection_on_space(disc: Discretization, kind: str, zv: np.ndarray) -> sp.
     """Picard convection matrix on one local basis for the field with vertex values zv."""
     mesh = disc.mesh
     space = disc.space(kind)
-    Jz = np.einsum("tki,tkj->tij", zv, mesh.grad_lambda)
+    Jz = field_jacobians(mesh, zv)
     divz = Jz[:, 0, 0] + Jz[:, 1, 1]
     # int_T phi_a . (grad phi_b) z: the basis moments against z's vertex values
     transport = np.einsum("taik,tkj,tbij->tab", space.moments, zv, space.jac, optimize=True)
@@ -506,13 +498,10 @@ def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params:
     scheme has no boundary convection terms and the result is identically
     zero there.
     """
-    layout = layout_for(mesh)
-    vec = np.zeros(layout.n_velocity)
+    vec = np.zeros(layout_for(mesh).n_velocity)
     if params.pressure_robust or not g_nodal.any():
         return vec
     batch = discretization(mesh).boundary_batch("eg")
-    if batch is None:
-        return vec
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
     ztr = along_edges(batch.field_ends(vertex_values(z))[:, 0], s)
@@ -536,12 +525,11 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     the prescribed nodal values along each edge.  The result is the data
     part of the unscaled form; the caller applies the viscosity factor.
     """
-    layout = layout_for(mesh)
-    vec = np.zeros(layout.n_velocity)
+    vec = np.zeros(layout_for(mesh).n_velocity)
+    if not np.any(g_nodal):
+        return vec
     disc = discretization(mesh)
     batch = disc.boundary_batch("eg")
-    if batch is None or not np.any(g_nodal):
-        return vec
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
     gq = _boundary_data(mesh, g_nodal, s)
@@ -560,9 +548,9 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
     driven-cavity setup.
     """
     vec = np.zeros(mesh.num_triangles)
-    eids = mesh.boundary_edge_ids
-    if not len(eids) or not np.any(g_nodal):
+    if not np.any(g_nodal):
         return vec
+    eids = mesh.boundary_edge_ids
     srule = edge_rule(EDGE_DEGREE)
     gq = _boundary_data(mesh, g_nodal, srule.points)
     gn = mesh.edge_length[eids] * np.einsum("q,eqi,ei->e", srule.weights, gq, mesh.edge_normal[eids])
@@ -573,8 +561,8 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
 # -- boundary data and the saddle system ---------------------------------
 
 
-def lid_values(mesh: MeshTopology, lid=(1.0, 0.0), leaky_corners: bool = True) -> dict[int, tuple[float, float]]:
-    """Cavity boundary data: lid velocity on y = 1, rest at rest.
+def lid_values(mesh: MeshTopology, leaky_corners: bool = True) -> dict[int, tuple[float, float]]:
+    """Cavity boundary data: LID_VELOCITY on y = 1, rest at rest.
 
     By default the two lid corners take the lid value (leaky-cavity
     convention); with leaky_corners=False they stay at rest (watertight).
@@ -586,7 +574,7 @@ def lid_values(mesh: MeshTopology, lid=(1.0, 0.0), leaky_corners: bool = True) -
         on_lid = abs(y - 1.0) < 1e-12
         if on_lid and not leaky_corners and (abs(x - xmin) < 1e-12 or abs(x - xmax) < 1e-12):
             on_lid = False
-        out[int(v)] = tuple(lid) if on_lid else (0.0, 0.0)
+        out[int(v)] = LID_VELOCITY if on_lid else (0.0, 0.0)
     return out
 
 
@@ -678,15 +666,15 @@ def build_saddle_system(
     params: FormParams,
     convection: sp.csr_matrix,
     load: np.ndarray,
-    dirichlet=None,
-    continuity_load: np.ndarray | None = None,
+    dirichlet,
+    continuity_load: np.ndarray,
 ) -> SaddleSystem:
     """Assemble the saddle system of one Picard step on its free unknowns.
 
     dirichlet is (dofs, values) over nodal velocity dofs; their rows and
     columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
-    (zero when omitted).  The viscous and divergence matrices come from the
+    (one entry per cell).  The viscous and divergence matrices come from the
     mesh's Discretization.  The pressure of cell 0 is pinned;
     solver.solve_linear restores the zero area-weighted mean afterwards
     (SaddleSystem.expand).
@@ -696,19 +684,13 @@ def build_saddle_system(
     A = disc.viscous(params)
     B = disc.divergence()
     K = (params.viscosity * A + convection).tocsr()
-    cont = np.zeros(layout.n_pressure) if continuity_load is None else np.asarray(continuity_load, dtype=float)
-
-    if dirichlet is None:
-        dofs = np.empty(0, dtype=np.int64)
-        values = np.empty(0)
-    else:
-        dofs, values = np.asarray(dirichlet[0], dtype=np.int64), np.asarray(dirichlet[1], dtype=float)
+    dofs, values = dirichlet
     free = np.setdiff1d(np.arange(layout.n_velocity), dofs)
 
     K_free = K[free]
     B_free = B[:, free]
     momentum = load[free] - K_free[:, dofs] @ values
-    continuity = cont - B[:, dofs] @ values
+    continuity = continuity_load - B[:, dofs] @ values
     # pinning cell 0 drops its pressure column and sets its continuity row aside
     B_kept = B_free[1:]
     mat = sp.bmat([[K_free[:, free], -B_kept.T], [B_kept, None]], format="csr")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .analysis import ConvergenceRow, convergence_study, pressure_robustness_probe
-from .assembly import FormParams, lid_values
+from .assembly import LID_VELOCITY, FormParams, lid_values, vertex_values
 from .mesh import MeshTopology, build_unit_square_mesh
 from .solver import (
     DivergedError,
@@ -109,30 +109,6 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_convergence_csv(path) -> list[ConvergenceRow]:
-    """Inverse of write_convergence_csv (EOC blanks become None)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unrecognized convergence CSV header in {path}")
-    rows = []
-    for line in lines[1:]:
-        c = line.split(",")
-        opt = lambda s: None if s == "" else float(s)
-        rows.append(
-            ConvergenceRow(
-                h=float(c[0]),
-                energy_err=float(c[1]),
-                energy_eoc=opt(c[2]),
-                energy_r_err=float("nan"),
-                l2_u_err=float(c[3]),
-                l2_u_eoc=opt(c[4]),
-                l2_p_err=float(c[5]),
-                l2_p_eoc=opt(c[6]),
-            )
-        )
-    return rows
-
-
 def locate_points(mesh: MeshTopology, pts: np.ndarray):
     """Containing triangle and barycentric coordinates for each point.
 
@@ -180,10 +156,7 @@ def sample_grid(mesh: MeshTopology, nx: int, ny: int) -> SampleGrid:
 
 def sample_velocity(u_h: EGFunction, grid: SampleGrid) -> np.ndarray:
     """Velocity (bubbles included) at the grid points, (nx * ny, 2)."""
-    mesh = u_h.mesh
-    tri = grid.triangles
-    vals = np.einsum("pk,pki->pi", grid.bary, u_h.nodal[mesh.triangles[tri]])
-    return vals + u_h.bubble[tri, None] * (grid.points - mesh.barycenters[tri])
+    return np.einsum("pk,pki->pi", grid.bary, vertex_values(u_h)[grid.triangles])
 
 
 def write_field_dump(u_h: EGFunction, p_h: PressureFunction, grid: SampleGrid, path) -> int:
@@ -261,7 +234,7 @@ def run_cavity(cfg: RunConfig) -> int:
         "mu": cfg.mu,
         "rho": cfg.rho,
         "mode": cfg.mode,
-        "lid_velocity": [1.0, 0.0],
+        "lid_velocity": list(LID_VELOCITY),
         "leaky_corners": True,  # corner vertices take the lid value
         "init": cfg.init,
     }

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshTopology
-from .spaces import EGFunction, barycentric_coords, layout_for
+from .spaces import barycentric_coords, layout_for
 
 # moments of the endpoint traces against s^j on [0, 1]:
 # int (1-s) ds, int (1-s) s ds, int s ds, int s^2 ds
@@ -135,35 +135,6 @@ def reconstruction_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     return R
 
 
-def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
-    """Exact embedding of enriched velocities into the elementwise P1 basis.
-
-    Every enriched velocity is affine per triangle, so it equals the local P1
-    field through its values at the triangle's vertices:
-    nodal[v_a] + bubble_t * (p_a - x_T).
-    """
-    nv2 = 2 * mesh.num_vertices
-    nt = mesh.num_triangles
-    rows, cols, vals = [], [], []
-    for t in range(nt):
-        for a in range(3):
-            v = mesh.triangles[t, a]
-            offset = mesh.vertices[v] - mesh.barycenters[t]
-            for i in range(2):
-                r = 6 * t + 2 * a + i
-                rows += [r, r]
-                cols += [2 * v + i, nv2 + t]
-                vals += [1.0, offset[i]]
-    shape = (6 * nt, layout_for(mesh).n_velocity)
-    E = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    E.eliminate_zeros()
-    return E
-
-
-def reconstruct(v: EGFunction) -> BDMFunction:
-    return BDMFunction.from_vector(v.mesh, reconstruction_matrix(v.mesh) @ v.to_vector())
-
-
 def bdm_mass_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     """Block-diagonal L2 mass matrix in the elementwise P1 basis (exact)."""
     nt = mesh.num_triangles
@@ -173,12 +144,3 @@ def bdm_mass_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     rows = np.repeat(np.arange(6 * nt), 6)
     cols = (6 * np.repeat(np.arange(nt), 36) + np.tile(np.arange(6), 6 * nt)).reshape(-1)
     return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(6 * nt, 6 * nt)).tocsr()
-
-
-def bdm_divergence_matrix(mesh: MeshTopology) -> sp.csr_matrix:
-    """Rows t: int_T div(phi_{a,i}) for the elementwise P1 basis (divergence is constant)."""
-    nt = mesh.num_triangles
-    vals = (mesh.areas[:, None, None] * mesh.grad_lambda).reshape(-1)  # (nt, 3, 2) -> flat
-    rows = np.repeat(np.arange(nt), 6)
-    cols = np.arange(6 * nt)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nt, 6 * nt)).tocsr()

@@ -42,6 +42,8 @@ KRYLOV_RTOL = 1e-12  # GMRES target, well inside RESIDUAL_TOL
 KRYLOV_BUDGET = 20  # GMRES iterations before refactoring
 DIAG_PIVOT_THRESH = 0.01  # SuperLU keeps the diagonal pivot unless it is below this share of the column's largest
 DISSECTION_LEAF = 16  # parts of at most this many mesh nodes are not split further
+DIVERGENCE_FACTOR = 1e3  # Picard diverges when DIVERGENCE_RUN updates in a row exceed this multiple of the first
+DIVERGENCE_RUN = 3
 
 
 class SingularSystemError(RuntimeError):
@@ -301,12 +303,12 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     return LinearSolution(*system.expand(x), rel, iterations, lu)
 
 
-def has_diverged(update_norms: list[float], factor: float = 1e3, run: int = 3) -> bool:
-    """True when the last `run` updates all exceed `factor` times the first one."""
-    if len(update_norms) < run + 1:
+def has_diverged(update_norms: list[float]) -> bool:
+    """True when the last DIVERGENCE_RUN updates all exceed DIVERGENCE_FACTOR times the first one."""
+    if len(update_norms) < DIVERGENCE_RUN + 1:
         return False
-    threshold = factor * update_norms[0]
-    return all(u > threshold for u in update_norms[-run:])
+    threshold = DIVERGENCE_FACTOR * update_norms[0]
+    return all(u > threshold for u in update_norms[-DIVERGENCE_RUN:])
 
 
 def _relative_update(x_new: np.ndarray, x_old: np.ndarray) -> float:
@@ -398,8 +400,8 @@ def solve_navier_stokes(
             break
         if has_diverged(report.update_norms):
             raise DivergedError(
-                f"update norm {update:.3e} stayed above 1000x the initial "
-                f"update for 3 iterations ({report.iterations} total)",
+                f"update norm {update:.3e} stayed above {DIVERGENCE_FACTOR:.0f}x the initial "
+                f"update for {DIVERGENCE_RUN} iterations ({report.iterations} total)",
                 report,
             )
 

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MeshTopology
-from .quadrature import map_to_triangle, triangle_rule
-
-VOLUME_QUAD_DEGREE = 6
-
 
 @dataclass(frozen=True)
 class DofLayout:
@@ -38,12 +34,6 @@ class DofLayout:
     @property
     def n_pressure(self) -> int:
         return self.num_triangles
-
-    def vertex_dof(self, v: int, comp: int) -> int:
-        return 2 * v + comp
-
-    def bubble_dof(self, t: int) -> int:
-        return 2 * self.num_vertices + t
 
 
 def layout_for(mesh: MeshTopology) -> DofLayout:
@@ -112,54 +102,3 @@ class PressureFunction:
 
     mesh: MeshTopology
     values: np.ndarray
-
-    def mean(self) -> float:
-        return float(np.dot(self.mesh.areas, self.values) / np.sum(self.mesh.areas))
-
-
-def edge_points(mesh: MeshTopology, e: int, s: np.ndarray) -> np.ndarray:
-    """Points x(s) = (1-s) p_a + s p_b on edge e; endpoint order is ascending."""
-    s = np.asarray(s, dtype=float)
-    a, b = mesh.edge_vertices[e]
-    return (1.0 - s)[..., None] * mesh.vertices[a] + s[..., None] * mesh.vertices[b]
-
-
-def jump_average(v: EGFunction, e: int, s: np.ndarray):
-    """Jump and average of the velocity trace at edge parameters s.
-
-    Interior edges: jump = plus trace - minus trace, average = their mean.
-    Boundary edges carry the one-sided trace in both slots.
-    """
-    mesh = v.mesh
-    x = edge_points(mesh, e, s)
-    plus = v.value(int(mesh.edge_tplus[e]), x)
-    tminus = int(mesh.edge_tminus[e])
-    if tminus < 0:
-        return plus.copy(), plus.copy()
-    minus = v.value(tminus, x)
-    return plus - minus, 0.5 * (plus + minus)
-
-
-def interpolate_velocity(mesh: MeshTopology, w, div_w) -> EGFunction:
-    """Canonical interpolant onto the enriched space.
-
-    Nodal part: vertex interpolation of w.  Bubble part: on each triangle the
-    coefficient is chosen so the interpolant's divergence has the same cell
-    mean as div w, i.e. 2 c_T area_T = int_T (div w - div w_C).
-    """
-    nodal = np.asarray(w(mesh.vertices), dtype=float)
-    rule = triangle_rule(VOLUME_QUAD_DEGREE)
-    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
-    div_vals = np.asarray(div_w(pts), dtype=float)
-    int_div = 2.0 * mesh.areas * np.einsum("q,tq->t", rule.weights, div_vals)
-    div_nodal = np.einsum("tki,tki->t", nodal[mesh.triangles], mesh.grad_lambda)
-    bubble = (int_div - mesh.areas * div_nodal) / (2.0 * mesh.areas)
-    return EGFunction(mesh, nodal, bubble)
-
-
-def project_pressure(mesh: MeshTopology, q) -> PressureFunction:
-    """Cellwise mean projection onto piecewise constants."""
-    rule = triangle_rule(VOLUME_QUAD_DEGREE)
-    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
-    vals = np.asarray(q(pts), dtype=float)
-    return PressureFunction(mesh, 2.0 * np.einsum("q,tq->t", rule.weights, vals))

@@ -1,0 +1,182 @@
+"""Reference implementations the tests check the package against.
+
+None of this runs in the solver or the experiments.  Each function is a
+direct, mostly scalar construction of something the package computes in
+batched form (energy and mass Gram matrices, the elementwise P1 embedding,
+edge traces and jumps one edge at a time, canonical interpolants), or a
+small utility only the tests need (rates, reading the convergence CSV).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+import egflow.assembly as asm
+from egflow.analysis import ConvergenceRow
+from egflow.cli import CSV_HEADER
+from egflow.mesh import MeshTopology
+from egflow.quadrature import map_to_triangle, triangle_rule
+from egflow.reconstruction import BDMFunction, reconstruction_matrix
+from egflow.spaces import DofLayout, EGFunction, PressureFunction, layout_for
+
+VOLUME_QUAD_DEGREE = 6
+
+
+# -- dof layout and pressure -----------------------------------------------
+
+
+def vertex_dof(layout: DofLayout, v: int, comp: int) -> int:
+    return 2 * v + comp
+
+
+def bubble_dof(layout: DofLayout, t: int) -> int:
+    return 2 * layout.num_vertices + t
+
+
+def pressure_mean(p: PressureFunction) -> float:
+    return float(np.dot(p.mesh.areas, p.values) / np.sum(p.mesh.areas))
+
+
+# -- Gram matrices of the enriched space -----------------------------------
+
+
+def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
+    """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
+    stiffness, edges = asm._viscous_blocks(mesh)
+    return asm._scatter([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
+
+
+def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:
+    """L2 mass matrix of the enriched velocity space."""
+    space = asm.discretization(mesh).space("eg")
+    return asm._scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * space.mass_like)], space.n_dofs)
+
+
+# -- reconstruction --------------------------------------------------------
+
+
+def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
+    """Exact embedding of enriched velocities into the elementwise P1 basis.
+
+    Every enriched velocity is affine per triangle, so it equals the local P1
+    field through its values at the triangle's vertices:
+    nodal[v_a] + bubble_t * (p_a - x_T).
+    """
+    nv2 = 2 * mesh.num_vertices
+    nt = mesh.num_triangles
+    rows, cols, vals = [], [], []
+    for t in range(nt):
+        for a in range(3):
+            v = mesh.triangles[t, a]
+            offset = mesh.vertices[v] - mesh.barycenters[t]
+            for i in range(2):
+                r = 6 * t + 2 * a + i
+                rows += [r, r]
+                cols += [2 * v + i, nv2 + t]
+                vals += [1.0, offset[i]]
+    shape = (6 * nt, layout_for(mesh).n_velocity)
+    E = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    E.eliminate_zeros()
+    return E
+
+
+def reconstruct(v: EGFunction) -> BDMFunction:
+    return BDMFunction.from_vector(v.mesh, reconstruction_matrix(v.mesh) @ v.to_vector())
+
+
+def bdm_divergence_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """Rows t: int_T div(phi_{a,i}) for the elementwise P1 basis (divergence is constant)."""
+    nt = mesh.num_triangles
+    vals = (mesh.areas[:, None, None] * mesh.grad_lambda).reshape(-1)  # (nt, 3, 2) -> flat
+    rows = np.repeat(np.arange(nt), 6)
+    cols = np.arange(6 * nt)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nt, 6 * nt)).tocsr()
+
+
+# -- edge traces and interpolation -----------------------------------------
+
+
+def edge_points(mesh: MeshTopology, e: int, s: np.ndarray) -> np.ndarray:
+    """Points x(s) = (1-s) p_a + s p_b on edge e; endpoint order is ascending."""
+    s = np.asarray(s, dtype=float)
+    a, b = mesh.edge_vertices[e]
+    return (1.0 - s)[..., None] * mesh.vertices[a] + s[..., None] * mesh.vertices[b]
+
+
+def jump_average(v: EGFunction, e: int, s: np.ndarray):
+    """Jump and average of the velocity trace at edge parameters s.
+
+    Interior edges: jump = plus trace - minus trace, average = their mean.
+    Boundary edges carry the one-sided trace in both slots.
+    """
+    mesh = v.mesh
+    x = edge_points(mesh, e, s)
+    plus = v.value(int(mesh.edge_tplus[e]), x)
+    tminus = int(mesh.edge_tminus[e])
+    if tminus < 0:
+        return plus.copy(), plus.copy()
+    minus = v.value(tminus, x)
+    return plus - minus, 0.5 * (plus + minus)
+
+
+def interpolate_velocity(mesh: MeshTopology, w, div_w) -> EGFunction:
+    """Canonical interpolant onto the enriched space.
+
+    Nodal part: vertex interpolation of w.  Bubble part: on each triangle the
+    coefficient is chosen so the interpolant's divergence has the same cell
+    mean as div w, i.e. 2 c_T area_T = int_T (div w - div w_C).
+    """
+    nodal = np.asarray(w(mesh.vertices), dtype=float)
+    rule = triangle_rule(VOLUME_QUAD_DEGREE)
+    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
+    div_vals = np.asarray(div_w(pts), dtype=float)
+    int_div = 2.0 * mesh.areas * np.einsum("q,tq->t", rule.weights, div_vals)
+    div_nodal = np.einsum("tki,tki->t", nodal[mesh.triangles], mesh.grad_lambda)
+    bubble = (int_div - mesh.areas * div_nodal) / (2.0 * mesh.areas)
+    return EGFunction(mesh, nodal, bubble)
+
+
+def project_pressure(mesh: MeshTopology, q) -> PressureFunction:
+    """Cellwise mean projection onto piecewise constants."""
+    rule = triangle_rule(VOLUME_QUAD_DEGREE)
+    pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
+    vals = np.asarray(q(pts), dtype=float)
+    return PressureFunction(mesh, 2.0 * np.einsum("q,tq->t", rule.weights, vals))
+
+
+# -- convergence tables ----------------------------------------------------
+
+
+def read_convergence_csv(path) -> list[ConvergenceRow]:
+    """Inverse of write_convergence_csv (EOC blanks become None)."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"unrecognized convergence CSV header in {path}")
+    rows = []
+    for line in lines[1:]:
+        c = line.split(",")
+        opt = lambda s: None if s == "" else float(s)
+        rows.append(
+            ConvergenceRow(
+                h=float(c[0]),
+                energy_err=float(c[1]),
+                energy_eoc=opt(c[2]),
+                energy_r_err=float("nan"),
+                l2_u_err=float(c[3]),
+                l2_u_eoc=opt(c[4]),
+                l2_p_err=float(c[5]),
+                l2_p_eoc=opt(c[6]),
+            )
+        )
+    return rows
+
+
+def least_squares_rate(hs, errors) -> float:
+    """Slope of log(error) against log(h) in the least-squares sense."""
+    hs, errors = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
+    if len(hs) < 2:
+        raise ValueError("need at least two levels for a rate")
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

@@ -3,7 +3,7 @@
 Oracles used here:
   * the classical 5-point P1 stiffness stencil on the structured mesh,
     valid for the continuous nodal sub-basis where all jump terms vanish;
-  * pointwise trace evaluation through spaces.jump_average, a separate
+  * pointwise trace evaluation through oracles.jump_average, a separate
     code path from the vectorized edge batches;
   * the whole convection form integrated point by point through
     EGFunction.value / BDMFunction.value on a perturbed mesh;
@@ -19,14 +19,19 @@ import egflow.assembly as asm
 from egflow.assembly import FormParams
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
-from egflow.reconstruction import (
+from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
+from egflow.spaces import EGFunction, layout_for
+from oracles import (
+    assemble_energy_gram,
+    assemble_mass,
     bdm_divergence_matrix,
-    local_p1_embedding,
-    bdm_mass_matrix,
+    bubble_dof,
+    edge_points,
+    jump_average,
+    project_pressure,
     reconstruct,
-    reconstruction_matrix,
+    vertex_dof,
 )
-from egflow.spaces import EGFunction, edge_points, jump_average, layout_for
 
 PARAMS = FormParams(viscosity=1.0, penalty=10.0)
 PARAMS_PR = FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True)
@@ -121,7 +126,7 @@ def test_energy_gram_matches_norm_of_continuous_field():
     nodal = rng.standard_normal((mesh.num_vertices, 2))
     nodal[mesh.is_boundary_vertex] = 0.0
     v = EGFunction(mesh, nodal, np.zeros(mesh.num_triangles))
-    E = asm.assemble_energy_gram(mesh, penalty=10.0)
+    E = assemble_energy_gram(mesh, penalty=10.0)
     vec = v.to_vector()
     grad2 = sum(
         mesh.areas[t] * np.sum(v.jacobian(t) ** 2) for t in range(mesh.num_triangles)
@@ -133,8 +138,8 @@ def test_energy_gram_penalizes_jumps():
     mesh = build_unit_square_mesh(2)
     v = EGFunction(mesh, np.zeros((mesh.num_vertices, 2)), np.ones(mesh.num_triangles))
     vec = v.to_vector()
-    e10 = float(vec @ (asm.assemble_energy_gram(mesh, 10.0) @ vec))
-    e0 = float(vec @ (asm.assemble_energy_gram(mesh, 0.0) @ vec))
+    e10 = float(vec @ (assemble_energy_gram(mesh, 10.0) @ vec))
+    e0 = float(vec @ (assemble_energy_gram(mesh, 0.0) @ vec))
     rule = edge_rule(7)
     jump2 = 0.0
     for e in range(mesh.num_edges):
@@ -209,7 +214,7 @@ def test_divergence_of_constant_field_vanishes_on_interior_rows():
 def test_mass_matrix_against_quadrature():
     mesh = build_unit_square_mesh(2)
     v = random_eg(mesh, 11)
-    M = asm.assemble_mass(mesh)
+    M = assemble_mass(mesh)
     vec = v.to_vector()
     rule = triangle_rule(6)
     acc = 0.0
@@ -245,7 +250,7 @@ def test_convection_is_bounded_in_the_energy_norm(robust):
     worst = []
     for n in (2, 4):
         mesh = build_unit_square_mesh(n)
-        E = asm.assemble_energy_gram(mesh, penalty=10.0)
+        E = assemble_energy_gram(mesh, penalty=10.0)
         energy = lambda w: np.sqrt(float(w.to_vector() @ (E @ w.to_vector())))
         mx = 0.0
         for seed in range(50):
@@ -301,7 +306,7 @@ def convection_by_quadrature(z, u, v):
     """(volume, skew, upwind) parts of c(z; u, v), integrated point by point.
 
     z, u, v are EGFunction or BDMFunction; traces come from their value
-    methods and spaces.jump_average, the inflow side from {z}.n at the same
+    methods and oracles.jump_average, the inflow side from {z}.n at the same
     Gauss points the assembly uses.
     """
     mesh = z.mesh
@@ -370,7 +375,7 @@ def test_convection_upwind_switches_with_flow_direction():
     zeta = float(nodal[0] @ mesh.edge_normal[e])
     assert zeta != 0.0
     up, down = (tp, tm) if zeta > 0 else (tm, tp)
-    b_up, b_down = layout.bubble_dof(up), layout.bubble_dof(down)
+    b_up, b_down = bubble_dof(layout, up), bubble_dof(layout, down)
     # decompose: the skew jump term is the only coupling symmetric in the
     # bubble pair, upwinding adds the one-way part
     one_way = C[b_down, b_up] - C[b_up, b_down]
@@ -405,8 +410,8 @@ def test_load_of_constant_force_hits_only_nodal_dofs():
     assert np.abs(F[2 * mesh.num_vertices :]).max() <= 1e-14
     for v in range(mesh.num_vertices):
         support = sum(mesh.areas[t] / 3.0 for t in range(mesh.num_triangles) if v in mesh.triangles[t])
-        assert F[layout.vertex_dof(v, 0)] == pytest.approx(3.0 * support, rel=1e-12)
-        assert F[layout.vertex_dof(v, 1)] == pytest.approx(-2.0 * support, rel=1e-12)
+        assert F[vertex_dof(layout, v, 0)] == pytest.approx(3.0 * support, rel=1e-12)
+        assert F[vertex_dof(layout, v, 1)] == pytest.approx(-2.0 * support, rel=1e-12)
 
 
 def test_robust_load_sees_gradient_forces_through_divergence():
@@ -517,7 +522,10 @@ def test_saddle_system_shape_and_block_structure():
     layout = layout_for(mesh)
     C = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS)
     F = np.zeros(layout.n_velocity)
-    sysm = asm.build_saddle_system(mesh, PARAMS, C, F)
+    no_dirichlet = (np.empty(0, dtype=np.int64), np.empty(0))
+    sysm = asm.build_saddle_system(
+        mesh, PARAMS, C, F, dirichlet=no_dirichlet, continuity_load=np.zeros(layout.n_pressure)
+    )
     nv, npr = layout.n_velocity, layout.n_pressure
     assert sysm.matrix.shape == (nv + npr - 1, nv + npr - 1)
     assert np.array_equal(sysm.free_velocity, np.arange(nv))
@@ -541,7 +549,10 @@ def test_saddle_system_is_nonsingular_with_dirichlet_rows():
     dofs, values, _ = asm.dirichlet_data(mesh, None)
     for z in (EGFunction.zero(mesh), random_eg(mesh, 31)):
         C = asm.assemble_convection(mesh, z, PARAMS)
-        sysm = asm.build_saddle_system(mesh, PARAMS, C, np.zeros(layout.n_velocity), dirichlet=(dofs, values))
+        sysm = asm.build_saddle_system(
+            mesh, PARAMS, C, np.zeros(layout.n_velocity),
+            dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles),
+        )
         assert sysm.matrix.shape[0] == layout.n_velocity - len(dofs) + layout.n_pressure - 1
         sv = np.linalg.svd(sysm.matrix.toarray(), compute_uv=False)
         assert sv.min() > 1e-8
@@ -555,7 +566,9 @@ def test_condensation_keeps_boundary_values_exactly():
     C = asm.assemble_convection(mesh, z, PARAMS)
     F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), PARAMS)
     F = F + asm.convective_boundary_load(mesh, z, nodal, PARAMS)
-    sysm = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values))
+    sysm = asm.build_saddle_system(
+        mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+    )
     assert not np.isin(sysm.free_velocity, dofs).any()
     u, p = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
     assert np.abs(u[dofs] - values).max() == 0.0
@@ -615,12 +628,13 @@ def test_gradient_force_produces_no_flow_in_robust_stokes():
     for params in (PARAMS, PARAMS_PR):
         C = asm.assemble_convection(mesh, EGFunction.zero(mesh), params)
         F = asm.assemble_load(mesh, grad_phi, params)
-        sysm = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values))
+        sysm = asm.build_saddle_system(
+            mesh, params, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+        )
         results[params.pressure_robust] = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
 
     u_pr, p_pr = results[True]
     assert np.abs(u_pr).max() <= 1e-12
-    from egflow.spaces import project_pressure
 
     p_exact = project_pressure(mesh, phi).values
     p_exact = p_exact - float(mesh.areas @ p_exact)
@@ -635,7 +649,7 @@ def test_inf_sup_constant_does_not_collapse_under_refinement():
     for n in (2, 4, 8):
         mesh = build_unit_square_mesh(n)
         free = free_velocity_dofs(mesh)
-        E = asm.assemble_energy_gram(mesh, penalty=10.0).toarray()[np.ix_(free, free)]
+        E = assemble_energy_gram(mesh, penalty=10.0).toarray()[np.ix_(free, free)]
         B = asm.assemble_divergence(mesh).toarray()[:, free]
         S = B @ np.linalg.solve(E, B.T)
         w = 1.0 / np.sqrt(mesh.areas)

@@ -18,7 +18,6 @@ from egflow.cli import (
     build_parser,
     SampleGrid,
     locate_points,
-    read_convergence_csv,
     sample_grid,
     sample_velocity,
     write_convergence_csv,
@@ -27,6 +26,7 @@ from egflow.cli import (
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
 from egflow.spaces import EGFunction, PressureFunction, barycentric_coords
+from oracles import read_convergence_csv
 from test_assembly import perturbed_mesh
 
 

@@ -21,7 +21,8 @@ from egflow.solver import (
     solve_linear,
     solve_navier_stokes,
 )
-from egflow.spaces import DofLayout, EGFunction, interpolate_velocity, layout_for
+from egflow.spaces import DofLayout, EGFunction, layout_for
+from oracles import interpolate_velocity
 from test_assembly import perturbed_mesh
 
 PARAMS = FormParams(viscosity=1.0, penalty=10.0)
@@ -136,7 +137,9 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
         C = sp.csr_matrix((layout.n_velocity, layout.n_velocity))
     F = asm.assemble_load(mesh, poly_force, params)
     dofs, values, _ = asm.dirichlet_data(mesh, asm.lid_values(mesh))
-    system = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values))
+    system = asm.build_saddle_system(
+        mesh, params, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+    )
     factor = solve_linear(system).factor
     x = factor.solve(system.rhs)
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-12 * np.linalg.norm(system.rhs)
@@ -149,7 +152,9 @@ def test_stokes_solve_residual_and_mean_constraint():
     C = sp.csr_matrix((layout.n_velocity, layout.n_velocity))
     F = asm.assemble_load(mesh, poly_force, PARAMS)
     dofs, values, _ = asm.dirichlet_data(mesh, None)
-    system = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values))
+    system = asm.build_saddle_system(
+        mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+    )
     solution = solve_linear(system)
     assert solution.residual <= 1e-10
     # the unreduced equations hold on every free momentum row and on every
@@ -196,7 +201,9 @@ def test_fixed_point_consistency_of_converged_solution():
     C = asm.assemble_convection(mesh, u, PARAMS)
     F = asm.assemble_load(mesh, poly_force, PARAMS)
     F = F + asm.convective_boundary_load(mesh, u, g_nodal, PARAMS)
-    system = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values))
+    system = asm.build_saddle_system(
+        mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+    )
     u2, p2, *_ = solve_linear(system)
     x1 = np.concatenate([u.to_vector(), p.values])
     x2 = np.concatenate([u2, p2])
