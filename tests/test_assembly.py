@@ -11,6 +11,8 @@ Oracles used here:
   * exact discrete residuals for a linear divergence-free flow.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -673,6 +675,23 @@ def test_cached_operators_belong_to_their_mesh():
     assert abs(disc_m.viscous(PARAMS) - asm.assemble_viscous(moved, PARAMS)).max() == 0.0
     # a different penalty is a different matrix, not the cached one
     assert abs(disc_m.viscous(FormParams(penalty=20.0)) - disc_m.viscous(PARAMS)).max() > 1.0
+
+
+def test_first_robust_convection_stays_small_in_memory():
+    # the robust matrix is R_c^T C_s R_c summed over the two components, with
+    # C_s one scalar matrix of 3 dofs per cell; a 6-dof vector operator on
+    # the reconstructed basis would carry its structural zeros through the
+    # pattern build and every step
+    mesh = build_unit_square_mesh(32)
+    asm.discretization(mesh).reconstruction()
+    z = random_eg(mesh, 91)
+    tracemalloc.start()
+    try:
+        asm.assemble_convection(mesh, z, PARAMS_PR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_repeated_convection_builds_mesh_data_once(monkeypatch):
