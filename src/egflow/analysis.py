@@ -140,7 +140,7 @@ def _edge_error_terms(mesh, u_vertex, ex, penalty):
     rule = edge_rule(EDGE_ERROR_DEGREE)
     s, w = rule.points, rule.weights
     total = 0.0
-    for batch in asm.discretization(mesh).edge_batches("eg"):
+    for batch in asm.discretization(mesh).edge_batches():
         traces = asm.along_edges(batch.field_ends(u_vertex), s)  # (nE, sides, nq, 2)
         if batch.interior:
             jump = traces[:, 0] - traces[:, 1]  # exact field is continuous, its jump cancels

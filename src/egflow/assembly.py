@@ -25,9 +25,13 @@ All three loads vanish for homogeneous data.
 
 In pressure-robust mode the convection form and the body-force functional
 are evaluated on reconstructed arguments: C = R^T C_bdm(R z) R and
-rhs = R^T (f, .)_bdm, where R is the sparse reconstruction operator.  Since
-the reconstructed field has zero normal trace on the boundary, the boundary
-convection terms drop out there automatically.
+rhs = R^T (f, .)_bdm, where R is the sparse reconstruction operator into
+the elementwise P1 basis lam_k e_i.  Each convection term pairs trial and
+test functions only through u . v, so C_bdm = C_s (x) I_2 for one scalar
+DG-P1 matrix C_s on the lam_k, and C = sum_c R_c^T C_s R_c over the two
+components c.  The transport field R z has zero normal trace on the
+boundary, so every boundary convection term, whose weight is a multiple of
+(R z).n, vanishes: C_s has only volume and interior-edge blocks.
 
 Every basis function and discrete velocity here is affine on each
 triangle, so it is fixed by its values at the three vertices, and its trace
@@ -41,11 +45,12 @@ term except the upwind indicator, which is decided at the 4 Gauss points.
 
 What is built when.  Everything that depends only on the mesh is built once
 per mesh, on first use, in the mesh's Discretization (discretization(mesh))
-and kept there: per local basis the dof map, vertex values, Jacobians,
-volume moments and mass-like block; the interior and boundary edge batches
-reduced to endpoint traces; the fixed CSR pattern of the convection matrix
-with the map from local entries to it; and the matrices R, B and, per
-penalty, the unscaled viscous A.  The solver and analysis.error_norms share
+and kept there: for the enriched basis the dof map, vertex values,
+Jacobians, volume moments and mass-like block, and the interior and boundary
+edge batches reduced to endpoint traces; the fixed CSR patterns of the
+enriched and the scalar convection matrix with the maps from local entries
+to them; and the matrices R, its components R_c, B and, per penalty, the
+unscaled viscous A.  The solver and analysis.error_norms share
 them.  A Picard step evaluates only the transport field: its vertex values,
 one batched contraction for the volume term, and per edge {z}.n and [z].n
 at the Gauss points, whose upwind and skew weights form the three moments;
@@ -65,7 +70,7 @@ import scipy.sparse as sp
 
 from .mesh import MeshTopology
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
-from .reconstruction import BDMFunction, reconstruction_matrix
+from .reconstruction import reconstruction_matrix
 from .spaces import DofLayout, EGFunction, layout_for
 
 VOLUME_DEGREE = 6
@@ -88,19 +93,15 @@ class FormParams:
 # -- affine fields ---------------------------------------------------------
 
 
-def vertex_values(z) -> np.ndarray:
-    """(nt, 3, 2) values of an enriched or reconstructed field at each triangle's vertices.
+def vertex_values(z: EGFunction) -> np.ndarray:
+    """(nt, 3, 2) values of an enriched field at each triangle's vertices.
 
-    Both kinds are affine on each triangle, so these values fix the field
-    there, and along each edge it interpolates its two endpoint values.
+    The field is affine on each triangle, so these values fix it there, and
+    along each edge it interpolates its two endpoint values.
     """
     mesh = z.mesh
-    if isinstance(z, EGFunction):
-        offsets = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
-        return z.nodal[mesh.triangles] + z.bubble[:, None, None] * offsets
-    if isinstance(z, BDMFunction):
-        return z.coeffs
-    raise TypeError(f"unsupported field type {type(z).__name__}")
+    offsets = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
+    return z.nodal[mesh.triangles] + z.bubble[:, None, None] * offsets
 
 
 def field_jacobians(mesh: MeshTopology, zv: np.ndarray) -> np.ndarray:
@@ -133,40 +134,30 @@ def _hat_moments(g: np.ndarray) -> np.ndarray:
 
 
 class _SpaceTables:
-    """Per-triangle data of one of the two local velocity bases.
+    """Per-triangle data of the local enriched velocity basis.
 
-    kind "eg": 6 nodal dofs (vertex, component) plus the barycenter bubble;
-    kind "p1d": the 6 elementwise P1 dofs used for reconstructed fields.
-    Every basis function is affine per triangle, so it is fixed by its values
-    at the triangle's vertices, vertex_values[t, a, k, i], and its Jacobian
-    is constant.  moments[t, a, i, k] = int_T phi_a,i lam_k / (2 |T|) and
+    6 nodal dofs (vertex, component) plus the barycenter bubble.  Every basis
+    function is affine per triangle, so it is fixed by its values at the
+    triangle's vertices, vertex_values[t, a, k, i], and its Jacobian is
+    constant.  moments[t, a, i, k] = int_T phi_a,i lam_k / (2 |T|) and
     mass_like[t, a, b] = int_T phi_a . phi_b / (2 |T|).
     """
 
-    def __init__(self, mesh: MeshTopology, kind: str):
-        nt = mesh.num_triangles
-        if kind == "eg":
-            nv = mesh.num_vertices
-            nodal = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
-            self.dofmap = np.concatenate([nodal, 2 * nv + np.arange(nt)[:, None]], axis=1)
-            self.nl = 7
-            self.n_dofs = 2 * nv + nt
-        elif kind == "p1d":
-            self.dofmap = 6 * np.arange(nt)[:, None] + np.arange(6)[None, :]
-            self.nl = 6
-            self.n_dofs = 6 * nt
-        else:
-            raise ValueError(f"unknown space kind {kind!r}")
-        self.dofmap = self.dofmap.astype(np.int32)  # halves the index arrays of every scatter
+    def __init__(self, mesh: MeshTopology):
+        nt, nv = mesh.num_triangles, mesh.num_vertices
+        nodal = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
+        dofmap = np.concatenate([nodal, 2 * nv + np.arange(nt)[:, None]], axis=1)
+        self.dofmap = dofmap.astype(np.int32)  # halves the index arrays of every scatter
+        self.nl = 7
+        self.n_dofs = 2 * nv + nt
         vals = np.zeros((nt, self.nl, 3, 2))
         jac = np.zeros((nt, self.nl, 2, 2))
         for a in range(3):
             for i in range(2):
                 vals[:, 2 * a + i, a, i] = 1.0
                 jac[:, 2 * a + i, i, :] = mesh.grad_lambda[:, a, :]
-        if kind == "eg":
-            vals[:, 6] = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
-            jac[:, 6] = np.eye(2)
+        vals[:, 6] = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
+        jac[:, 6] = np.eye(2)
         self.vertex_values = vals
         self.jac = jac
         self.div = jac[:, :, 0, 0] + jac[:, :, 1, 1]
@@ -252,14 +243,36 @@ class _Pattern:
         return mat
 
 
+class _ScalarP1:
+    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the robust convection matrix C_s.
+
+    `components` holds R_c = R[c::2], the rows of R for component c.  Along an
+    interior edge only the hats of each side's two edge endpoints have a trace:
+    edge_dofs[e, X, j] is the dof of side X that is 1 at endpoint j.
+    """
+
+    def __init__(self, mesh: MeshTopology, R: sp.csr_matrix):
+        ids = mesh.interior_edge_ids
+        tris = np.stack([mesh.edge_tplus[ids], mesh.edge_tminus[ids]], axis=1)
+        local = np.stack([mesh.edge_local_plus[ids], mesh.edge_local_minus[ids]], axis=1)
+        self.edge_dofs = (3 * tris[:, :, None] + local).astype(np.int32)
+        self.normal = mesh.edge_normal[ids]
+        self.h = mesh.edge_length[ids]
+        nt = mesh.num_triangles
+        cells = np.arange(3 * nt, dtype=np.int32).reshape(nt, 3)
+        self.pattern = _Pattern(3 * nt, [cells, self.edge_dofs.reshape(len(ids), 4)])
+        self.components = [R[c::2] for c in range(2)]
+
+
 class Discretization:
     """Everything the forms need that depends only on the mesh, built on first use.
 
     One per mesh, see discretization().  Each piece is built the first time
     a form asks for it and then kept: the tables, edge batches and
-    convection sparsity pattern of each local basis, the reconstruction R,
-    the divergence matrix B and the unscaled viscous matrix A of each
-    penalty.  The mesh arrays are read-only, so none of it can go stale.
+    convection sparsity pattern of the enriched basis, the scalar basis of
+    robust convection, the reconstruction R, the divergence matrix B and the
+    unscaled viscous matrix A of each penalty.  The mesh arrays are
+    read-only, so none of it can go stale.
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
     meets only a few patterns (Stokes, Oseen), each factored many times.
@@ -281,28 +294,31 @@ class Discretization:
             self._built[key] = build()
         return self._built[key]
 
-    def space(self, kind: str) -> _SpaceTables:
-        return self._memo(("space", kind), lambda: _SpaceTables(self.mesh, kind))
+    def space(self) -> _SpaceTables:
+        return self._memo("space", lambda: _SpaceTables(self.mesh))
 
-    def edge_batches(self, kind: str) -> list[_EdgeBatch]:
+    def edge_batches(self) -> list[_EdgeBatch]:
         """The non-empty batches of interior and of boundary edges, in that order."""
 
         def build():
             mesh = self.mesh
             ids = (mesh.interior_edge_ids, mesh.boundary_edge_ids)
-            return [_EdgeBatch(mesh, self.space(kind), eids) for eids in ids if len(eids)]
+            return [_EdgeBatch(mesh, self.space(), eids) for eids in ids if len(eids)]
 
-        return self._memo(("edges", kind), build)
+        return self._memo("edges", build)
 
-    def boundary_batch(self, kind: str) -> _EdgeBatch:
-        return next(b for b in self.edge_batches(kind) if not b.interior)
+    def boundary_batch(self) -> _EdgeBatch:
+        return next(b for b in self.edge_batches() if not b.interior)
 
-    def convection_pattern(self, kind: str) -> _Pattern:
+    def convection_pattern(self) -> _Pattern:
         def build():
-            space = self.space(kind)
-            return _Pattern(space.n_dofs, [space.dofmap] + [b.dofs for b in self.edge_batches(kind)])
+            space = self.space()
+            return _Pattern(space.n_dofs, [space.dofmap] + [b.dofs for b in self.edge_batches()])
 
-        return self._memo(("pattern", kind), build)
+        return self._memo("pattern", build)
+
+    def scalar_p1(self) -> _ScalarP1:
+        return self._memo("scalar", lambda: _ScalarP1(self.mesh, self.reconstruction()))
 
     def reconstruction(self) -> sp.csr_matrix:
         return self._memo("R", lambda: reconstruction_matrix(self.mesh))
@@ -326,9 +342,9 @@ _CHUNK_ENTRIES = 1 << 18  # local entries scattered at a time; bounds the transi
 
 
 def _chunks(array: np.ndarray, entries_per_row: int):
-    """Consecutive row slices of array, each covering at most _CHUNK_ENTRIES local entries."""
+    """Consecutive row slices of array, each covering at most _CHUNK_ENTRIES local entries; at least one."""
     step = max(1, _CHUNK_ENTRIES // entries_per_row)
-    return (array[start : start + step] for start in range(0, len(array), step))
+    return (array[start : start + step] for start in range(0, max(len(array), 1), step))
 
 
 def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
@@ -356,16 +372,6 @@ def _boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np
     return along_edges(g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
 
 
-def _transport(disc: Discretization, z, params: FormParams) -> tuple[str, np.ndarray]:
-    """Local basis and vertex values of the field the forms transport with.
-
-    In pressure-robust mode an enriched z acts through its reconstruction R z.
-    """
-    if not params.pressure_robust:
-        return "eg", vertex_values(z)
-    return "p1d", vertex_values(BDMFunction.from_vector(z.mesh, disc.reconstruction() @ z.to_vector()))
-
-
 # -- viscous and divergence forms ----------------------------------------
 
 
@@ -376,11 +382,11 @@ def _viscous_blocks(mesh: MeshTopology):
     gradient-jump coupling, jump penalty).
     """
     disc = discretization(mesh)
-    space = disc.space("eg")
+    space = disc.space()
     stiffness = (space.dofmap, np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac))
     nq = len(edge_rule(EDGE_DEGREE).points)
     edges = []
-    for batch in disc.edge_batches("eg"):
+    for batch in disc.edge_batches():
         int_jump = batch.h[:, None, None] * batch.mean_traces()
         avg_grad_n = batch.avg_factor * np.einsum("exbij,ej->exbi", space.jac[batch.tris], batch.normal)
         coupling = np.einsum("eai,ebi->eab", int_jump, avg_grad_n.reshape(len(batch.eids), batch.width, 2))
@@ -401,12 +407,12 @@ def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     """Rows q (one per triangle), columns velocity dofs: b(u, q)."""
     disc = discretization(mesh)
-    space = disc.space("eg")
+    space = disc.space()
     nt = mesh.num_triangles
     rows = [np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)]
     cols = [space.dofmap]
     vals = [mesh.areas[:, None] * space.div]
-    for batch in disc.edge_batches("eg"):
+    for batch in disc.edge_batches():
         # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged
         jn = -batch.avg_factor * batch.h[:, None] * np.einsum("ebi,ei->eb", batch.mean_traces(), batch.normal)
         for tri_rows in batch.tris.T:
@@ -420,49 +426,71 @@ def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
 # -- convection ----------------------------------------------------------
 
 
-def _convection_on_space(disc: Discretization, kind: str, zv: np.ndarray) -> sp.csr_matrix:
-    """Picard convection matrix on one local basis for the field with vertex values zv."""
+def _edge_weights(h: np.ndarray, ends: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """h g[e, X, Y, q]: weight of test side X against trial side Y at edge Gauss point q.
+
+    ends[e, X, j, i] are the endpoint values of the transport field from each
+    side (one side on boundary edges); g collects the skew and upwind terms.
+    """
+    s = edge_rule(EDGE_DEGREE).points
+    zn = along_edges(np.einsum("exji,ei->exj", ends, normal)[..., None], s)[..., 0]
+    if zn.shape[1] == 2:
+        zeta = 0.5 * (zn[:, 0] + zn[:, 1])
+        # -1/2 <[z].n, {u.v}> pairs only one-sided traces, with {.} = 1/2 (plus + minus)
+        skew = -0.25 * (zn[:, 0] - zn[:, 1])
+        # upwind: each side's test rows see the jump where the averaged field enters that side
+        into_plus, into_minus = np.maximum(-zeta, 0.0), np.maximum(zeta, 0.0)
+        g = np.stack(
+            [np.stack([skew + into_plus, -into_plus], axis=1), np.stack([-into_minus, skew + into_minus], axis=1)],
+            axis=1,
+        )
+    else:
+        zeta = zn[:, 0]
+        g = (-0.5 * zeta + np.maximum(-zeta, 0.0))[:, None, None, :]
+    return h[:, None, None, None] * g
+
+
+def _enriched_convection(disc: Discretization, zv: np.ndarray) -> sp.csr_matrix:
+    """Picard convection matrix on the enriched basis for the field with vertex values zv."""
     mesh = disc.mesh
-    space = disc.space(kind)
+    space = disc.space()
     Jz = field_jacobians(mesh, zv)
     divz = Jz[:, 0, 0] + Jz[:, 1, 1]
     # int_T phi_a . (grad phi_b) z: the basis moments against z's vertex values
     transport = np.einsum("taik,tkj,tbij->tab", space.moments, zv, space.jac, optimize=True)
     blocks = [2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divz[:, None, None] * space.mass_like)]
-
-    s = edge_rule(EDGE_DEGREE).points
-    for batch in disc.edge_batches(kind):
-        zn = along_edges(np.einsum("exji,ei->exj", batch.field_ends(zv), batch.normal)[..., None], s)[..., 0]
-        if batch.interior:
-            zeta = 0.5 * (zn[:, 0] + zn[:, 1])
-            # -1/2 <[z].n, {u.v}> pairs only one-sided traces, with {.} = 1/2 (plus + minus)
-            skew = -0.25 * (zn[:, 0] - zn[:, 1])
-            # upwind: each side's test rows see the jump where the averaged field enters that side
-            into_plus, into_minus = np.maximum(-zeta, 0.0), np.maximum(zeta, 0.0)
-            g = np.stack(
-                [np.stack([skew + into_plus, -into_plus], axis=1), np.stack([-into_minus, skew + into_minus], axis=1)],
-                axis=1,
-            )
-        else:
-            zeta = zn[:, 0]
-            g = (-0.5 * zeta + np.maximum(-zeta, 0.0))[:, None, None, :]
-        blocks.append(batch.products(batch.h[:, None, None, None] * g))
-    return disc.convection_pattern(kind).matrix(blocks)
+    for batch in disc.edge_batches():
+        blocks.append(batch.products(_edge_weights(batch.h, batch.field_ends(zv), batch.normal)))
+    return disc.convection_pattern().matrix(blocks)
 
 
-def assemble_convection(mesh: MeshTopology, z, params: FormParams) -> sp.csr_matrix:
+def _robust_convection(disc: Discretization, z: EGFunction) -> sp.csr_matrix:
+    """R^T C_bdm(R z) R, assembled as sum_c R_c^T C_s R_c (see _ScalarP1)."""
+    mesh = disc.mesh
+    scalar = disc.scalar_p1()
+    wv = (disc.reconstruction() @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
+    Jw = field_jacobians(mesh, wv)
+    divw = Jw[:, 0, 0] + Jw[:, 1, 1]
+    # int_T lam_k (w . grad lam_l) = 2 |T| sum_m Lambda_km w_m . grad lam_l
+    transport = np.einsum("km,tmj,tlj->tkl", _LAMBDA_MASS, wv, mesh.grad_lambda, optimize=True)
+    volume = 2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divw[:, None, None] * _LAMBDA_MASS)
+    g = _edge_weights(scalar.h, wv.reshape(-1, 2)[scalar.edge_dofs], scalar.normal)
+    # side X's hat at endpoint j against side Y's hat at endpoint k
+    edges = _hat_moments(g).transpose(0, 1, 3, 2, 4).reshape(len(g), 4, 4)
+    C_s = scalar.pattern.matrix([volume, edges])
+    return _finalize(sum(Rc.T @ (C_s @ Rc) for Rc in scalar.components))
+
+
+def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> sp.csr_matrix:
     """Picard convection matrix on the enriched space for the iterate z.
 
     In pressure-robust mode both the transport data and the trial/test slots
     act through the reconstruction: R^T C_bdm(R z) R.
     """
     disc = discretization(mesh)
-    kind, zv = _transport(disc, z, params)
-    C = _convection_on_space(disc, kind, zv)
     if params.pressure_robust:
-        R = disc.reconstruction()
-        return _finalize(R.T @ C @ R)
-    return C
+        return _robust_convection(disc, z)
+    return _enriched_convection(disc, vertex_values(z))
 
 
 # -- right-hand side -----------------------------------------------------
@@ -473,14 +501,15 @@ def assemble_load(mesh: MeshTopology, f, params: FormParams) -> np.ndarray:
     disc = discretization(mesh)
     rule = triangle_rule(VOLUME_DEGREE)
     fvals = np.asarray(f(map_to_triangle(rule, mesh.vertices[mesh.triangles])), dtype=float)
-    space = disc.space("p1d" if params.pressure_robust else "eg")
-    # int_T phi_a . f = 2 |T| sum_k,i phi_a,i(vertex k) int lam_k f_i
     f_lam = np.einsum("q,qk,tqi->tki", rule.weights, rule.points, fvals)
+    if params.pressure_robust:
+        # the reconstructed basis lam_k e_i, flattened as R's rows 6 t + 2 k + i
+        return disc.reconstruction().T @ (2.0 * mesh.areas[:, None, None] * f_lam).ravel()
+    space = disc.space()
+    # int_T phi_a . f = 2 |T| sum_k,i phi_a,i(vertex k) int lam_k f_i
     loc = 2.0 * mesh.areas[:, None] * np.einsum("taki,tki->ta", space.vertex_values, f_lam)
     vec = np.zeros(space.n_dofs)
     np.add.at(vec, space.dofmap.ravel(), loc.ravel())
-    if params.pressure_robust:
-        return disc.reconstruction().T @ vec
     return vec
 
 
@@ -501,7 +530,7 @@ def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params:
     vec = np.zeros(layout_for(mesh).n_velocity)
     if params.pressure_robust or not g_nodal.any():
         return vec
-    batch = discretization(mesh).boundary_batch("eg")
+    batch = discretization(mesh).boundary_batch()
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
     ztr = along_edges(batch.field_ends(vertex_values(z))[:, 0], s)
@@ -529,12 +558,12 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     if not np.any(g_nodal):
         return vec
     disc = discretization(mesh)
-    batch = disc.boundary_batch("eg")
+    batch = disc.boundary_batch()
     srule = edge_rule(EDGE_DEGREE)
     s, w = srule.points, srule.weights
     gq = _boundary_data(mesh, g_nodal, s)
     pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, along_edges(batch.ends[:, 0], s))
-    gradn = np.einsum("eaij,ej->eai", disc.space("eg").jac[batch.tris[:, 0]], batch.normal)
+    gradn = np.einsum("eaij,ej->eai", disc.space().jac[batch.tris[:, 0]], batch.normal)
     g_int = batch.h[:, None] * np.einsum("q,eqi->ei", w, gq)
     cons = np.einsum("eai,ei->ea", gradn, g_int)
     np.add.at(vec, batch.dofs.ravel(), (pen - cons).ravel())

@@ -69,12 +69,8 @@ class RunConfig:
         if self.grid < 2:
             raise ValueError("grid resolution must be at least 2")
 
-    def form_params(self, mu=None) -> FormParams:
-        return FormParams(
-            viscosity=self.mu if mu is None else mu,
-            penalty=self.rho,
-            pressure_robust=self.mode == "pr-eg",
-        )
+    def form_params(self) -> FormParams:
+        return FormParams(viscosity=self.mu, penalty=self.rho, pressure_robust=self.mode == "pr-eg")
 
     def nonlinear_settings(self) -> NonlinearSettings:
         return NonlinearSettings(tol=self.tol, max_iters=self.max_iters, init=self.init)

@@ -25,43 +25,16 @@ and the stored edge normal (out of the plus triangle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshTopology
-from .spaces import barycentric_coords, layout_for
+from .spaces import layout_for
 
 # moments of the endpoint traces against s^j on [0, 1]:
 # int (1-s) ds, int (1-s) s ds, int s ds, int s^2 ds
 _M_A = (0.5, 1.0 / 6.0)
 _M_B = (0.5, 1.0 / 3.0)
-
-
-@dataclass
-class BDMFunction:
-    """Elementwise linear vector field with H(div) continuity by construction."""
-
-    mesh: MeshTopology
-    coeffs: np.ndarray  # (nt, 3, 2) virtual vertex values
-
-    @classmethod
-    def from_vector(cls, mesh: MeshTopology, vec: np.ndarray) -> "BDMFunction":
-        return cls(mesh, vec.reshape(mesh.num_triangles, 3, 2).copy())
-
-    def to_vector(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
-
-    def value(self, t: int, x: np.ndarray) -> np.ndarray:
-        lam = barycentric_coords(self.mesh, t, x)
-        return np.einsum("...k,ki->...i", lam, self.coeffs[t])
-
-    def jacobian(self, t: int) -> np.ndarray:
-        return np.einsum("ki,kj->ij", self.coeffs[t], self.mesh.grad_lambda[t])
-
-    def divergence(self, t: int) -> float:
-        return float(np.trace(self.jacobian(t)))
 
 
 def edge_moment_matrix(mesh: MeshTopology) -> sp.csr_matrix:

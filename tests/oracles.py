@@ -9,6 +9,7 @@ small utility only the tests need (rates, reading the convergence CSV).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from egflow.analysis import ConvergenceRow
 from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
 from egflow.quadrature import map_to_triangle, triangle_rule
-from egflow.reconstruction import BDMFunction, reconstruction_matrix
-from egflow.spaces import DofLayout, EGFunction, PressureFunction, layout_for
+from egflow.reconstruction import reconstruction_matrix
+from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
 VOLUME_QUAD_DEGREE = 6
 
@@ -51,11 +52,36 @@ def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
 
 def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:
     """L2 mass matrix of the enriched velocity space."""
-    space = asm.discretization(mesh).space("eg")
+    space = asm.discretization(mesh).space()
     return asm._scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * space.mass_like)], space.n_dofs)
 
 
 # -- reconstruction --------------------------------------------------------
+
+
+@dataclass
+class BDMFunction:
+    """Elementwise linear vector field with H(div) continuity by construction."""
+
+    mesh: MeshTopology
+    coeffs: np.ndarray  # (nt, 3, 2) virtual vertex values
+
+    @classmethod
+    def from_vector(cls, mesh: MeshTopology, vec: np.ndarray) -> "BDMFunction":
+        return cls(mesh, vec.reshape(mesh.num_triangles, 3, 2).copy())
+
+    def to_vector(self) -> np.ndarray:
+        return self.coeffs.reshape(-1)
+
+    def value(self, t: int, x: np.ndarray) -> np.ndarray:
+        lam = barycentric_coords(self.mesh, t, x)
+        return np.einsum("...k,ki->...i", lam, self.coeffs[t])
+
+    def jacobian(self, t: int) -> np.ndarray:
+        return np.einsum("ki,kj->ij", self.coeffs[t], self.mesh.grad_lambda[t])
+
+    def divergence(self, t: int) -> float:
+        return float(np.trace(self.jacobian(t)))
 
 
 def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:

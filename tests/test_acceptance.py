@@ -47,9 +47,10 @@ from egflow.quadrature import (
     map_to_triangle,
     triangle_rule,
 )
-from egflow.reconstruction import BDMFunction, bdm_mass_matrix, reconstruction_matrix
+from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
 from egflow.spaces import EGFunction, layout_for
 from oracles import (
+    BDMFunction,
     assemble_energy_gram,
     bdm_divergence_matrix,
     edge_points,

@@ -26,10 +26,10 @@ from egflow.analysis import (
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
-from egflow.reconstruction import BDMFunction, bdm_mass_matrix, local_moment_blocks, reconstruction_matrix
+from egflow.reconstruction import bdm_mass_matrix, local_moment_blocks, reconstruction_matrix
 from egflow.solver import NonlinearSettings, SingularSystemError
 from egflow.spaces import EGFunction, PressureFunction, layout_for
-from oracles import assemble_energy_gram, assemble_mass, edge_points, jump_average, least_squares_rate
+from oracles import BDMFunction, assemble_energy_gram, assemble_mass, edge_points, jump_average, least_squares_rate
 from test_assembly import perturbed_mesh
 
 

@@ -275,6 +275,14 @@ def test_convection_vanishes_for_zero_transport():
     assert Cpr.nnz == 0
 
 
+def test_robust_convection_on_a_mesh_without_interior_edges():
+    # every edge is a boundary edge, so R and with it the robust matrix vanish
+    mesh = MeshTopology(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    z = EGFunction(mesh, np.ones((3, 2)), np.ones(1))
+    assert asm.assemble_convection(mesh, z, PARAMS_PR).nnz == 0
+    assert asm.assemble_convection(mesh, z, PARAMS).nnz > 0
+
+
 def test_convection_volume_term_against_quadrature():
     # kill all edge contributions with a continuous transport field and a
     # continuous interior test pair, then compare to direct integration
@@ -695,27 +703,33 @@ def test_first_robust_convection_stays_small_in_memory():
 
 
 def test_repeated_convection_builds_mesh_data_once(monkeypatch):
-    builds = {"R": 0, "tables": 0}
-    real_R, real_tables = asm.reconstruction_matrix, asm._SpaceTables
+    builds = {"R": 0, "tables": 0, "patterns": 0}
+    real_R, real_tables, real_pattern = asm.reconstruction_matrix, asm._SpaceTables, asm._Pattern
 
     def counted_R(mesh):
         builds["R"] += 1
         return real_R(mesh)
 
-    def counted_tables(mesh, kind):
+    def counted_tables(mesh):
         builds["tables"] += 1
-        return real_tables(mesh, kind)
+        return real_tables(mesh)
+
+    def counted_pattern(n, dofmaps):
+        builds["patterns"] += 1
+        return real_pattern(n, dofmaps)
 
     monkeypatch.setattr(asm, "reconstruction_matrix", counted_R)
     monkeypatch.setattr(asm, "_SpaceTables", counted_tables)
+    monkeypatch.setattr(asm, "_Pattern", counted_pattern)
     mesh = build_unit_square_mesh(3)
     first = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
     for seed in (82, 83):
         asm.assemble_convection(mesh, random_eg(mesh, seed), PARAMS_PR)
-    assert builds == {"R": 1, "tables": 1}  # only the reconstructed basis is used
+    # robust mode assembles on the scalar basis: its pattern, no enriched tables
+    assert builds == {"R": 1, "tables": 0, "patterns": 1}
     asm.assemble_convection(mesh, random_eg(mesh, 84), PARAMS)
     asm.assemble_convection(mesh, random_eg(mesh, 85), PARAMS)
-    assert builds == {"R": 1, "tables": 2}
+    assert builds == {"R": 1, "tables": 1, "patterns": 2}
     again = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
     assert abs(again - first).max() == 0.0
 

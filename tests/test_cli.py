@@ -57,7 +57,7 @@ def test_run_config_validation():
         RunConfig(experiment="nope")
     cfg = RunConfig(experiment="probe", mode="pr-eg")
     assert cfg.form_params().pressure_robust
-    assert cfg.form_params(mu=0.125).viscosity == 0.125
+    assert RunConfig(experiment="probe", mu=0.125).form_params().viscosity == 0.125
 
 
 def _synthetic_rows(k):

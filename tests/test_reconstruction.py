@@ -10,9 +10,9 @@ import pytest
 
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule
-from egflow.reconstruction import BDMFunction, bdm_mass_matrix, reconstruction_matrix
+from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
 from egflow.spaces import EGFunction
-from oracles import bdm_divergence_matrix, edge_points, jump_average, local_p1_embedding, reconstruct
+from oracles import BDMFunction, bdm_divergence_matrix, edge_points, jump_average, local_p1_embedding, reconstruct
 
 RULE = edge_rule(7)
 

@@ -1,4 +1,4 @@
-"""Every function, class and method in src/egflow is used by src/egflow.
+"""Every function, class, method and default in src/egflow is used by src/egflow.
 
 A definition counts as used when its name is referenced (as a name or an
 attribute) anywhere in the package outside its own definition.  Code that
@@ -6,6 +6,10 @@ only tests call belongs in the tests (tests/oracles.py), not in the package.
 The scan goes by name, so it cannot tell two definitions of the same name
 apart, nor a method from a NumPy attribute of that name; it still catches
 every definition whose name the package never mentions.
+
+Likewise a parameter with a default counts as used when some call in the
+package passes it, by keyword or by position; one that no call passes is
+an option with a single value.  Calls are matched by the callee's name too.
 
 Entry points are used from outside and are listed here with their reason.
 """
@@ -36,10 +40,14 @@ ENTRY_POINTS = {
     **{name: "imported by the README Python API example" for name in _readme_api_names()},
     "main": "console script egflow = egflow.cli:main",
     **{
-        f"{cls}.{method}": "pointwise evaluator the tests use as an independent oracle"
-        for cls in ("EGFunction", "BDMFunction")
+        f"EGFunction.{method}": "pointwise evaluator the tests use as an independent oracle"
         for method in ("value", "jacobian", "divergence")
     },
+}
+
+# function.parameter -> why the package never passes it although it has a default
+DEFAULTS_SET_OUTSIDE = {
+    "cli_main.argv": "perfbench and the tests call cli_main(argv); main() leaves it None, so argparse reads sys.argv",
 }
 
 
@@ -76,3 +84,54 @@ def test_every_definition_in_src_is_referenced_in_src():
             if not any(r == name and not (m == module and line in own) for r, m, line in refs):
                 unused.append(f"{module}: {qualname}")
     assert not unused, "defined in src/egflow but referenced only by tests (move to tests/oracles.py):\n" + "\n".join(unused)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, name calls use, parameter, position in a call or None) of parameters with defaults.
+
+    Covers module-level functions and the methods of module-level classes;
+    a bound method's position skips self, and __init__ is called by its
+    class's name.
+    """
+    for node in tree.body:
+        owner = node if isinstance(node, ast.ClassDef) else None
+        for fn in node.body if owner else [node]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            bound = owner is not None and not static
+            qualname = f"{owner.name}.{fn.name}" if owner else fn.name
+            called = owner.name if owner and fn.name == "__init__" else fn.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield qualname, called, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualname, called, arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether call may pass the parameter; ** and * arguments count as passing what they could."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def test_every_default_in_src_is_overridden_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    unset = [
+        f"{qualname}.{name}"
+        for tree in trees
+        for qualname, called, name, position in _defaulted_parameters(tree)
+        if f"{qualname}.{name}" not in DEFAULTS_SET_OUTSIDE
+        and not any(callee(c) == called and _passes(c, name, position) for c in calls)
+    ]
+    assert not unset, "defaults no call in src/egflow overrides (make them constants):\n" + "\n".join(unset)
