@@ -3,8 +3,9 @@
 None of this runs in the solver or the experiments.  Each function is a
 direct, mostly scalar construction of something the package computes in
 batched form (energy and mass Gram matrices, the elementwise P1 embedding,
-edge traces and jumps one edge at a time, canonical interpolants), or a
-small utility only the tests need (rates, reading the convergence CSV).
+reconstructed fields evaluated point by point, edge traces and jumps one
+edge at a time, canonical interpolants), or a small utility only the tests
+need (rates, reading the convergence CSV).
 """
 
 from __future__ import annotations
