@@ -685,17 +685,18 @@ def test_cached_operators_belong_to_their_mesh():
     assert abs(disc_m.viscous(FormParams(penalty=20.0)) - disc_m.viscous(PARAMS)).max() > 1.0
 
 
-def test_first_robust_convection_stays_small_in_memory():
-    # the robust matrix is R_c^T C_s R_c summed over the two components, with
-    # C_s one scalar matrix of 3 dofs per cell; a 6-dof vector operator on
-    # the reconstructed basis would carry its structural zeros through the
-    # pattern build and every step
+@pytest.mark.parametrize("robust", [False, True])
+def test_first_convection_stays_small_in_memory(robust):
+    # both modes return P_c^T C_s P_c summed over the two components, with
+    # C_s one scalar matrix of 3 dofs per cell; a vector operator on the
+    # 6-dof reconstructed or 7-dof enriched basis would carry its structural
+    # zeros through the pattern build and every step
     mesh = build_unit_square_mesh(32)
     asm.discretization(mesh).reconstruction()
     z = random_eg(mesh, 91)
     tracemalloc.start()
     try:
-        asm.assemble_convection(mesh, z, PARAMS_PR)
+        asm.assemble_convection(mesh, z, PARAMS_PR if robust else PARAMS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
