@@ -298,6 +298,14 @@ class ProbeCell:
     energy_r_ratio: float | None = None
 
 
+def check_viscosity_list(mu_list) -> None:
+    """Raise ValueError unless mu_list holds positive viscosities spanning at least three decades."""
+    if any(mu <= 0 for mu in mu_list):
+        raise ValueError("viscosities must be positive")
+    if not mu_list or max(mu_list) / min(mu_list) < 1e3:
+        raise ValueError("viscosity list must span at least three decades")
+
+
 def pressure_robustness_probe(
     n: int,
     mu_list,
@@ -313,8 +321,7 @@ def pressure_robustness_probe(
     NaNs with a note, as in convergence_study.
     """
     mu_list = list(mu_list)
-    if not mu_list or max(mu_list) / min(mu_list) < 1e3:
-        raise ValueError("viscosity list must span at least three decades")
+    check_viscosity_list(mu_list)
     settings = settings or NonlinearSettings()
     ex = example1_solution()
     mesh = build_unit_square_mesh(n)  # one mesh, so every cell shares its cached operators

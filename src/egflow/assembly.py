@@ -23,15 +23,16 @@ their data parts to the right-hand side
 (sipg_boundary_load, divergence_boundary_load, convective_boundary_load).
 All three loads vanish for homogeneous data.
 
-In pressure-robust mode the convection form and the body-force functional
-are evaluated on reconstructed arguments: C = R^T C_bdm(R z) R and
-rhs = R^T (f, .)_bdm, where R is the sparse reconstruction operator into
-the elementwise P1 basis lam_k e_i.  Each convection term pairs trial and
-test functions only through u . v, so C_bdm = C_s (x) I_2 for one scalar
-DG-P1 matrix C_s on the lam_k, and C = sum_c R_c^T C_s R_c over the two
-components c.  The transport field R z has zero normal trace on the
-boundary, so every boundary convection term, whose weight is a multiple of
-(R z).n, vanishes: C_s has only volume and interior-edge blocks.
+Convection and the body force read a velocity through a vertex map P into
+the elementwise P1 basis lam_k e_i (rows 6 t + 2 k + i): the exact
+embedding E of the affine-per-triangle enriched fields in the standard
+scheme, the reconstruction R in the pressure-robust one.  So
+C = P^T C_p1(P z) P and rhs = P^T (f, .)_p1 with the forms on the P1 basis.
+Each convection term pairs trial and test functions only through u . v, so
+C_p1 = C_s (x) I_2 for one scalar DG-P1 matrix C_s on the lam_k, and
+C = sum_c P_c^T C_s P_c with P_c = P[c::2]; for P = E that is the enriched
+matrix exactly.  Of C_s's volume, interior- and boundary-edge blocks, the
+last vanish for P = R, whose fields have zero normal trace on the boundary.
 
 Every basis function and discrete velocity here is affine on each
 triangle, so it is fixed by its values at the three vertices, and its trace
@@ -46,15 +47,14 @@ term except the upwind indicator, which is decided at the 4 Gauss points.
 What is built when.  Everything that depends only on the mesh is built once
 per mesh, on first use, in the mesh's Discretization (discretization(mesh))
 and kept there: for the enriched basis the dof map, vertex values,
-Jacobians, volume moments and mass-like block, and the interior and boundary
-edge batches reduced to endpoint traces; the fixed CSR patterns of the
-enriched and the scalar convection matrix with the maps from local entries
-to them; and the matrices R, its components R_c, B and, per penalty, the
-unscaled viscous A.  The solver and analysis.error_norms share
-them.  A Picard step evaluates only the transport field: its vertex values,
-one batched contraction for the volume term, and per edge {z}.n and [z].n
-at the Gauss points, whose upwind and skew weights form the three moments;
-the local blocks then fill the fixed pattern by bincount.
+Jacobians and E, and the interior and boundary edge batches reduced to
+endpoint traces; the scalar P1 edge data and the fixed CSR pattern of C_s
+with the maps from local entries to it; and the matrices R, the components
+P_c of each vertex map, B and, per penalty, the unscaled viscous A.  The solver and analysis.error_norms share them.  A Picard step
+evaluates only the transport field: its vertex values P z, one batched
+contraction for the volume term, and per edge {w}.n and [w].n at the Gauss
+points, whose upwind and skew weights form the three moments; the local
+blocks then fill the fixed pattern by bincount.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.
@@ -94,14 +94,12 @@ class FormParams:
 
 
 def vertex_values(z: EGFunction) -> np.ndarray:
-    """(nt, 3, 2) values of an enriched field at each triangle's vertices.
+    """(nt, 3, 2) values of an enriched field at each triangle's vertices, E z (Discretization.embedding).
 
     The field is affine on each triangle, so these values fix it there, and
     along each edge it interpolates its two endpoint values.
     """
-    mesh = z.mesh
-    offsets = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
-    return z.nodal[mesh.triangles] + z.bubble[:, None, None] * offsets
+    return (discretization(z.mesh).embedding() @ z.to_vector()).reshape(-1, 3, 2)
 
 
 def field_jacobians(mesh: MeshTopology, zv: np.ndarray) -> np.ndarray:
@@ -139,8 +137,10 @@ class _SpaceTables:
     6 nodal dofs (vertex, component) plus the barycenter bubble.  Every basis
     function is affine per triangle, so it is fixed by its values at the
     triangle's vertices, vertex_values[t, a, k, i], and its Jacobian is
-    constant.  moments[t, a, i, k] = int_T phi_a,i lam_k / (2 |T|) and
-    mass_like[t, a, b] = int_T phi_a . phi_b / (2 |T|).
+    constant.  `embedding` is E, the exact embedding of enriched velocities
+    into the elementwise P1 basis: row 6 t + 2 k + i holds component i of
+    the basis at vertex k of triangle t, 1 at nodal dof 2 v_k + i and
+    (x_k - x_T)_i at bubble dof 2 nv + t.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -161,8 +161,11 @@ class _SpaceTables:
         self.vertex_values = vals
         self.jac = jac
         self.div = jac[:, :, 0, 0] + jac[:, :, 1, 1]
-        self.moments = np.einsum("taki,kl->tail", vals, _LAMBDA_MASS)
-        self.mass_like = np.einsum("taik,tbki->tab", self.moments, vals)
+        rows = vals.transpose(0, 2, 3, 1)  # (t, k, i, a)
+        cols = np.broadcast_to(self.dofmap[:, None, None, :], rows.shape)
+        indptr = np.arange(0, rows.size + 1, self.nl)
+        self.embedding = sp.csr_matrix((rows.ravel(), cols.ravel(), indptr), shape=(6 * nt, self.n_dofs))
+        self.embedding.eliminate_zeros()
 
 
 class _EdgeBatch:
@@ -244,35 +247,34 @@ class _Pattern:
 
 
 class _ScalarP1:
-    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the robust convection matrix C_s.
+    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the convection matrix C_s.
 
-    `components` holds R_c = R[c::2], the rows of R for component c.  Along an
-    interior edge only the hats of each side's two edge endpoints have a trace:
-    edge_dofs[e, X, j] is the dof of side X that is 1 at endpoint j.
+    Along an edge only the hats of each side's two edge endpoints have a
+    trace.  `edges` holds (dofs, h, normal) of the interior and then of the
+    boundary edges; dofs[e, X, j] is the dof of side X that is 1 at endpoint j.
     """
 
-    def __init__(self, mesh: MeshTopology, R: sp.csr_matrix):
-        ids = mesh.interior_edge_ids
-        tris = np.stack([mesh.edge_tplus[ids], mesh.edge_tminus[ids]], axis=1)
-        local = np.stack([mesh.edge_local_plus[ids], mesh.edge_local_minus[ids]], axis=1)
-        self.edge_dofs = (3 * tris[:, :, None] + local).astype(np.int32)
-        self.normal = mesh.edge_normal[ids]
-        self.h = mesh.edge_length[ids]
+    def __init__(self, mesh: MeshTopology):
+        tris = np.stack([mesh.edge_tplus, mesh.edge_tminus], axis=1)
+        local = np.stack([mesh.edge_local_plus, mesh.edge_local_minus], axis=1)
+        dofs = (3 * tris[:, :, None] + local).astype(np.int32)  # boundary edges: plus side only
+        sides = ((mesh.interior_edge_ids, 2), (mesh.boundary_edge_ids, 1))
+        self.edges = [(dofs[ids, :n], mesh.edge_length[ids], mesh.edge_normal[ids]) for ids, n in sides]
         nt = mesh.num_triangles
         cells = np.arange(3 * nt, dtype=np.int32).reshape(nt, 3)
-        self.pattern = _Pattern(3 * nt, [cells, self.edge_dofs.reshape(len(ids), 4)])
-        self.components = [R[c::2] for c in range(2)]
+        edge_blocks = [d.reshape(len(d), 2 * d.shape[1]) for d, _, _ in self.edges]
+        self.pattern = _Pattern(3 * nt, [cells] + edge_blocks)
 
 
 class Discretization:
     """Everything the forms need that depends only on the mesh, built on first use.
 
     One per mesh, see discretization().  Each piece is built the first time
-    a form asks for it and then kept: the tables, edge batches and
-    convection sparsity pattern of the enriched basis, the scalar basis of
-    robust convection, the reconstruction R, the divergence matrix B and the
-    unscaled viscous matrix A of each penalty.  The mesh arrays are
-    read-only, so none of it can go stale.
+    a form asks for it and then kept: the tables (with E) and edge batches
+    of the enriched basis, the scalar basis and pattern of convection, the
+    reconstruction R, the rows P_c of each vertex map, the divergence
+    matrix B and the unscaled viscous matrix A of each penalty.  The mesh
+    arrays are read-only, so none of it can go stale.
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
     meets only a few patterns (Stokes, Oseen), each factored many times.
@@ -310,18 +312,24 @@ class Discretization:
     def boundary_batch(self) -> _EdgeBatch:
         return next(b for b in self.edge_batches() if not b.interior)
 
-    def convection_pattern(self) -> _Pattern:
-        def build():
-            space = self.space()
-            return _Pattern(space.n_dofs, [space.dofmap] + [b.dofs for b in self.edge_batches()])
-
-        return self._memo("pattern", build)
-
     def scalar_p1(self) -> _ScalarP1:
-        return self._memo("scalar", lambda: _ScalarP1(self.mesh, self.reconstruction()))
+        return self._memo("scalar", lambda: _ScalarP1(self.mesh))
+
+    def embedding(self) -> sp.csr_matrix:
+        """E, the exact embedding of enriched velocities into the elementwise P1 basis (see _SpaceTables)."""
+        return self.space().embedding
 
     def reconstruction(self) -> sp.csr_matrix:
         return self._memo("R", lambda: reconstruction_matrix(self.mesh))
+
+    def vertex_map(self, params: FormParams) -> sp.csr_matrix:
+        """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
+        return self.reconstruction() if params.pressure_robust else self.embedding()
+
+    def vertex_map_components(self, params: FormParams) -> list[sp.csr_matrix]:
+        """P_c = P[c::2], the rows of the vertex map P for velocity component c."""
+        P = self.vertex_map(params)
+        return self._memo(("P_c", params.pressure_robust), lambda: [P[c::2] for c in range(2)])
 
     def divergence(self) -> sp.csr_matrix:
         return self._memo("B", lambda: assemble_divergence(self.mesh))
@@ -450,67 +458,40 @@ def _edge_weights(h: np.ndarray, ends: np.ndarray, normal: np.ndarray) -> np.nda
     return h[:, None, None, None] * g
 
 
-def _enriched_convection(disc: Discretization, zv: np.ndarray) -> sp.csr_matrix:
-    """Picard convection matrix on the enriched basis for the field with vertex values zv."""
-    mesh = disc.mesh
-    space = disc.space()
-    Jz = field_jacobians(mesh, zv)
-    divz = Jz[:, 0, 0] + Jz[:, 1, 1]
-    # int_T phi_a . (grad phi_b) z: the basis moments against z's vertex values
-    transport = np.einsum("taik,tkj,tbij->tab", space.moments, zv, space.jac, optimize=True)
-    blocks = [2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divz[:, None, None] * space.mass_like)]
-    for batch in disc.edge_batches():
-        blocks.append(batch.products(_edge_weights(batch.h, batch.field_ends(zv), batch.normal)))
-    return disc.convection_pattern().matrix(blocks)
+def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> sp.csr_matrix:
+    """Picard convection matrix on the enriched space for the iterate z.
 
-
-def _robust_convection(disc: Discretization, z: EGFunction) -> sp.csr_matrix:
-    """R^T C_bdm(R z) R, assembled as sum_c R_c^T C_s R_c (see _ScalarP1)."""
-    mesh = disc.mesh
+    Both the transport field and the trial/test slots act through the vertex
+    map P (Discretization.vertex_map): sum_c P_c^T C_s(P z) P_c, with C_s the
+    scalar DG-P1 matrix on the lam_k (see _ScalarP1).
+    """
+    disc = discretization(mesh)
     scalar = disc.scalar_p1()
-    wv = (disc.reconstruction() @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
+    wv = (disc.vertex_map(params) @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
     Jw = field_jacobians(mesh, wv)
     divw = Jw[:, 0, 0] + Jw[:, 1, 1]
     # int_T lam_k (w . grad lam_l) = 2 |T| sum_m Lambda_km w_m . grad lam_l
     transport = np.einsum("km,tmj,tlj->tkl", _LAMBDA_MASS, wv, mesh.grad_lambda, optimize=True)
-    volume = 2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divw[:, None, None] * _LAMBDA_MASS)
-    g = _edge_weights(scalar.h, wv.reshape(-1, 2)[scalar.edge_dofs], scalar.normal)
-    # side X's hat at endpoint j against side Y's hat at endpoint k
-    edges = _hat_moments(g).transpose(0, 1, 3, 2, 4).reshape(len(g), 4, 4)
-    C_s = scalar.pattern.matrix([volume, edges])
-    return _finalize(sum(Rc.T @ (C_s @ Rc) for Rc in scalar.components))
-
-
-def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> sp.csr_matrix:
-    """Picard convection matrix on the enriched space for the iterate z.
-
-    In pressure-robust mode both the transport data and the trial/test slots
-    act through the reconstruction: R^T C_bdm(R z) R.
-    """
-    disc = discretization(mesh)
-    if params.pressure_robust:
-        return _robust_convection(disc, z)
-    return _enriched_convection(disc, vertex_values(z))
+    blocks = [2.0 * mesh.areas[:, None, None] * (transport + 0.5 * divw[:, None, None] * _LAMBDA_MASS)]
+    for dofs, h, normal in scalar.edges:
+        g = _edge_weights(h, wv.reshape(-1, 2)[dofs], normal)
+        width = 2 * dofs.shape[1]
+        # side X's hat at endpoint j against side Y's hat at endpoint k
+        blocks.append(_hat_moments(g).transpose(0, 1, 3, 2, 4).reshape(len(g), width, width))
+    C_s = scalar.pattern.matrix(blocks)
+    return _finalize(sum(Pc.T @ (C_s @ Pc) for Pc in disc.vertex_map_components(params)))
 
 
 # -- right-hand side -----------------------------------------------------
 
 
 def assemble_load(mesh: MeshTopology, f, params: FormParams) -> np.ndarray:
-    """Body-force functional (f, v); reconstructed test functions in robust mode."""
-    disc = discretization(mesh)
+    """Body-force functional (f, v) with the test functions read through the vertex map P."""
     rule = triangle_rule(VOLUME_DEGREE)
     fvals = np.asarray(f(map_to_triangle(rule, mesh.vertices[mesh.triangles])), dtype=float)
     f_lam = np.einsum("q,qk,tqi->tki", rule.weights, rule.points, fvals)
-    if params.pressure_robust:
-        # the reconstructed basis lam_k e_i, flattened as R's rows 6 t + 2 k + i
-        return disc.reconstruction().T @ (2.0 * mesh.areas[:, None, None] * f_lam).ravel()
-    space = disc.space()
-    # int_T phi_a . f = 2 |T| sum_k,i phi_a,i(vertex k) int lam_k f_i
-    loc = 2.0 * mesh.areas[:, None] * np.einsum("taki,tki->ta", space.vertex_values, f_lam)
-    vec = np.zeros(space.n_dofs)
-    np.add.at(vec, space.dofmap.ravel(), loc.ravel())
-    return vec
+    # (f, lam_k e_i) over the elementwise P1 basis, flattened as P's rows 6 t + 2 k + i
+    return discretization(mesh).vertex_map(params).T @ (2.0 * mesh.areas[:, None, None] * f_lam).ravel()
 
 
 def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:

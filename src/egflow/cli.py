@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .analysis import ConvergenceRow, convergence_study, pressure_robustness_probe
+from .analysis import ConvergenceRow, check_viscosity_list, convergence_study, pressure_robustness_probe
 from .assembly import LID_VELOCITY, FormParams, lid_values, vertex_values
 from .mesh import MeshTopology, build_unit_square_mesh
 from .solver import (
@@ -68,6 +68,9 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid < 2:
             raise ValueError("grid resolution must be at least 2")
+        self.nonlinear_settings()  # rejects a bad tol, max_iters or init
+        if self.experiment == "probe":
+            check_viscosity_list(self.mu_list)
 
     def form_params(self) -> FormParams:
         return FormParams(viscosity=self.mu, penalty=self.rho, pressure_robust=self.mode == "pr-eg")

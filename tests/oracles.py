@@ -21,7 +21,7 @@ from egflow.analysis import ConvergenceRow
 from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
 from egflow.quadrature import map_to_triangle, triangle_rule
-from egflow.reconstruction import reconstruction_matrix
+from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
 from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
 VOLUME_QUAD_DEGREE = 6
@@ -52,9 +52,9 @@ def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
 
 
 def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:
-    """L2 mass matrix of the enriched velocity space."""
-    space = asm.discretization(mesh).space()
-    return asm._scatter([(space.dofmap, 2.0 * mesh.areas[:, None, None] * space.mass_like)], space.n_dofs)
+    """L2 mass matrix of the enriched velocity space, E^T M E through the elementwise P1 basis."""
+    E = local_p1_embedding(mesh)
+    return (E.T @ bdm_mass_matrix(mesh) @ E).tocsr()
 
 
 # -- reconstruction --------------------------------------------------------

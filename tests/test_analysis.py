@@ -402,6 +402,8 @@ def test_study_annotates_nonconverged_rows():
 def test_probe_requires_three_decades_of_viscosity():
     with pytest.raises(ValueError):
         pressure_robustness_probe(4, [1.0, 0.1])
+    with pytest.raises(ValueError):
+        pressure_robustness_probe(4, [1.0, 0.0, 1e-4])
 
 
 def test_probe_structure_ratios_and_contrast():

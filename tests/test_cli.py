@@ -43,9 +43,22 @@ def test_malformed_level_list_is_usage_error():
     assert cli_main(["converge", "--levels", "4,two"]) == 2
 
 
-def test_invalid_parameter_values_are_configuration_errors(capsys):
-    assert cli_main(["converge", "--levels", "4", "--mu", "-1"]) == 2
-    assert "bad configuration" in capsys.readouterr().err
+def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps({"init": "warm"}))
+    cases = [
+        ["converge", "--levels", "4", "--mu", "-1"],
+        ["converge", "--levels", "4", "--tol", "-1"],
+        ["converge", "--levels", "4", "--max-iters", "0"],
+        ["converge", "--levels", "4", "--config", str(warm)],
+        ["probe", "--n", "4", "--mu-list", "1,0.1"],
+        ["probe", "--n", "4", "--mu-list", "1,0,1e-4"],
+    ]
+    for argv in cases:
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 2, argv
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_config_validation():
