@@ -161,10 +161,10 @@ class _SpaceTables:
         self.vertex_values = vals
         self.jac = jac
         self.div = jac[:, :, 0, 0] + jac[:, :, 1, 1]
-        rows = vals.transpose(0, 2, 3, 1)  # (t, k, i, a)
-        cols = np.broadcast_to(self.dofmap[:, None, None, :], rows.shape)
-        indptr = np.arange(0, rows.size + 1, self.nl)
-        self.embedding = sp.csr_matrix((rows.ravel(), cols.ravel(), indptr), shape=(6 * nt, self.n_dofs))
+        entries = vals.transpose(0, 2, 3, 1)  # E's row (t, k, i) holds basis a's value
+        cols = np.broadcast_to(self.dofmap[:, None, None, :], entries.shape)
+        indptr = np.arange(0, entries.size + 1, self.nl)
+        self.embedding = sp.csr_matrix((entries.ravel(), cols.ravel(), indptr), shape=(6 * nt, self.n_dofs))
         self.embedding.eliminate_zeros()
 
 
