@@ -112,6 +112,43 @@ def test_viscous_symmetry(n):
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
 
+def viscous_by_quadrature(u, v, penalty):
+    """(volume, consistency, penalty) parts of a(u, v), integrated point by point.
+
+    Jacobians come from EGFunction.jacobian, traces and jumps from
+    EGFunction.value and oracles.jump_average, one edge at a time; the
+    consistency part holds both gradient-average terms.
+    """
+    mesh = u.mesh
+    vol = sum(mesh.areas[t] * float(np.sum(u.jacobian(t) * v.jacobian(t))) for t in range(mesh.num_triangles))
+    erule = edge_rule(asm.EDGE_DEGREE)
+    s, w = erule.points, erule.weights
+    cons = pen = 0.0
+    for e in range(mesh.num_edges):
+        nrm, h = mesh.edge_normal[e], mesh.edge_length[e]
+        sides = [int(t) for t in (mesh.edge_tplus[e], mesh.edge_tminus[e]) if t >= 0]
+        grad_u_n = np.mean([u.jacobian(t) @ nrm for t in sides], axis=0)
+        grad_v_n = np.mean([v.jacobian(t) @ nrm for t in sides], axis=0)
+        u_jump, _ = jump_average(u, e, s)
+        v_jump, _ = jump_average(v, e, s)
+        cons -= h * float(w @ (v_jump @ grad_u_n + u_jump @ grad_v_n))
+        pen += penalty * float(w @ np.einsum("qi,qi->q", u_jump, v_jump))  # h^-1 cancels the edge length
+    return vol, cons, pen
+
+
+def test_viscous_form_against_pointwise_quadrature():
+    # every term of a(u, v) with discontinuous u and v (random bubbles) on a
+    # mesh without structured symmetry
+    mesh = perturbed_mesh(8, seed=12)
+    u, v = random_eg(mesh, 64), random_eg(mesh, 65)
+    A = asm.assemble_viscous(mesh, PARAMS)
+    got = float(v.to_vector() @ (A @ u.to_vector()))
+    vol, cons, pen = viscous_by_quadrature(u, v, PARAMS.penalty)
+    scale = abs(vol) + abs(cons) + abs(pen)
+    assert min(abs(vol), abs(cons), abs(pen)) > 1e-2 * scale
+    assert got == pytest.approx(vol + cons + pen, abs=1e-12 * scale)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_viscous_positive_definite_on_constrained_space(n):
     mesh = build_unit_square_mesh(n)
@@ -703,6 +740,21 @@ def test_first_convection_stays_small_in_memory(robust):
     tracemalloc.start()
     try:
         asm.assemble_convection(mesh, z, PARAMS_PR if robust else PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_first_viscous_assembly_stays_small_in_memory():
+    # SIPG acts componentwise on fields affine per triangle, so A is built
+    # from one scalar DG-P1 matrix read through E; local blocks on the 7-dof
+    # enriched basis would scatter millions of entries
+    mesh = build_unit_square_mesh(32)
+    asm.discretization(mesh).embedding()
+    tracemalloc.start()
+    try:
+        asm.assemble_viscous(mesh, PARAMS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
