@@ -47,14 +47,22 @@ term except the upwind indicator, which is decided at the 4 Gauss points.
 What is built when.  Everything that depends only on the mesh is built once
 per mesh, on first use, in the mesh's Discretization (discretization(mesh))
 and kept there: for the enriched basis the dof map, vertex values,
-Jacobians and E, and the interior and boundary edge batches reduced to
-endpoint traces; the scalar P1 edge data and the fixed CSR pattern of C_s
-with the maps from local entries to it; and the matrices R, the components
-P_c of each vertex map, B and, per penalty, the unscaled viscous A.  The solver and analysis.error_norms share them.  A Picard step
-evaluates only the transport field: its vertex values P z, one batched
-contraction for the volume term, and per edge {w}.n and [w].n at the Gauss
-points, whose upwind and skew weights form the three moments; the local
-blocks then fill the fixed pattern by bincount.
+Jacobians and E with its components E_c, and the boundary (and, for the
+error norms, interior) edge batches reduced to endpoint traces; the scalar
+P1 edge data and, on the first convection assembly, the fixed CSR pattern
+of C_s with the maps from local entries to it; the matrices R and its
+components R_c; B and, per penalty, the unscaled viscous A.  A and B, too,
+are assembled on the P1 basis and read through E: SIPG acts on each
+velocity component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar
+DG-P1 SIPG matrix, and B = B_s E.  Per viscosity, penalty and Dirichlet
+dofs the Discretization also keeps the blocks of the saddle system that no
+step changes (_SaddleBlocks).  The solver and analysis.error_norms share
+all of it.  A Picard step evaluates only the transport field: its vertex
+values P z, one batched contraction for the volume term, and per edge
+{w}.n and [w].n at the Gauss points, whose upwind and skew weights form
+the three moments; the local blocks then fill the fixed pattern by
+bincount.  The saddle system of the step restricts only C to the free
+dofs and adds it to the fixed blocks.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.
@@ -62,6 +70,7 @@ and the upwind geometry frozen at the previous iterate z.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -79,6 +88,10 @@ LID_VELOCITY = (1.0, 0.0)  # cavity lid, see lid_values
 
 # int_T lam_k lam_l over the reference triangle (area 1/2)
 _LAMBDA_MASS = (1.0 + np.eye(3)) / 24.0
+# int_0^1 l_j l_k ds of the endpoint hats l = (1 - s, s) along an edge
+_EDGE_HAT_MASS = (1.0 + np.eye(2)) / 6.0
+# jump sign of the plus and the minus side of an edge; boundary edges have the plus side only
+_SIDE_SIGN = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -160,7 +173,6 @@ class _SpaceTables:
         jac[:, 6] = np.eye(2)
         self.vertex_values = vals
         self.jac = jac
-        self.div = jac[:, :, 0, 0] + jac[:, :, 1, 1]
         entries = vals.transpose(0, 2, 3, 1)  # E's row (t, k, i) holds basis a's value
         cols = np.broadcast_to(self.dofmap[:, None, None, :], entries.shape)
         indptr = np.arange(0, entries.size + 1, self.nl)
@@ -174,9 +186,7 @@ class _EdgeBatch:
     Sides are indexed by X (plus first; boundary batches have only the plus
     side).  A trace is affine in the edge parameter s, so it is stored by its
     endpoint values: ends[e, X, a, j, i] is component i of basis function a
-    of side X's triangle at s = j.  The stacked local index (X, a) runs over
-    width = sides * nl entries; jump_sign is +1 on the plus side's and -1 on
-    the minus side's, and avg_factor is 1 / sides.
+    of side X's triangle at s = j.
     """
 
     def __init__(self, mesh: MeshTopology, space: _SpaceTables, eids: np.ndarray):
@@ -190,27 +200,13 @@ class _EdgeBatch:
         else:
             self.tris = mesh.edge_tplus[eids][:, None]
             self.local = mesh.edge_local_plus[eids][:, None]
-        sides, nl = self.tris.shape[1], space.nl
-        basis = np.arange(nl)[None, None, :, None]
+        basis = np.arange(space.nl)[None, None, :, None]
         self.ends = space.vertex_values[self.tris[:, :, None, None], basis, self.local[:, :, None, :]]
-        self.dofs = space.dofmap[self.tris].reshape(len(eids), sides * nl)
-        self.side_sign = np.array([1.0, -1.0][:sides])
-        self.jump_sign = np.repeat(self.side_sign, nl)
-        self.avg_factor = 1.0 / sides
-        self.width = sides * nl
+        self.dofs = space.dofmap[self.tris].reshape(len(eids), -1)
 
     def field_ends(self, zv: np.ndarray) -> np.ndarray:
         """(nE, sides, 2, 2) endpoint traces of a field from each side, given its vertex_values."""
         return zv[self.tris[:, :, None], self.local]
-
-    def products(self, g: np.ndarray) -> np.ndarray:
-        """Local matrices sum_q w_q g[e, X, Y, q] phi^X_a(s_q) . phi^Y_b(s_q), (nE, width, width)."""
-        loc = np.einsum("exaji,exyjk,eybki->exayb", self.ends, _hat_moments(g), self.ends, optimize=True)
-        return loc.reshape(len(self.eids), self.width, self.width)
-
-    def mean_traces(self) -> np.ndarray:
-        """(nE, width, 2) edge means of the basis traces, jump signs applied."""
-        return self.jump_sign[None, :, None] * 0.5 * self.ends.sum(axis=3).reshape(len(self.eids), self.width, 2)
 
 
 class _Pattern:
@@ -247,11 +243,12 @@ class _Pattern:
 
 
 class _ScalarP1:
-    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the convection matrix C_s.
+    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the matrices A_s and C_s.
 
-    Along an edge only the hats of each side's two edge endpoints have a
-    trace.  `edges` holds (dofs, h, normal) of the interior and then of the
-    boundary edges; dofs[e, X, j] is the dof of side X that is 1 at endpoint j.
+    `cells[t]` holds triangle t's three dofs.  Along an edge only the hats of
+    each side's two edge endpoints have a trace.  `edges` holds (dofs, h,
+    normal) of the interior and then of the boundary edges; dofs[e, X, j] is
+    the dof of side X that is 1 at endpoint j.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -261,9 +258,13 @@ class _ScalarP1:
         sides = ((mesh.interior_edge_ids, 2), (mesh.boundary_edge_ids, 1))
         self.edges = [(dofs[ids, :n], mesh.edge_length[ids], mesh.edge_normal[ids]) for ids, n in sides]
         nt = mesh.num_triangles
-        cells = np.arange(3 * nt, dtype=np.int32).reshape(nt, 3)
+        self.cells = np.arange(3 * nt, dtype=np.int32).reshape(nt, 3)
+
+    @functools.cached_property
+    def pattern(self) -> _Pattern:
+        """The fixed CSR pattern of C_s, built on the first convection assembly."""
         edge_blocks = [d.reshape(len(d), 2 * d.shape[1]) for d, _, _ in self.edges]
-        self.pattern = _Pattern(3 * nt, [cells] + edge_blocks)
+        return _Pattern(self.cells.size, [self.cells] + edge_blocks)
 
 
 class Discretization:
@@ -271,9 +272,10 @@ class Discretization:
 
     One per mesh, see discretization().  Each piece is built the first time
     a form asks for it and then kept: the tables (with E) and edge batches
-    of the enriched basis, the scalar basis and pattern of convection, the
-    reconstruction R, the rows P_c of each vertex map, the divergence
-    matrix B and the unscaled viscous matrix A of each penalty.  The mesh
+    of the enriched basis, the scalar P1 basis and pattern of convection,
+    the reconstruction R, the rows P_c of each vertex map, the divergence
+    matrix B, the unscaled viscous matrix A of each penalty and the fixed
+    saddle blocks of each viscosity, penalty and Dirichlet set.  The mesh
     arrays are read-only, so none of it can go stale.
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
@@ -326,16 +328,26 @@ class Discretization:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
         return self.reconstruction() if params.pressure_robust else self.embedding()
 
+    def embedding_components(self) -> list[sp.csr_matrix]:
+        """E_c = E[c::2], the rows of E for velocity component c."""
+        return self._memo("E_c", lambda: [self.embedding()[c::2] for c in range(2)])
+
     def vertex_map_components(self, params: FormParams) -> list[sp.csr_matrix]:
         """P_c = P[c::2], the rows of the vertex map P for velocity component c."""
-        P = self.vertex_map(params)
-        return self._memo(("P_c", params.pressure_robust), lambda: [P[c::2] for c in range(2)])
+        if not params.pressure_robust:
+            return self.embedding_components()
+        return self._memo("R_c", lambda: [self.reconstruction()[c::2] for c in range(2)])
 
     def divergence(self) -> sp.csr_matrix:
         return self._memo("B", lambda: assemble_divergence(self.mesh))
 
     def viscous(self, params: FormParams) -> sp.csr_matrix:
         return self._memo(("A", params.penalty), lambda: assemble_viscous(self.mesh, params))
+
+    def saddle_blocks(self, params: FormParams, dofs: np.ndarray) -> _SaddleBlocks:
+        """The blocks of the saddle system that no Picard step changes, per viscosity, penalty and Dirichlet dofs."""
+        key = ("saddle", params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
+        return self._memo(key, lambda: _SaddleBlocks(self.mesh, params, dofs))
 
 
 def discretization(mesh: MeshTopology) -> Discretization:
@@ -383,52 +395,63 @@ def _boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np
 # -- viscous and divergence forms ----------------------------------------
 
 
-def _viscous_blocks(mesh: MeshTopology):
-    """Local blocks of the SIPG pieces on the enriched space.
+def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
+    """Interior-penalty viscous matrix (symmetric; excludes the viscosity factor).
 
-    Returns (dofs, volume stiffness) and, per edge batch, (dofs,
-    gradient-jump coupling, jump penalty).
+    SIPG acts on each velocity component alone, so A = sum_c E_c^T A_s E_c
+    with A_s the scalar DG-P1 SIPG matrix on the hats lam_k (see _ScalarP1).
     """
     disc = discretization(mesh)
-    space = disc.space()
-    stiffness = (space.dofmap, np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac))
-    nq = len(edge_rule(EDGE_DEGREE).points)
-    edges = []
-    for batch in disc.edge_batches():
-        int_jump = batch.h[:, None, None] * batch.mean_traces()
-        avg_grad_n = batch.avg_factor * np.einsum("exbij,ej->exbi", space.jac[batch.tris], batch.normal)
-        coupling = np.einsum("eai,ebi->eab", int_jump, avg_grad_n.reshape(len(batch.eids), batch.width, 2))
-        # int [u].[v] ds: unit weight, signed by the pair of sides
-        sign = np.multiply.outer(batch.side_sign, batch.side_sign)
-        penalty = batch.products(np.broadcast_to(sign[:, :, None], (len(batch.eids),) + sign.shape + (nq,)))
-        edges.append((batch.dofs, coupling, penalty))
-    return stiffness, edges
-
-
-def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
-    """Interior-penalty viscous matrix (symmetric; excludes the viscosity factor)."""
-    stiffness, edges = _viscous_blocks(mesh)
-    blocks = [(dofs, params.penalty * pen - cons - cons.transpose(0, 2, 1)) for dofs, cons, pen in edges]
-    return _scatter([stiffness] + blocks, layout_for(mesh).n_velocity)
+    scalar = disc.scalar_p1()
+    blocks = [(scalar.cells, np.einsum("t,tki,tli->tkl", mesh.areas, mesh.grad_lambda, mesh.grad_lambda))]
+    for dofs, h, normal in scalar.edges:
+        ne, sides = dofs.shape[:2]
+        sign = _SIDE_SIGN[:sides]
+        tris = dofs[:, :, 0] // 3
+        # int_e [lam_k]: sign_X h/2 for side X's two endpoint hats, 0 for the hat of the opposite vertex
+        int_jump = np.zeros((ne, sides, 3))
+        half_h = np.broadcast_to(0.5 * np.multiply.outer(h, sign)[..., None], dofs.shape)
+        np.put_along_axis(int_jump, dofs % 3, half_h, axis=2)
+        # {grad lam_l . n} of all three hats of each side
+        avg_grad_n = np.einsum("exli,ei->exl", mesh.grad_lambda[tris], normal) / sides
+        cons = int_jump.reshape(ne, -1, 1) * avg_grad_n.reshape(ne, 1, -1)
+        cells = (3 * tris[:, :, None] + np.arange(3)).reshape(ne, -1)
+        blocks.append((cells, -cons - cons.transpose(0, 2, 1)))
+        # rho/h <[u], [v]>: endpoint hats j, k of sides X, Y meet in rho sign_X sign_Y (1 + delta_jk)/6
+        pen = params.penalty * np.einsum("x,y,jk->xjyk", sign, sign, _EDGE_HAT_MASS).reshape(2 * sides, 2 * sides)
+        blocks.append((dofs.reshape(ne, -1), np.broadcast_to(pen, (ne,) + pen.shape)))
+    A_s = _scatter(blocks, scalar.cells.size)
+    return _finalize(sum(Ec.T @ (A_s @ Ec) for Ec in disc.embedding_components()))
 
 
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
-    """Rows q (one per triangle), columns velocity dofs: b(u, q)."""
+    """Rows q (one per triangle), columns velocity dofs: b(u, q).
+
+    The form sees a velocity only through its values and Jacobian, so
+    B = B_s E with B_s on the elementwise P1 basis lam_k e_i (columns
+    6 t + 2 k + i, as E's rows).
+    """
     disc = discretization(mesh)
-    space = disc.space()
+    scalar = disc.scalar_p1()
     nt = mesh.num_triangles
-    rows = [np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)]
-    cols = [space.dofmap]
-    vals = [mesh.areas[:, None] * space.div]
-    for batch in disc.edge_batches():
-        # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged
-        jn = -batch.avg_factor * batch.h[:, None] * np.einsum("ebi,ei->eb", batch.mean_traces(), batch.normal)
-        for tri_rows in batch.tris.T:
+    # (div lam_k e_i, 1)_T = |T| d_i lam_k
+    rows = [np.repeat(np.arange(nt), 6)]
+    cols = [np.arange(6 * nt)]
+    vals = [(mesh.areas[:, None, None] * mesh.grad_lambda).ravel()]
+    for dofs, h, normal in scalar.edges:
+        ne, sides = dofs.shape[:2]
+        # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged;
+        # lam_k e_i of side X has int_e [.].n = sign_X h/2 n_i at its endpoint hats
+        jn = -0.5 / sides * np.einsum("e,x,ei->exi", h, _SIDE_SIGN[:sides], normal)[:, :, None, :]
+        jn = np.broadcast_to(jn, dofs.shape + (2,)).reshape(ne, -1)
+        vec_cols = (2 * dofs[..., None] + np.arange(2)).reshape(ne, -1)
+        for tri_rows in (dofs[:, :, 0] // 3).T:
             rows.append(np.broadcast_to(tri_rows[:, None], jn.shape))
-            cols.append(batch.dofs)
+            cols.append(vec_cols)
             vals.append(jn)
     flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
-    return _finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
+    B_s = _finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, 6 * nt)))
+    return _finalize(B_s @ disc.embedding())
 
 
 # -- convection ----------------------------------------------------------
@@ -671,6 +694,35 @@ class SaddleSystem:
         return np.concatenate([u[self.free_velocity], p[1:] - p[0]])
 
 
+class _SaddleBlocks:
+    """The parts of the saddle system that do not depend on the Picard iterate.
+
+    For one viscosity, penalty and set of Dirichlet dofs on a mesh: the free
+    velocity dofs, `matrix` = [mu A_ff, -B_kept^T; B_kept, 0] on the
+    unknowns of SaddleSystem, the Dirichlet columns `viscous_lift` =
+    mu A_fd and `divergence_lift` = B_d that lift the data into the
+    right-hand side, the pinned continuity row and the unknowns' nodes.
+    """
+
+    def __init__(self, mesh: MeshTopology, params: FormParams, dofs: np.ndarray):
+        disc = discretization(mesh)
+        A = params.viscosity * disc.viscous(params)
+        B = disc.divergence()
+        free = np.setdiff1d(np.arange(A.shape[0]), dofs)
+        A_free, B_free = A[free], B[:, free]
+        # pinning cell 0 drops its pressure column and sets its continuity row aside
+        B_kept = B_free[1:]
+        self.free = free
+        self.matrix = _finalize(sp.bmat([[A_free[:, free], -B_kept.T], [B_kept, None]], format="csr"))
+        self.viscous_lift = A_free[:, dofs]
+        self.divergence_lift = B[:, dofs]
+        self.pinned_row = sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr")
+        nv = mesh.num_vertices
+        velocity_nodes = np.where(free < 2 * nv, free // 2, free - nv)  # bubble dof 2 nv + t sits at node nv + t
+        self.nodes = np.concatenate([velocity_nodes, nv + np.arange(1, B.shape[0])])
+        self.node_positions = np.concatenate([mesh.vertices, mesh.barycenters])
+
+
 def build_saddle_system(
     mesh: MeshTopology,
     params: FormParams,
@@ -684,41 +736,35 @@ def build_saddle_system(
     dirichlet is (dofs, values) over nodal velocity dofs; their rows and
     columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
-    (one entry per cell).  The viscous and divergence matrices come from the
-    mesh's Discretization.  The pressure of cell 0 is pinned;
+    (one entry per cell).  Everything but the convection block comes from
+    the mesh's Discretization (_SaddleBlocks), so a step restricts only the
+    convection matrix and adds it.  The pressure of cell 0 is pinned;
     solver.solve_linear restores the zero area-weighted mean afterwards
     (SaddleSystem.expand).
     """
-    layout = layout_for(mesh)
-    disc = discretization(mesh)
-    A = disc.viscous(params)
-    B = disc.divergence()
-    K = (params.viscosity * A + convection).tocsr()
     dofs, values = dirichlet
-    free = np.setdiff1d(np.arange(layout.n_velocity), dofs)
-
-    K_free = K[free]
-    B_free = B[:, free]
-    momentum = load[free] - K_free[:, dofs] @ values
-    continuity = continuity_load - B[:, dofs] @ values
-    # pinning cell 0 drops its pressure column and sets its continuity row aside
-    B_kept = B_free[1:]
-    mat = sp.bmat([[K_free[:, free], -B_kept.T], [B_kept, None]], format="csr")
-    pinned_row = sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr")
-    nv = mesh.num_vertices
-    velocity_nodes = np.where(free < 2 * nv, free // 2, free - nv)  # bubble dof 2 nv + t sits at node nv + t
-
+    disc = discretization(mesh)
+    fixed = disc.saddle_blocks(params, dofs)
+    free = fixed.free
+    C_free = convection.tocsr()[free]
+    C_ff = C_free[:, free]
+    # the convection block in the top-left corner, no entries in the pressure rows
+    n = fixed.matrix.shape[0]
+    indptr = np.concatenate([C_ff.indptr, np.full(n - len(free), C_ff.indptr[-1])])
+    C_pad = sp.csr_matrix((C_ff.data, C_ff.indices, indptr), shape=(n, n))
+    momentum = load[free] - (fixed.viscous_lift + C_free[:, dofs]) @ values
+    continuity = continuity_load - fixed.divergence_lift @ values
     return SaddleSystem(
-        matrix=_finalize(mat),
+        matrix=_finalize(fixed.matrix + C_pad),
         rhs=np.concatenate([momentum, continuity[1:]]),
-        pinned_row=pinned_row,
+        pinned_row=fixed.pinned_row,
         pinned_rhs=float(continuity[0]),
-        layout=layout,
+        layout=layout_for(mesh),
         free_velocity=free,
         areas=mesh.areas,
         dirichlet_dofs=dofs,
         dirichlet_values=values,
-        nodes=np.concatenate([velocity_nodes, nv + np.arange(1, layout.n_pressure)]),
-        node_positions=np.concatenate([mesh.vertices, mesh.barycenters]),
+        nodes=fixed.nodes,
+        node_positions=fixed.node_positions,
         orders=disc.saddle_orders,
     )

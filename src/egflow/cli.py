@@ -7,7 +7,10 @@ Three experiments are exposed as subcommands:
   probe      fixed-mesh error-vs-viscosity comparison -> probe CSV
 
 Flag precedence is CLI over config-file over built-in defaults; the config
-file is a flat JSON object keyed by the long flag names.  All outputs are
+file (--config) is a flat JSON object whose keys are the long flag names with
+'_' for '-': levels, n, mu, rho, mode, tol, max_iters, init, mu_list, grid
+and out (converge reads levels, cavity and probe read n).  Any other key,
+or a value of the wrong type, is a configuration error.  All outputs are
 deterministic: rerunning a configuration reproduces the files byte for byte.
 """
 
@@ -368,6 +371,8 @@ _EXPERIMENT_DEFAULTS = {
     "cavity": {"levels": (32,), "init": "stokes"},
     "probe": {"levels": (16,)},
 }
+# the keys a config file may hold, in the order config_from_args reads them
+_CONFIG_KEYS = ("levels", "n", "mu", "rho", "mode", "tol", "max_iters", "init", "mu_list", "grid", "out")
 # config-file values whose JSON form is not the one RunConfig takes
 _FROM_FILE = {
     "levels": lambda raw: tuple(int(v) for v in raw),
@@ -383,20 +388,28 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         file_vals = json.loads(Path(args.config).read_text())
         if not isinstance(file_vals, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; the keys are {', '.join(_CONFIG_KEYS)}")
 
     values = dict(_EXPERIMENT_DEFAULTS[args.experiment])
-    level_flag = "levels" if args.experiment == "converge" else "n"
-    for name in (level_flag, "mu", "rho", "mode", "tol", "max_iters", "init", "mu_list", "grid", "out"):
-        if getattr(args, name, None) is not None:
-            value = getattr(args, name)
-        elif name in file_vals:
-            value = _FROM_FILE.get(name, lambda raw: raw)(file_vals[name])
-        else:
-            continue
-        if name == "n":
-            name, value = "levels", (value,)
-        values["out_dir" if name == "out" else name] = value
-    return RunConfig(experiment=args.experiment, **values)
+    other_level_flag = "n" if args.experiment == "converge" else "levels"
+    try:
+        for name in _CONFIG_KEYS:
+            if name == other_level_flag:
+                continue
+            if getattr(args, name, None) is not None:
+                value = getattr(args, name)
+            elif name in file_vals:
+                value = _FROM_FILE.get(name, lambda raw: raw)(file_vals[name])
+            else:
+                continue
+            if name == "n":
+                name, value = "levels", (value,)
+            values["out_dir" if name == "out" else name] = value
+        return RunConfig(experiment=args.experiment, **values)
+    except TypeError as err:  # flags arrive typed by argparse, so the file holds the culprit
+        raise ValueError(f"a value in {args.config} has the wrong type: {err}") from err
 
 
 def cli_main(argv=None) -> int:

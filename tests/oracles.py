@@ -2,7 +2,8 @@
 
 None of this runs in the solver or the experiments.  Each function is a
 direct, mostly scalar construction of something the package computes in
-batched form (energy and mass Gram matrices, the elementwise P1 embedding,
+batched form (energy and mass Gram matrices, the viscous and divergence
+matrices on the enriched basis, the elementwise P1 embedding,
 reconstructed fields evaluated point by point, edge traces and jumps one
 edge at a time, canonical interpolants), or a small utility only the tests
 need (rates, reading the convergence CSV).
@@ -20,7 +21,7 @@ import egflow.assembly as asm
 from egflow.analysis import ConvergenceRow
 from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
-from egflow.quadrature import map_to_triangle, triangle_rule
+from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
 from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
 from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
@@ -45,10 +46,81 @@ def pressure_mean(p: PressureFunction) -> float:
 # -- Gram matrices of the enriched space -----------------------------------
 
 
+def _sides(batch):
+    """(side_sign, jump_sign, width) of an edge batch: signs per side and per stacked local index (X, a)."""
+    side_sign = np.array([1.0, -1.0][: batch.tris.shape[1]])
+    nl = batch.ends.shape[2]
+    return side_sign, np.repeat(side_sign, nl), len(side_sign) * nl
+
+
+def edge_products(batch, g: np.ndarray) -> np.ndarray:
+    """Local matrices sum_q w_q g[e, X, Y, q] phi^X_a(s_q) . phi^Y_b(s_q), (nE, width, width)."""
+    width = _sides(batch)[2]
+    loc = np.einsum("exaji,exyjk,eybki->exayb", batch.ends, asm._hat_moments(g), batch.ends, optimize=True)
+    return loc.reshape(len(batch.eids), width, width)
+
+
+def mean_traces(batch) -> np.ndarray:
+    """(nE, width, 2) edge means of the basis traces, jump signs applied."""
+    _, jump_sign, width = _sides(batch)
+    return jump_sign[None, :, None] * 0.5 * batch.ends.sum(axis=3).reshape(len(batch.eids), width, 2)
+
+
+def viscous_blocks(mesh: MeshTopology):
+    """Local blocks of the SIPG pieces on the enriched space.
+
+    Returns (dofs, volume stiffness) and, per edge batch, (dofs,
+    gradient-jump coupling, jump penalty).
+    """
+    disc = asm.discretization(mesh)
+    space = disc.space()
+    stiffness = (space.dofmap, np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac))
+    nq = len(edge_rule(asm.EDGE_DEGREE).points)
+    edges = []
+    for batch in disc.edge_batches():
+        side_sign, _, width = _sides(batch)
+        avg_factor = 1.0 / len(side_sign)
+        int_jump = batch.h[:, None, None] * mean_traces(batch)
+        avg_grad_n = avg_factor * np.einsum("exbij,ej->exbi", space.jac[batch.tris], batch.normal)
+        coupling = np.einsum("eai,ebi->eab", int_jump, avg_grad_n.reshape(len(batch.eids), width, 2))
+        # int [u].[v] ds: unit weight, signed by the pair of sides
+        sign = np.multiply.outer(side_sign, side_sign)
+        penalty = edge_products(batch, np.broadcast_to(sign[:, :, None], (len(batch.eids),) + sign.shape + (nq,)))
+        edges.append((batch.dofs, coupling, penalty))
+    return stiffness, edges
+
+
 def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
     """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
-    stiffness, edges = asm._viscous_blocks(mesh)
+    stiffness, edges = viscous_blocks(mesh)
     return asm._scatter([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
+
+
+def enriched_viscous(mesh: MeshTopology, params: asm.FormParams) -> sp.csr_matrix:
+    """The viscous matrix from local blocks on the 7-dof enriched basis."""
+    stiffness, edges = viscous_blocks(mesh)
+    blocks = [(dofs, params.penalty * pen - cons - cons.transpose(0, 2, 1)) for dofs, cons, pen in edges]
+    return asm._scatter([stiffness] + blocks, layout_for(mesh).n_velocity)
+
+
+def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
+    """The divergence matrix from local rows on the 7-dof enriched basis."""
+    disc = asm.discretization(mesh)
+    space = disc.space()
+    nt = mesh.num_triangles
+    rows = [np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)]
+    cols = [space.dofmap]
+    vals = [mesh.areas[:, None] * (space.jac[:, :, 0, 0] + space.jac[:, :, 1, 1])]
+    for batch in disc.edge_batches():
+        # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged
+        avg_factor = 1.0 / batch.tris.shape[1]
+        jn = -avg_factor * batch.h[:, None] * np.einsum("ebi,ei->eb", mean_traces(batch), batch.normal)
+        for tri_rows in batch.tris.T:
+            rows.append(np.broadcast_to(tri_rows[:, None], jn.shape))
+            cols.append(batch.dofs)
+            vals.append(jn)
+    flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
+    return asm._finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
 
 
 def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:

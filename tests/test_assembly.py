@@ -29,6 +29,8 @@ from oracles import (
     bdm_divergence_matrix,
     bubble_dof,
     edge_points,
+    enriched_divergence,
+    enriched_viscous,
     jump_average,
     local_p1_embedding,
     project_pressure,
@@ -147,6 +149,16 @@ def test_viscous_form_against_pointwise_quadrature():
     scale = abs(vol) + abs(cons) + abs(pen)
     assert min(abs(vol), abs(cons), abs(pen)) > 1e-2 * scale
     assert got == pytest.approx(vol + cons + pen, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: build_unit_square_mesh(8), lambda: perturbed_mesh(8, seed=4)])
+def test_p1_operators_match_the_enriched_basis_assembly(make_mesh):
+    # A = sum_c E_c^T A_s E_c and B = B_s E on the elementwise P1 basis are
+    # the matrices of the local blocks on the 7-dof enriched basis
+    mesh = make_mesh()
+    for got, want in ((asm.assemble_viscous(mesh, PARAMS), enriched_viscous(mesh, PARAMS)),
+                      (asm.assemble_divergence(mesh), enriched_divergence(mesh))):
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -659,6 +671,46 @@ def test_condensation_equals_manual_reduction():
     assert np.allclose(np.concatenate([u, p]), x_full, atol=1e-10)
     # the lid data carries no net flux, so the pinned row holds as well
     assert abs(M[-1] @ x_full[unknowns] - r[-1]) <= 1e-12
+
+
+def test_saddle_fixed_blocks_are_built_once_per_key(monkeypatch):
+    # the blocks no Picard step changes are kept per (viscosity, penalty,
+    # Dirichlet dofs); a step on a mesh that holds them builds the same
+    # system, bit for bit, as the first step on a fresh mesh
+    builds = []
+    real_blocks = asm._SaddleBlocks
+
+    def counted_blocks(mesh, params, dofs):
+        builds.append(mesh)
+        return real_blocks(mesh, params, dofs)
+
+    monkeypatch.setattr(asm, "_SaddleBlocks", counted_blocks)
+    mesh = build_unit_square_mesh(3)
+    dofs, values, nodal = asm.dirichlet_data(mesh, asm.lid_values(mesh))
+    lid_only = np.flatnonzero(values)  # a strict subset of the boundary dofs
+    cont = asm.divergence_boundary_load(mesh, nodal)
+    cases = [
+        (FormParams(viscosity=1.0, penalty=10.0), (dofs, values)),
+        (FormParams(viscosity=1e-2, penalty=10.0), (dofs, values)),
+        (FormParams(viscosity=1.0, penalty=20.0), (dofs, values)),
+        (FormParams(viscosity=1.0, penalty=10.0), (dofs[lid_only], values[lid_only])),
+        # the fixed blocks do not depend on the scheme: robust mode shares the first key's
+        (FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True), (dofs, values)),
+    ]
+    for _ in range(2):
+        for params, dirichlet in cases:
+            for seed in (41, 42):
+                C = asm.assemble_convection(mesh, random_eg(mesh, seed), params)
+                F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), params)
+                got = asm.build_saddle_system(mesh, params, C, F, dirichlet=dirichlet, continuity_load=cont)
+                want = asm.build_saddle_system(
+                    build_unit_square_mesh(3), params, C, F, dirichlet=dirichlet, continuity_load=cont
+                )
+                for m_got, m_want in ((got.matrix, want.matrix), (got.pinned_row, want.pinned_row)):
+                    for part in ("indptr", "indices", "data"):
+                        assert getattr(m_got, part).tobytes() == getattr(m_want, part).tobytes()
+                assert got.rhs.tobytes() == want.rhs.tobytes() and got.pinned_rhs == want.pinned_rhs
+    assert sum(built is mesh for built in builds) == 4
 
 
 def test_gradient_force_produces_no_flow_in_robust_stokes():

@@ -46,11 +46,18 @@ def test_malformed_level_list_is_usage_error():
 def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
     warm = tmp_path / "warm.json"
     warm.write_text(json.dumps({"init": "warm"}))
+    dashed, text_mu, bare_levels = (tmp_path / f"{name}.json" for name in ("dashed", "text_mu", "bare_levels"))
+    dashed.write_text(json.dumps({"max-iters": 1, "mu-list": [1, 0.5]}))  # flag spellings are not keys
+    text_mu.write_text(json.dumps({"mu": "abc"}))
+    bare_levels.write_text(json.dumps({"levels": 4}))
     cases = [
         ["converge", "--levels", "4", "--mu", "-1"],
         ["converge", "--levels", "4", "--tol", "-1"],
         ["converge", "--levels", "4", "--max-iters", "0"],
         ["converge", "--levels", "4", "--config", str(warm)],
+        ["converge", "--levels", "4", "--config", str(dashed)],
+        ["converge", "--levels", "4", "--config", str(text_mu)],
+        ["converge", "--config", str(bare_levels)],
         ["probe", "--n", "4", "--mu-list", "1,0.1"],
         ["probe", "--n", "4", "--mu-list", "1,0,1e-4"],
     ]
@@ -59,6 +66,8 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         assert cli_main(argv + ["--out", str(out)]) == 2, argv
         assert "bad configuration" in capsys.readouterr().err
         assert not out.exists()
+    assert cli_main(["converge", "--config", str(dashed)]) == 2
+    assert "'max-iters', 'mu-list'" in capsys.readouterr().err
 
 
 def test_run_config_validation():
