@@ -746,7 +746,7 @@ def build_saddle_system(
     disc = discretization(mesh)
     fixed = disc.saddle_blocks(params, dofs)
     free = fixed.free
-    C_free = convection.tocsr()[free]
+    C_free = convection[free]
     C_ff = C_free[:, free]
     # the convection block in the top-left corner, no entries in the pressure rows
     n = fixed.matrix.shape[0]
