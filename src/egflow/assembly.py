@@ -243,7 +243,7 @@ class _Pattern:
 
 
 class _ScalarP1:
-    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the matrices A_s and C_s.
+    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the matrices A_s, B_s and C_s.
 
     `cells[t]` holds triangle t's three dofs.  Along an edge only the hats of
     each side's two edge endpoints have a trace.  `edges` holds (dofs, h,
