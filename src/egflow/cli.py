@@ -390,7 +390,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
         if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; the keys are {', '.join(_CONFIG_KEYS)}")
+            keys = ", ".join(_CONFIG_KEYS)
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; the keys are {keys}")
 
     values = dict(_EXPERIMENT_DEFAULTS[args.experiment])
     other_level_flag = "n" if args.experiment == "converge" else "levels"
