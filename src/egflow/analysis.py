@@ -140,12 +140,13 @@ def _edge_error_terms(mesh, u_vertex, ex, penalty):
     rule = edge_rule(EDGE_ERROR_DEGREE)
     s, w = rule.points, rule.weights
     total = 0.0
-    for batch in asm.discretization(mesh).edge_batches():
-        traces = asm.along_edges(batch.field_ends(u_vertex), s)  # (nE, sides, nq, 2)
-        if batch.interior:
+    for dofs, _, _ in asm.discretization(mesh).scalar_p1().edges:
+        traces = asm.along_edges(u_vertex.reshape(-1, 2)[dofs], s)  # (nE, sides, nq, 2)
+        if dofs.shape[1] == 2:
             jump = traces[:, 0] - traces[:, 1]  # exact field is continuous, its jump cancels
         else:
-            jump = ex.u(asm.along_edges(mesh.vertices[mesh.edge_vertices[batch.eids]], s)) - traces[:, 0]
+            x = asm.along_edges(mesh.vertices[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
+            jump = ex.u(x) - traces[:, 0]
         total += float(np.einsum("q,eqi,eqi->", w, jump, jump))
     return penalty * total
 

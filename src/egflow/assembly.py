@@ -46,23 +46,24 @@ term except the upwind indicator, which is decided at the 4 Gauss points.
 
 What is built when.  Everything that depends only on the mesh is built once
 per mesh, on first use, in the mesh's Discretization (discretization(mesh))
-and kept there: for the enriched basis the dof map, vertex values,
-Jacobians and E with its components E_c, and the boundary (and, for the
-error norms, interior) edge batches reduced to endpoint traces; the scalar
-P1 edge data and, on the first convection assembly, the fixed CSR pattern
-of C_s with the maps from local entries to it; the matrices R and its
-components R_c; B and, per penalty, the unscaled viscous A.  A and B, too,
-are assembled on the P1 basis and read through E: SIPG acts on each
-velocity component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar
-DG-P1 SIPG matrix, and B = B_s E.  Per viscosity, penalty and Dirichlet
-dofs the Discretization also keeps the blocks of the saddle system that no
-step changes (_SaddleBlocks).  The solver and analysis.error_norms share
-all of it.  A Picard step evaluates only the transport field: its vertex
-values P z, one batched contraction for the volume term, and per edge
-{w}.n and [w].n at the Gauss points, whose upwind and skew weights form
-the three moments; the local blocks then fill the fixed pattern by
-bincount.  The saddle system of the step restricts only C to the free
-dofs and adds it to the fixed blocks.
+and kept there: E and its components E_c; the scalar P1 basis with each
+edge's endpoint-hat dofs, lengths and normals, and, on the first convection
+assembly, the fixed CSR pattern of C_s with the maps from local entries to
+it; the matrices R and its components R_c; B and, per penalty, the
+unscaled viscous A.  A and B, too, are assembled on the P1 basis and read
+through E: SIPG acts on each velocity component alone, so
+A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG matrix, and
+B = B_s E.  The SIPG and convective boundary loads are E^T of scalar loads
+on the boundary-edge hats, and the error norms read a field's edge traces
+from its vertex values at the same hats.  Per viscosity, penalty and
+Dirichlet dofs the Discretization also keeps the blocks of the saddle
+system that no step changes (_SaddleBlocks).  The solver and
+analysis.error_norms share all of it.  A Picard step evaluates only the
+transport field: its vertex values P z, one batched contraction for the
+volume term, and per edge {w}.n and [w].n at the Gauss points, whose
+upwind and skew weights form the three moments; the local blocks then fill
+the fixed pattern by bincount.  The saddle system of the step restricts
+only C to the free dofs and adds it to the fixed blocks.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.
@@ -144,69 +145,22 @@ def _hat_moments(g: np.ndarray) -> np.ndarray:
 # -- element tables --------------------------------------------------------
 
 
-class _SpaceTables:
-    """Per-triangle data of the local enriched velocity basis.
+def _embedding_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """E, the exact embedding of enriched velocities into the elementwise P1 basis.
 
-    6 nodal dofs (vertex, component) plus the barycenter bubble.  Every basis
-    function is affine per triangle, so it is fixed by its values at the
-    triangle's vertices, vertex_values[t, a, k, i], and its Jacobian is
-    constant.  `embedding` is E, the exact embedding of enriched velocities
-    into the elementwise P1 basis: row 6 t + 2 k + i holds component i of
-    the basis at vertex k of triangle t, 1 at nodal dof 2 v_k + i and
-    (x_k - x_T)_i at bubble dof 2 nv + t.
+    Every enriched velocity is affine per triangle, so E maps it to its
+    values at each triangle's vertices: row 6 t + 2 k + i holds 1 at nodal
+    dof 2 v_k + i and (x_k - x_T)_i at bubble dof 2 nv + t.
     """
-
-    def __init__(self, mesh: MeshTopology):
-        nt, nv = mesh.num_triangles, mesh.num_vertices
-        nodal = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
-        dofmap = np.concatenate([nodal, 2 * nv + np.arange(nt)[:, None]], axis=1)
-        self.dofmap = dofmap.astype(np.int32)  # halves the index arrays of every scatter
-        self.nl = 7
-        self.n_dofs = 2 * nv + nt
-        vals = np.zeros((nt, self.nl, 3, 2))
-        jac = np.zeros((nt, self.nl, 2, 2))
-        for a in range(3):
-            for i in range(2):
-                vals[:, 2 * a + i, a, i] = 1.0
-                jac[:, 2 * a + i, i, :] = mesh.grad_lambda[:, a, :]
-        vals[:, 6] = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
-        jac[:, 6] = np.eye(2)
-        self.vertex_values = vals
-        self.jac = jac
-        entries = vals.transpose(0, 2, 3, 1)  # E's row (t, k, i) holds basis a's value
-        cols = np.broadcast_to(self.dofmap[:, None, None, :], entries.shape)
-        indptr = np.arange(0, entries.size + 1, self.nl)
-        self.embedding = sp.csr_matrix((entries.ravel(), cols.ravel(), indptr), shape=(6 * nt, self.n_dofs))
-        self.embedding.eliminate_zeros()
-
-
-class _EdgeBatch:
-    """The interior or the boundary edges, with the basis traces of each side.
-
-    Sides are indexed by X (plus first; boundary batches have only the plus
-    side).  A trace is affine in the edge parameter s, so it is stored by its
-    endpoint values: ends[e, X, a, j, i] is component i of basis function a
-    of side X's triangle at s = j.
-    """
-
-    def __init__(self, mesh: MeshTopology, space: _SpaceTables, eids: np.ndarray):
-        self.eids = eids
-        self.interior = not mesh.is_boundary_edge[eids[0]]
-        self.normal = mesh.edge_normal[eids]
-        self.h = mesh.edge_length[eids]
-        if self.interior:
-            self.tris = np.stack([mesh.edge_tplus[eids], mesh.edge_tminus[eids]], axis=1)
-            self.local = np.stack([mesh.edge_local_plus[eids], mesh.edge_local_minus[eids]], axis=1)
-        else:
-            self.tris = mesh.edge_tplus[eids][:, None]
-            self.local = mesh.edge_local_plus[eids][:, None]
-        basis = np.arange(space.nl)[None, None, :, None]
-        self.ends = space.vertex_values[self.tris[:, :, None, None], basis, self.local[:, :, None, :]]
-        self.dofs = space.dofmap[self.tris].reshape(len(eids), -1)
-
-    def field_ends(self, zv: np.ndarray) -> np.ndarray:
-        """(nE, sides, 2, 2) endpoint traces of a field from each side, given its vertex_values."""
-        return zv[self.tris[:, :, None], self.local]
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    offsets = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
+    nodal = 2 * mesh.triangles[:, :, None] + np.arange(2)
+    bubble = np.broadcast_to(2 * nv + np.arange(nt)[:, None, None], nodal.shape)
+    cols = np.stack([nodal, bubble], axis=-1)
+    vals = np.stack([np.ones_like(offsets), offsets], axis=-1)
+    E = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 2)), shape=(6 * nt, 2 * nv + nt))
+    E.eliminate_zeros()
+    return E
 
 
 class _Pattern:
@@ -243,12 +197,13 @@ class _Pattern:
 
 
 class _ScalarP1:
-    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of the matrices A_s, B_s and C_s.
+    """The scalar elementwise P1 basis lam_k, dof 3 t + k, of every form and boundary load.
 
     `cells[t]` holds triangle t's three dofs.  Along an edge only the hats of
     each side's two edge endpoints have a trace.  `edges` holds (dofs, h,
     normal) of the interior and then of the boundary edges; dofs[e, X, j] is
-    the dof of side X that is 1 at endpoint j.
+    the dof of side X that is 1 at endpoint j (mesh.edge_vertices[e, j]),
+    so a field's endpoint traces are its vertex values at these dofs.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -271,12 +226,12 @@ class Discretization:
     """Everything the forms need that depends only on the mesh, built on first use.
 
     One per mesh, see discretization().  Each piece is built the first time
-    a form asks for it and then kept: the tables (with E) and edge batches
-    of the enriched basis, the scalar P1 basis and pattern of convection,
-    the reconstruction R, the rows P_c of each vertex map, the divergence
-    matrix B, the unscaled viscous matrix A of each penalty and the fixed
-    saddle blocks of each viscosity, penalty and Dirichlet set.  The mesh
-    arrays are read-only, so none of it can go stale.
+    a form asks for it and then kept: the embedding E, the scalar P1 basis
+    with its edge dofs and the pattern of convection, the reconstruction R,
+    the rows P_c of each vertex map, the divergence matrix B, the unscaled
+    viscous matrix A of each penalty and the fixed saddle blocks of each
+    viscosity, penalty and Dirichlet set.  The mesh arrays are read-only,
+    so none of it can go stale.
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
     meets only a few patterns (Stokes, Oseen), each factored many times.
@@ -298,28 +253,12 @@ class Discretization:
             self._built[key] = build()
         return self._built[key]
 
-    def space(self) -> _SpaceTables:
-        return self._memo("space", lambda: _SpaceTables(self.mesh))
-
-    def edge_batches(self) -> list[_EdgeBatch]:
-        """The non-empty batches of interior and of boundary edges, in that order."""
-
-        def build():
-            mesh = self.mesh
-            ids = (mesh.interior_edge_ids, mesh.boundary_edge_ids)
-            return [_EdgeBatch(mesh, self.space(), eids) for eids in ids if len(eids)]
-
-        return self._memo("edges", build)
-
-    def boundary_batch(self) -> _EdgeBatch:
-        return next(b for b in self.edge_batches() if not b.interior)
-
     def scalar_p1(self) -> _ScalarP1:
         return self._memo("scalar", lambda: _ScalarP1(self.mesh))
 
     def embedding(self) -> sp.csr_matrix:
-        """E, the exact embedding of enriched velocities into the elementwise P1 basis (see _SpaceTables)."""
-        return self.space().embedding
+        """E, the exact embedding of enriched velocities into the elementwise P1 basis (see _embedding_matrix)."""
+        return self._memo("E", lambda: _embedding_matrix(self.mesh))
 
     def reconstruction(self) -> sp.csr_matrix:
         return self._memo("R", lambda: reconstruction_matrix(self.mesh))
@@ -517,6 +456,22 @@ def assemble_load(mesh: MeshTopology, f, params: FormParams) -> np.ndarray:
     return discretization(mesh).vertex_map(params).T @ (2.0 * mesh.areas[:, None, None] * f_lam).ravel()
 
 
+def _boundary_hat_load(mesh: MeshTopology, ends: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    """E^T of a load on the elementwise P1 basis lam_k e_i that lives on the boundary edges.
+
+    ends[e, j, i] is the load on lam_j e_i, the hat that is 1 at endpoint j
+    of boundary edge e (scalar_p1().edges[1]); cells[e, k, i], if given, the
+    load on all three hats of the edge's triangle.
+    """
+    disc = discretization(mesh)
+    dofs = disc.scalar_p1().edges[1][0][:, 0]
+    load = np.zeros((3 * mesh.num_triangles, 2))  # row 3 t + k, column i: E's row 6 t + 2 k + i
+    np.add.at(load, dofs, ends)
+    if cells is not None:
+        np.add.at(load, 3 * (dofs[:, :1] // 3) + np.arange(3), cells)
+    return disc.embedding().T @ load.ravel()
+
+
 def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:
     """Boundary data of the convective form: inflow and flux-average terms.
 
@@ -531,20 +486,17 @@ def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params:
     scheme has no boundary convection terms and the result is identically
     zero there.
     """
-    vec = np.zeros(layout_for(mesh).n_velocity)
     if params.pressure_robust or not g_nodal.any():
-        return vec
-    batch = discretization(mesh).boundary_batch()
-    srule = edge_rule(EDGE_DEGREE)
-    s, w = srule.points, srule.weights
-    ztr = along_edges(batch.field_ends(vertex_values(z))[:, 0], s)
-    w_in = np.maximum(-np.einsum("eqi,ei->eq", ztr, batch.normal), 0.0)
-    gq = _boundary_data(mesh, g_nodal, s)
-    gn = np.einsum("eqi,ei->eq", gq, batch.normal)
-    traces = along_edges(batch.ends[:, 0], s)
-    loc = batch.h[:, None] * np.einsum("q,eq,eqi,eaqi->ea", w, w_in - 0.5 * gn, gq, traces)
-    np.add.at(vec, batch.dofs.ravel(), loc.ravel())
-    return vec
+        return np.zeros(layout_for(mesh).n_velocity)
+    dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
+    s = edge_rule(EDGE_DEGREE).points
+    g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
+    z_ends = vertex_values(z).reshape(-1, 2)[dofs[:, 0]]  # as assemble_convection reads the transport field
+    # z.n and g.n at the edge Gauss points
+    zn, gn = (along_edges(np.einsum("eji,ei->ej", f, normal)[..., None], s)[..., 0] for f in (z_ends, g_ends))
+    # h <(|z.n|_in - 1/2 g.n) g, lam_j e_i> with g = sum_k l_k g_k along the edge
+    weight = _hat_moments(np.maximum(-zn, 0.0) - 0.5 * gn)
+    return _boundary_hat_load(mesh, h[:, None, None] * np.einsum("ejk,eki->eji", weight, g_ends))
 
 
 def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:
@@ -558,20 +510,16 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     the prescribed nodal values along each edge.  The result is the data
     part of the unscaled form; the caller applies the viscosity factor.
     """
-    vec = np.zeros(layout_for(mesh).n_velocity)
     if not np.any(g_nodal):
-        return vec
-    disc = discretization(mesh)
-    batch = disc.boundary_batch()
-    srule = edge_rule(EDGE_DEGREE)
-    s, w = srule.points, srule.weights
-    gq = _boundary_data(mesh, g_nodal, s)
-    pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, along_edges(batch.ends[:, 0], s))
-    gradn = np.einsum("eaij,ej->eai", disc.space().jac[batch.tris[:, 0]], batch.normal)
-    g_int = batch.h[:, None] * np.einsum("q,eqi->ei", w, gq)
-    cons = np.einsum("eai,ei->ea", gradn, g_int)
-    np.add.at(vec, batch.dofs.ravel(), (pen - cons).ravel())
-    return vec
+        return np.zeros(layout_for(mesh).n_velocity)
+    dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
+    g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
+    # rho/h <g, lam_j e_i> on the endpoint hats; h cancels against the edge length
+    pen = params.penalty * np.einsum("jk,eki->eji", _EDGE_HAT_MASS, g_ends)
+    # -<(grad lam_k e_i) n, g> = -(grad lam_k . n) int_e g_i on all three hats
+    grad_n = np.einsum("ekj,ej->ek", mesh.grad_lambda[dofs[:, 0, 0] // 3], normal)
+    cons = -0.5 * np.einsum("ek,e,eji->eki", grad_n, h, g_ends)
+    return _boundary_hat_load(mesh, pen, cons)
 
 
 def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 None of this runs in the solver or the experiments.  Each function is a
 direct, mostly scalar construction of something the package computes in
-batched form (energy and mass Gram matrices, the viscous and divergence
-matrices on the enriched basis, the elementwise P1 embedding,
-reconstructed fields evaluated point by point, edge traces and jumps one
-edge at a time, canonical interpolants), or a small utility only the tests
-need (rates, reading the convergence CSV).
+batched form (energy and mass Gram matrices; the viscous and divergence
+matrices, the boundary loads and the jump terms of the error norms from
+the tables and edge traces of the 7-dof enriched basis; the elementwise
+P1 embedding, reconstructed fields evaluated point by point, edge traces
+and jumps one edge at a time, canonical interpolants), or a small utility
+only the tests need (rates, reading the convergence CSV).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import egflow.assembly as asm
-from egflow.analysis import ConvergenceRow
+from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
 from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
@@ -41,6 +42,70 @@ def bubble_dof(layout: DofLayout, t: int) -> int:
 
 def pressure_mean(p: PressureFunction) -> float:
     return float(np.dot(p.mesh.areas, p.values) / np.sum(p.mesh.areas))
+
+
+# -- the 7-dof enriched basis and its edge traces --------------------------
+
+
+class EnrichedTables:
+    """Per-triangle data of the local enriched velocity basis.
+
+    6 nodal dofs (vertex, component) plus the barycenter bubble.  Every basis
+    function is affine per triangle, so it is fixed by its values at the
+    triangle's vertices, vertex_values[t, a, k, i], and its Jacobian
+    jac[t, a] is constant.
+    """
+
+    def __init__(self, mesh: MeshTopology):
+        nt, nv = mesh.num_triangles, mesh.num_vertices
+        nodal = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
+        self.dofmap = np.concatenate([nodal, 2 * nv + np.arange(nt)[:, None]], axis=1)
+        self.nl = 7
+        self.n_dofs = 2 * nv + nt
+        vals = np.zeros((nt, self.nl, 3, 2))
+        jac = np.zeros((nt, self.nl, 2, 2))
+        for a in range(3):
+            for i in range(2):
+                vals[:, 2 * a + i, a, i] = 1.0
+                jac[:, 2 * a + i, i, :] = mesh.grad_lambda[:, a, :]
+        vals[:, 6] = mesh.vertices[mesh.triangles] - mesh.barycenters[:, None, :]
+        jac[:, 6] = np.eye(2)
+        self.vertex_values = vals
+        self.jac = jac
+
+
+class EdgeBatch:
+    """The interior or the boundary edges, with the enriched basis traces of each side.
+
+    Sides are indexed by X (plus first; boundary batches have only the plus
+    side).  A trace is affine in the edge parameter s, so it is stored by its
+    endpoint values: ends[e, X, a, j, i] is component i of basis function a
+    of side X's triangle at s = j.
+    """
+
+    def __init__(self, mesh: MeshTopology, space: EnrichedTables, eids: np.ndarray):
+        self.eids = eids
+        self.interior = not mesh.is_boundary_edge[eids[0]]
+        self.normal = mesh.edge_normal[eids]
+        self.h = mesh.edge_length[eids]
+        if self.interior:
+            self.tris = np.stack([mesh.edge_tplus[eids], mesh.edge_tminus[eids]], axis=1)
+            self.local = np.stack([mesh.edge_local_plus[eids], mesh.edge_local_minus[eids]], axis=1)
+        else:
+            self.tris = mesh.edge_tplus[eids][:, None]
+            self.local = mesh.edge_local_plus[eids][:, None]
+        basis = np.arange(space.nl)[None, None, :, None]
+        self.ends = space.vertex_values[self.tris[:, :, None, None], basis, self.local[:, :, None, :]]
+        self.dofs = space.dofmap[self.tris].reshape(len(eids), -1)
+
+    def field_ends(self, zv: np.ndarray) -> np.ndarray:
+        """(nE, sides, 2, 2) endpoint traces of a field from each side, given its vertex_values."""
+        return zv[self.tris[:, :, None], self.local]
+
+
+def edge_batches(mesh: MeshTopology, space: EnrichedTables) -> list[EdgeBatch]:
+    """The non-empty batches of interior and of boundary edges, in that order."""
+    return [EdgeBatch(mesh, space, eids) for eids in (mesh.interior_edge_ids, mesh.boundary_edge_ids) if len(eids)]
 
 
 # -- Gram matrices of the enriched space -----------------------------------
@@ -72,12 +137,11 @@ def viscous_blocks(mesh: MeshTopology):
     Returns (dofs, volume stiffness) and, per edge batch, (dofs,
     gradient-jump coupling, jump penalty).
     """
-    disc = asm.discretization(mesh)
-    space = disc.space()
+    space = EnrichedTables(mesh)
     stiffness = (space.dofmap, np.einsum("t,taij,tbij->tab", mesh.areas, space.jac, space.jac))
     nq = len(edge_rule(asm.EDGE_DEGREE).points)
     edges = []
-    for batch in disc.edge_batches():
+    for batch in edge_batches(mesh, space):
         side_sign, _, width = _sides(batch)
         avg_factor = 1.0 / len(side_sign)
         int_jump = batch.h[:, None, None] * mean_traces(batch)
@@ -105,13 +169,12 @@ def enriched_viscous(mesh: MeshTopology, params: asm.FormParams) -> sp.csr_matri
 
 def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     """The divergence matrix from local rows on the 7-dof enriched basis."""
-    disc = asm.discretization(mesh)
-    space = disc.space()
+    space = EnrichedTables(mesh)
     nt = mesh.num_triangles
     rows = [np.broadcast_to(np.arange(nt)[:, None], space.dofmap.shape)]
     cols = [space.dofmap]
     vals = [mesh.areas[:, None] * (space.jac[:, :, 0, 0] + space.jac[:, :, 1, 1])]
-    for batch in disc.edge_batches():
+    for batch in edge_batches(mesh, space):
         # -<[u].n, {q}>: every side's pressure row sees the whole jump, averaged
         avg_factor = 1.0 / batch.tris.shape[1]
         jn = -avg_factor * batch.h[:, None] * np.einsum("ebi,ei->eb", mean_traces(batch), batch.normal)
@@ -121,6 +184,57 @@ def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
             vals.append(jn)
     flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
     return asm._finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
+
+
+def enriched_convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: asm.FormParams) -> np.ndarray:
+    """assembly.convective_boundary_load from the boundary traces of the 7-dof enriched basis."""
+    vec = np.zeros(layout_for(mesh).n_velocity)
+    if params.pressure_robust or not g_nodal.any():
+        return vec
+    batch = EdgeBatch(mesh, EnrichedTables(mesh), mesh.boundary_edge_ids)
+    srule = edge_rule(asm.EDGE_DEGREE)
+    s, w = srule.points, srule.weights
+    ztr = asm.along_edges(batch.field_ends(asm.vertex_values(z))[:, 0], s)
+    w_in = np.maximum(-np.einsum("eqi,ei->eq", ztr, batch.normal), 0.0)
+    gq = asm._boundary_data(mesh, g_nodal, s)
+    gn = np.einsum("eqi,ei->eq", gq, batch.normal)
+    traces = asm.along_edges(batch.ends[:, 0], s)
+    loc = batch.h[:, None] * np.einsum("q,eq,eqi,eaqi->ea", w, w_in - 0.5 * gn, gq, traces)
+    np.add.at(vec, batch.dofs.ravel(), loc.ravel())
+    return vec
+
+
+def enriched_sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: asm.FormParams) -> np.ndarray:
+    """assembly.sipg_boundary_load from the boundary traces and Jacobians of the 7-dof enriched basis."""
+    vec = np.zeros(layout_for(mesh).n_velocity)
+    if not np.any(g_nodal):
+        return vec
+    space = EnrichedTables(mesh)
+    batch = EdgeBatch(mesh, space, mesh.boundary_edge_ids)
+    srule = edge_rule(asm.EDGE_DEGREE)
+    s, w = srule.points, srule.weights
+    gq = asm._boundary_data(mesh, g_nodal, s)
+    pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, asm.along_edges(batch.ends[:, 0], s))
+    gradn = np.einsum("eaij,ej->eai", space.jac[batch.tris[:, 0]], batch.normal)
+    g_int = batch.h[:, None] * np.einsum("q,eqi->ei", w, gq)
+    cons = np.einsum("eai,ei->ea", gradn, g_int)
+    np.add.at(vec, batch.dofs.ravel(), (pen - cons).ravel())
+    return vec
+
+
+def enriched_edge_error_terms(mesh: MeshTopology, u_vertex: np.ndarray, ex, penalty: float) -> float:
+    """analysis._edge_error_terms from the enriched edge batches' field traces."""
+    rule = edge_rule(EDGE_ERROR_DEGREE)
+    s, w = rule.points, rule.weights
+    total = 0.0
+    for batch in edge_batches(mesh, EnrichedTables(mesh)):
+        traces = asm.along_edges(batch.field_ends(u_vertex), s)  # (nE, sides, nq, 2)
+        if batch.interior:
+            jump = traces[:, 0] - traces[:, 1]  # exact field is continuous, its jump cancels
+        else:
+            jump = ex.u(asm.along_edges(mesh.vertices[mesh.edge_vertices[batch.eids]], s)) - traces[:, 0]
+        total += float(np.einsum("q,eqi,eqi->", w, jump, jump))
+    return penalty * total
 
 
 def assemble_mass(mesh: MeshTopology) -> sp.csr_matrix:

@@ -4,7 +4,7 @@ Oracles used here:
   * the classical 5-point P1 stiffness stencil on the structured mesh,
     valid for the continuous nodal sub-basis where all jump terms vanish;
   * pointwise trace evaluation through oracles.jump_average, a separate
-    code path from the vectorized edge batches;
+    code path from the batched scalar P1 edge traces;
   * the whole convection form integrated point by point through
     EGFunction.value / BDMFunction.value on a perturbed mesh;
   * the reconstruction operator: b(v, q) must equal (div Rv, q) exactly;
@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import egflow.assembly as asm
+from egflow.analysis import _edge_error_terms, example1_solution
 from egflow.assembly import FormParams
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
@@ -29,7 +30,10 @@ from oracles import (
     bdm_divergence_matrix,
     bubble_dof,
     edge_points,
+    enriched_convective_boundary_load,
     enriched_divergence,
+    enriched_edge_error_terms,
+    enriched_sipg_boundary_load,
     enriched_viscous,
     jump_average,
     local_p1_embedding,
@@ -159,6 +163,18 @@ def test_p1_operators_match_the_enriched_basis_assembly(make_mesh):
     for got, want in ((asm.assemble_viscous(mesh, PARAMS), enriched_viscous(mesh, PARAMS)),
                       (asm.assemble_divergence(mesh), enriched_divergence(mesh))):
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
+    # the boundary loads, E^T of scalar loads on the boundary-edge hats, are
+    # the loads of the enriched basis traces, for the cavity lid and random data
+    z = random_eg(mesh, 31)
+    lid = asm.dirichlet_data(mesh, asm.lid_values(mesh))[2]
+    for g in (lid, np.random.default_rng(32).standard_normal((mesh.num_vertices, 2))):
+        for got, want in ((asm.sipg_boundary_load(mesh, g, PARAMS), enriched_sipg_boundary_load(mesh, g, PARAMS)),
+                          (asm.convective_boundary_load(mesh, z, g, PARAMS),
+                           enriched_convective_boundary_load(mesh, z, g, PARAMS))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # and the jump terms of the error norms read the same traces
+    u_vertex, ex = asm.vertex_values(random_eg(mesh, 33)), example1_solution()
+    assert _edge_error_terms(mesh, u_vertex, ex, 10.0) == enriched_edge_error_terms(mesh, u_vertex, ex, 10.0)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -525,8 +541,9 @@ def test_convective_boundary_load_constant_data():
     assert np.abs(asm.convective_boundary_load(mesh, z, g, PARAMS_PR)).max() == 0.0
 
 
-def test_convective_boundary_load_matches_edgewise_quadrature():
-    mesh = build_unit_square_mesh(2)
+@pytest.mark.parametrize("make_mesh", [lambda: build_unit_square_mesh(2), lambda: perturbed_mesh(4, seed=6)])
+def test_convective_boundary_load_matches_edgewise_quadrature(make_mesh):
+    mesh = make_mesh()
     rng = np.random.default_rng(41)
     z = random_eg(mesh, 14)
     g = rng.standard_normal((mesh.num_vertices, 2))
@@ -551,6 +568,28 @@ def test_convective_boundary_load_matches_edgewise_quadrature():
             w @ ((w_in - 0.5 * (gq @ n)) * np.einsum("qi,qi->q", gq, vq))
         )
     assert float(F @ v.to_vector()) == pytest.approx(expect, rel=1e-12)
+
+
+def test_sipg_boundary_load_matches_edgewise_quadrature():
+    # rho/h <g, v> - <(grad v) n, g> over the boundary edges, paired with a
+    # discontinuous test field through EGFunction.value / jacobian one edge
+    # at a time, with g the P1 interpolant of random nodal data
+    mesh = perturbed_mesh(6, seed=21)
+    g = np.random.default_rng(22).standard_normal((mesh.num_vertices, 2))
+    v = random_eg(mesh, 23)
+    F = asm.sipg_boundary_load(mesh, g, PARAMS)
+    rule = edge_rule(asm.EDGE_DEGREE)
+    s, w = rule.points, rule.weights
+    pen = cons = 0.0
+    for e in mesh.boundary_edge_ids:
+        a, b = mesh.edge_vertices[e]
+        t, h, n = int(mesh.edge_tplus[e]), mesh.edge_length[e], mesh.edge_normal[e]
+        gq = np.outer(1.0 - s, g[a]) + np.outer(s, g[b])
+        vq = v.value(t, edge_points(mesh, e, s))
+        pen += PARAMS.penalty * float(w @ np.einsum("qi,qi->q", gq, vq))  # h^-1 cancels the edge length
+        cons -= h * float(w @ (gq @ (v.jacobian(t) @ n)))
+    assert min(abs(pen), abs(cons)) > 1e-3 * (abs(pen) + abs(cons))
+    assert float(F @ v.to_vector()) == pytest.approx(pen + cons, rel=1e-12)
 
 
 # -- boundary data and the saddle system ----------------------------------
@@ -813,36 +852,52 @@ def test_first_viscous_assembly_stays_small_in_memory():
     assert peak <= 8e6
 
 
+def test_first_boundary_load_stays_small_in_memory():
+    # the weak Dirichlet terms are E^T of a scalar load on the boundary-edge
+    # hats; enriched basis traces of the edges would be built and kept on the mesh
+    mesh = build_unit_square_mesh(64)
+    disc = asm.discretization(mesh)
+    disc.embedding(), disc.scalar_p1()
+    g = asm.dirichlet_data(mesh, asm.lid_values(mesh))[2]
+    tracemalloc.start()
+    try:
+        asm.sipg_boundary_load(mesh, g, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
 def test_repeated_convection_builds_mesh_data_once(monkeypatch):
-    builds = {"R": 0, "tables": 0, "patterns": 0}
-    real_R, real_tables, real_pattern = asm.reconstruction_matrix, asm._SpaceTables, asm._Pattern
+    builds = {"R": 0, "E": 0, "patterns": 0}
+    real_R, real_E, real_pattern = asm.reconstruction_matrix, asm._embedding_matrix, asm._Pattern
 
     def counted_R(mesh):
         builds["R"] += 1
         return real_R(mesh)
 
-    def counted_tables(mesh):
-        builds["tables"] += 1
-        return real_tables(mesh)
+    def counted_E(mesh):
+        builds["E"] += 1
+        return real_E(mesh)
 
     def counted_pattern(n, dofmaps):
         builds["patterns"] += 1
         return real_pattern(n, dofmaps)
 
     monkeypatch.setattr(asm, "reconstruction_matrix", counted_R)
-    monkeypatch.setattr(asm, "_SpaceTables", counted_tables)
+    monkeypatch.setattr(asm, "_embedding_matrix", counted_E)
     monkeypatch.setattr(asm, "_Pattern", counted_pattern)
     mesh = build_unit_square_mesh(3)
     first = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
     for seed in (82, 83):
         asm.assemble_convection(mesh, random_eg(mesh, seed), PARAMS_PR)
-    # robust mode assembles on the scalar basis: its pattern, no enriched tables
-    assert builds == {"R": 1, "tables": 0, "patterns": 1}
+    # robust mode assembles on the scalar basis: its pattern, no E
+    assert builds == {"R": 1, "E": 0, "patterns": 1}
     asm.assemble_convection(mesh, random_eg(mesh, 84), PARAMS)
     asm.assemble_convection(mesh, random_eg(mesh, 85), PARAMS)
-    # standard mode reads the velocity through E, built from the enriched
-    # tables, and shares the scalar pattern
-    assert builds == {"R": 1, "tables": 1, "patterns": 1}
+    # standard mode reads the velocity through E, built once, and shares the
+    # scalar pattern
+    assert builds == {"R": 1, "E": 1, "patterns": 1}
     again = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
     assert abs(again - first).max() == 0.0
 
