@@ -235,6 +235,9 @@ class Discretization:
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
     meets only a few patterns (Stokes, Oseen), each factored many times.
+    `saddle_factor` holds the last LU a solve on this mesh used, with the key
+    of its saddle blocks (viscosity, penalty, Dirichlet dofs); the next
+    solve with that key starts from it (see solver.solve_navier_stokes).
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -243,6 +246,7 @@ class Discretization:
         self._mesh = weakref.ref(mesh)
         self._built: dict = {}
         self.saddle_orders: dict = {}
+        self.saddle_factor: tuple | None = None
 
     @property
     def mesh(self) -> MeshTopology:
@@ -324,11 +328,6 @@ def _finalize(mat: sp.csr_matrix) -> sp.csr_matrix:
     mat.eliminate_zeros()
     mat.sort_indices()
     return mat
-
-
-def _boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(nE_boundary, nq, 2) P1 interpolant of nodal boundary data at edge parameters s."""
-    return along_edges(g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
 
 
 # -- viscous and divergence forms ----------------------------------------
@@ -525,16 +524,17 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
 def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndarray:
     """Continuity right-hand side -<g.n, q> from the boundary jump data.
 
-    Zero whenever the prescribed velocity is tangential (g.n = 0), as in the
+    g enters as the P1 interpolant of the nodal values along each edge, so
+    -<g.n, 1>_e = -h/2 (g_a + g_b).n from the edge's endpoint values.  Zero
+    whenever the prescribed velocity is tangential (g.n = 0), as in the
     driven-cavity setup.
     """
     vec = np.zeros(mesh.num_triangles)
     if not np.any(g_nodal):
         return vec
     eids = mesh.boundary_edge_ids
-    srule = edge_rule(EDGE_DEGREE)
-    gq = _boundary_data(mesh, g_nodal, srule.points)
-    gn = mesh.edge_length[eids] * np.einsum("q,eqi,ei->e", srule.weights, gq, mesh.edge_normal[eids])
+    g_ends = g_nodal[mesh.edge_vertices[eids]]
+    gn = 0.5 * mesh.edge_length[eids] * np.einsum("eji,ei->e", g_ends, mesh.edge_normal[eids])
     np.add.at(vec, mesh.edge_tplus[eids], -gn)
     return vec
 

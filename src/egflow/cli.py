@@ -167,16 +167,9 @@ def write_field_dump(u_h: EGFunction, p_h: PressureFunction, grid: SampleGrid, p
     Rows run x fastest, y slowest.  Returns the fallback-point count, which
     is also recorded in the header.
     """
-    pts = grid.points
-    vals = sample_velocity(u_h, grid)
-    press = p_h.values[grid.triangles]
-    lines = [f"# nx={grid.nx} ny={grid.ny} fallback_points={grid.fallback}", "# x y u1 u2 p"]
-    for q in range(len(pts)):
-        lines.append(
-            f"{pts[q, 0]:.12e} {pts[q, 1]:.12e} "
-            f"{vals[q, 0]:.12e} {vals[q, 1]:.12e} {press[q]:.12e}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([grid.points, sample_velocity(u_h, grid), p_h.values[grid.triangles]])
+    header = f"# nx={grid.nx} ny={grid.ny} fallback_points={grid.fallback}\n# x y u1 u2 p\n"
+    Path(path).write_text(header + ("%.12e %.12e %.12e %.12e %.12e\n" * len(rows)) % tuple(rows.ravel().tolist()))
     return grid.fallback
 
 

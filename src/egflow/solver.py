@@ -5,10 +5,15 @@ reassembles the convection block, and solves one linear system per step on
 the free unknowns (see assembly.SaddleSystem: Dirichlet dofs lifted out, one
 pressure pinned, the zero pressure mean restored afterwards).  The first
 system of a solve is factored by sparse LU; later steps reuse that factor as
-the preconditioner of GMRES, started from the previous iterate, and refactor
-only when GMRES misses its tolerance within a fixed budget, which at small
-viscosity happens once the frozen transport has moved far from the factored
-one.  Each LU is taken of the symmetrically scaled matrix in a
+the left preconditioner of GMRES (_krylov, which spends one LU solve per
+iteration and per restart cycle, none on a step that starts at the
+solution), started from the previous iterate, and refactor only when GMRES
+misses its tolerance within a fixed budget, which at small viscosity happens
+once the frozen transport has moved far from the factored one.  The last
+factor of a solve stays on the mesh's Discretization, so that the next solve
+with the same viscosity, penalty and Dirichlet dofs, such as the cavity's
+watertight re-solve, preconditions its first system with it instead of
+factoring.  Each LU is taken of the symmetrically scaled matrix in a
 nested-dissection order of the mesh, with every cell's pressure right after
 its bubble, so that threshold partial pivoting keeps the pivots on the
 diagonal and the factor keeps the fill of the dissection.  Convergence is
@@ -28,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from . import assembly as asm
 from .assembly import FormParams, SaddleSystem
@@ -102,30 +108,69 @@ def _relative_residual(system: SaddleSystem, x: np.ndarray) -> float:
     return float(res / b if b > 0 else res)
 
 
-def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int]:
-    """GMRES from x0 preconditioned by system.preconditioner: (x, converged, iterations)."""
-    iterations = 0
+def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, int]:
+    """GMRES from x0, left-preconditioned by system.preconditioner: (x, converged, iterations, cycles).
 
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    M = spla.LinearOperator(system.matrix.shape, matvec=system.preconditioner.solve)
-    # "legacy" makes maxiter count inner iterations, so restarts that the
-    # true-residual check asks for stay inside the budget
-    x, info = spla.gmres(
-        system.matrix,
-        system.rhs,
-        x0=x0,
-        rtol=KRYLOV_RTOL,
-        atol=0.0,
-        restart=KRYLOV_BUDGET,
-        maxiter=KRYLOV_BUDGET,
-        M=M,
-        callback=count,
-        callback_type="legacy",
-    )
-    return x, info == 0, iterations
+    Each cycle minimizes |M (b - A x)| over the Krylov space of M A, with
+    M = system.preconditioner.solve applied once to the cycle's residual and
+    once per iteration, so a call costs iterations + cycles solves, none when
+    x0 already meets the tolerance.  A cycle stops once the preconditioned
+    residual is KRYLOV_RTOL times |M b|, which M ~ A^-1 lets |x0| stand for
+    on a warm start; on a cold start r = b, so the first vector gives it.
+    Converged means the true residual |b - A x| reached KRYLOV_RTOL |b|.
+    A cycle that stops short of that restarts from the new residual with a
+    tighter inner target, while the KRYLOV_BUDGET iterations of the call last.
+    """
+    A, b, precondition = system.matrix, system.rhs, system.preconditioner.solve
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    tol = KRYLOV_RTOL * np.linalg.norm(b)
+    r = b - A @ x
+    if np.linalg.norm(r) <= tol:
+        return x, True, 0, 0
+    target = KRYLOV_RTOL * np.linalg.norm(x)  # zero on a cold start, set from the first vector
+    iterations = cycles = 0
+    while iterations < KRYLOV_BUDGET:
+        cycles += 1
+        size = KRYLOV_BUDGET - iterations
+        basis = np.empty((size + 1, len(b)))
+        hess = np.zeros((size + 1, size))  # upper triangular once rotated
+        rotations = np.zeros((size, 2))
+        z = precondition(r)
+        g = np.zeros(size + 1)  # rotated |M r| e_1; |g[k]| is the preconditioned residual after k iterations
+        g[0] = np.linalg.norm(z)
+        target = target or KRYLOV_RTOL * g[0]
+        basis[0] = z / g[0]
+        for k in range(size):
+            w = precondition(A @ basis[k])
+            w_norm = np.linalg.norm(w)
+            for i in range(k + 1):  # modified Gram-Schmidt
+                hess[i, k] = basis[i] @ w
+                w -= hess[i, k] * basis[i]
+            h = np.linalg.norm(w)
+            breakdown = h <= np.finfo(float).eps * w_norm  # the space holds the exact solution
+            if not breakdown:
+                hess[k + 1, k] = h
+                basis[k + 1] = w / h
+            for i, (c, s) in enumerate(rotations[:k]):
+                hess[i : i + 2, k] = c * hess[i, k] + s * hess[i + 1, k], c * hess[i + 1, k] - s * hess[i, k]
+            rho = np.hypot(hess[k, k], hess[k + 1, k])
+            rotations[k] = hess[k, k] / rho, hess[k + 1, k] / rho
+            hess[k, k], hess[k + 1, k] = rho, 0.0
+            g[k : k + 2] = rotations[k, 0] * g[k], -rotations[k, 1] * g[k]
+            iterations += 1
+            if abs(g[k + 1]) <= target or breakdown:
+                break
+        x += solve_triangular(hess[: k + 1, : k + 1], g[: k + 1], check_finite=False) @ basis[: k + 1]
+        r = b - A @ x
+        r_norm = np.linalg.norm(r)
+        if r_norm <= tol:
+            return x, True, iterations, cycles
+        if breakdown:
+            break
+        # aim below this cycle's preconditioned residual by the share the true
+        # residual still has to fall, and by at least 4x per restart
+        target = abs(g[k + 1]) * min(0.25**cycles, tol / r_norm)
+    return x, False, iterations, cycles
 
 
 # -- direct factorization --------------------------------------------------
@@ -265,11 +310,11 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     """Solve one saddle system on its free unknowns.
 
     Without system.preconditioner, system.matrix is factored (see _factor())
-    and solved directly.  With one, GMRES preconditioned by it starts from
-    x0 (zero when omitted) and runs for at most KRYLOV_BUDGET iterations; if
-    GMRES misses its tolerance or its answer fails the residual check, the
-    preconditioner is dropped from the system and system.matrix is factored
-    and solved directly.  A factor made here is returned for later steps.
+    and solved directly.  With one, GMRES left-preconditioned by it starts
+    from x0 (zero when omitted) and runs for at most KRYLOV_BUDGET
+    iterations (see _krylov); if GMRES misses its tolerance or its answer
+    fails the residual check, the preconditioner is dropped from the system
+    and system.matrix is factored and solved directly.  A factor made here is returned for later steps.
     The relative residual over every unpinned row, the pinned cell's
     continuity row included, must come out at 1e-10 or better, otherwise the
     system is reported as singular; boundary data with a nonzero net flux
@@ -278,12 +323,14 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     """
     iterations = 0
     if system.preconditioner is not None:
-        x, converged, iterations = _krylov(system, x0)
+        x, converged, iterations, cycles = _krylov(system, x0)
         if converged:
             rel = _relative_residual(system, x)
             if rel <= RESIDUAL_TOL:
                 return LinearSolution(*system.expand(x), rel, iterations, None)
-        logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
+        logger.info(
+            "GMRES missed after %d iterations in %d cycles; refactoring the %d-row system", iterations, cycles, len(x)
+        )
         system.preconditioner = None  # release the stale factor first: holding both grows the heap
 
     lu = _factor(system)
@@ -329,19 +376,27 @@ def solve_navier_stokes(
     force is a vectorized callable x -> f(x) (zero when omitted); boundary
     maps boundary vertices to velocity values (missing vertices are fixed
     to zero).  Raises DivergedError when the update norm grows beyond
-    1000x the initial update for three consecutive iterations.
+    1000x the initial update for three consecutive iterations.  A solve
+    that returns leaves its last LU factor on the mesh's Discretization
+    (saddle_factor) for the next solve on that mesh.
     """
     layout = layout_for(mesh)
     report = SolveReport()
 
     disc = asm.discretization(mesh)
+    dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
+    # the LU the last solve on this mesh kept preconditions the first system
+    # if it was made with the same saddle blocks; the solve alone holds it
+    # from here, and a factor of other blocks is freed before anything is built
+    key = (params.viscosity, params.penalty, dofs.tobytes())  # as Discretization.saddle_blocks
+    factor = disc.saddle_factor[1] if disc.saddle_factor is not None and disc.saddle_factor[0] == key else None
+    disc.saddle_factor = None
     # build the mesh-bound operators here, on the mesh's first solve, rather
     # than inside whichever form first needs them
     disc.viscous(params)
     disc.divergence()
     if params.pressure_robust:
         disc.reconstruction()
-    dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
     if force is None:
         F = np.zeros(layout.n_velocity)
     else:
@@ -350,7 +405,6 @@ def solve_navier_stokes(
     F = F + params.viscosity * asm.sipg_boundary_load(mesh, g_nodal, params)
     cont_load = asm.divergence_boundary_load(mesh, g_nodal)
 
-    factor = None  # LU of the last factored system, preconditioner of the next
     last = None  # (velocity, pressure) of the last solve, where GMRES starts
 
     def linear_solve(convection: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +459,7 @@ def solve_navier_stokes(
                 report,
             )
 
+    disc.saddle_factor = key, factor
     velocity = EGFunction.from_vector(mesh, u)
     pressure = PressureFunction(mesh, p.copy())
     return velocity, pressure, report

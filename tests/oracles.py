@@ -6,8 +6,9 @@ batched form (energy and mass Gram matrices; the viscous and divergence
 matrices, the boundary loads and the jump terms of the error norms from
 the tables and edge traces of the 7-dof enriched basis; the elementwise
 P1 embedding, reconstructed fields evaluated point by point, edge traces
-and jumps one edge at a time, canonical interpolants), or a small utility
-only the tests need (rates, reading the convergence CSV).
+and jumps one edge at a time, canonical interpolants), SciPy's GMRES in
+place of the solver's own, or a small utility only the tests need (rates,
+reading the convergence CSV).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import egflow.assembly as asm
 from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
@@ -24,6 +26,7 @@ from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
 from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
+from egflow.solver import KRYLOV_BUDGET, KRYLOV_RTOL
 from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
 VOLUME_QUAD_DEGREE = 6
@@ -186,6 +189,11 @@ def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     return asm._finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
 
 
+def boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(nE_boundary, nq, 2) P1 interpolant of nodal boundary data at edge parameters s."""
+    return asm.along_edges(g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]], s)
+
+
 def enriched_convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: asm.FormParams) -> np.ndarray:
     """assembly.convective_boundary_load from the boundary traces of the 7-dof enriched basis."""
     vec = np.zeros(layout_for(mesh).n_velocity)
@@ -196,7 +204,7 @@ def enriched_convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray
     s, w = srule.points, srule.weights
     ztr = asm.along_edges(batch.field_ends(asm.vertex_values(z))[:, 0], s)
     w_in = np.maximum(-np.einsum("eqi,ei->eq", ztr, batch.normal), 0.0)
-    gq = asm._boundary_data(mesh, g_nodal, s)
+    gq = boundary_data(mesh, g_nodal, s)
     gn = np.einsum("eqi,ei->eq", gq, batch.normal)
     traces = asm.along_edges(batch.ends[:, 0], s)
     loc = batch.h[:, None] * np.einsum("q,eq,eqi,eaqi->ea", w, w_in - 0.5 * gn, gq, traces)
@@ -213,7 +221,7 @@ def enriched_sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params:
     batch = EdgeBatch(mesh, space, mesh.boundary_edge_ids)
     srule = edge_rule(asm.EDGE_DEGREE)
     s, w = srule.points, srule.weights
-    gq = asm._boundary_data(mesh, g_nodal, s)
+    gq = boundary_data(mesh, g_nodal, s)
     pen = params.penalty * np.einsum("q,eqi,eaqi->ea", w, gq, asm.along_edges(batch.ends[:, 0], s))
     gradn = np.einsum("eaij,ej->eai", space.jac[batch.tris[:, 0]], batch.normal)
     g_int = batch.h[:, None] * np.einsum("q,eqi->ei", w, gq)
@@ -393,3 +401,37 @@ def least_squares_rate(hs, errors) -> float:
     if len(hs) < 2:
         raise ValueError("need at least two levels for a rate")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+# -- linear solves ----------------------------------------------------------
+
+
+def scipy_krylov(system: asm.SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int]:
+    """SciPy's GMRES from x0 preconditioned by system.preconditioner: (x, converged, iterations).
+
+    The same left-preconditioned method and stopping tests as
+    solver._krylov, with SciPy's estimate of |M b| (one more preconditioner
+    solve, besides the one LinearOperator spends on probing the dtype).
+    """
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    M = spla.LinearOperator(system.matrix.shape, matvec=system.preconditioner.solve)
+    # "legacy" makes maxiter count inner iterations, so restarts that the
+    # true-residual check asks for stay inside the budget
+    x, info = spla.gmres(
+        system.matrix,
+        system.rhs,
+        x0=x0,
+        rtol=KRYLOV_RTOL,
+        atol=0.0,
+        restart=KRYLOV_BUDGET,
+        maxiter=KRYLOV_BUDGET,
+        M=M,
+        callback=count,
+        callback_type="legacy",
+    )
+    return x, info == 0, iterations

@@ -2,6 +2,8 @@
 
 import logging
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from egflow.solver import (
     solve_navier_stokes,
 )
 from egflow.spaces import DofLayout, EGFunction, layout_for
-from oracles import interpolate_velocity
+from oracles import interpolate_velocity, scipy_krylov
 from test_assembly import perturbed_mesh
 
 PARAMS = FormParams(viscosity=1.0, penalty=10.0)
@@ -275,7 +277,8 @@ def test_gmres_starts_from_the_previous_iterate(monkeypatch):
     u, p, warm = solve_navier_stokes(mesh, params, force=poly_force, boundary=g)
     original = solver.solve_linear
     monkeypatch.setattr(solver, "solve_linear", lambda system, x0=None: original(system))
-    _, _, cold = solve_navier_stokes(mesh, params, force=poly_force, boundary=g)
+    # a fresh mesh, so that the cold run does not start from the factor the warm one kept
+    _, _, cold = solve_navier_stokes(build_unit_square_mesh(8), params, force=poly_force, boundary=g)
     assert warm.converged and cold.converged
     assert warm.iterations == cold.iterations
     assert all(w <= c for w, c in zip(warm.krylov_iterations, cold.krylov_iterations))
@@ -304,6 +307,118 @@ def test_small_viscosity_refactors_when_gmres_misses(caplog):
     u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, report.iterations)
     x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("mu", [1.0, 5e-3])
+def test_own_gmres_takes_the_steps_of_scipy_gmres(monkeypatch, mu):
+    # on every Picard step, the solver's GMRES and SciPy's (tests/oracles.py)
+    # get the same system and start; they must agree on the iteration count
+    # and on the iterate
+    own = solver._krylov
+    steps = []
+
+    def both(system, x0):
+        x_ref, converged_ref, iterations_ref = scipy_krylov(system, x0)
+        x, converged, iterations, cycles = own(system, x0)
+        steps.append((iterations, iterations_ref, converged, converged_ref, x, x_ref))
+        return x, converged, iterations, cycles
+
+    monkeypatch.setattr(solver, "_krylov", both)
+    mesh = build_unit_square_mesh(8)
+    settings = NonlinearSettings(max_iters=80)
+    params = FormParams(viscosity=mu, penalty=10.0)
+    _, _, report = solve_navier_stokes(mesh, params, settings, force=poly_force, boundary=asm.lid_values(mesh))
+    assert report.converged
+    assert len(steps) == report.iterations - 1  # every step after the first, factored one
+    for iterations, iterations_ref, converged, converged_ref, x, x_ref in steps:
+        assert iterations == iterations_ref
+        assert converged == converged_ref
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_own_gmres_restarts_as_scipy_gmres_does():
+    # M scales one unknown by 1e-14, so |M r| meets its target while that
+    # component of r is still large: the true-residual check fails and a
+    # second cycle runs on the rest of the budget
+    rng = np.random.default_rng(0)
+    n = 24
+    A = np.eye(n) + 1e-3 * rng.standard_normal((n, n))
+    d = np.concatenate([np.repeat([1.0, 0.5, 0.25], 8)[: n - 1], [1e-14]])
+    system = SimpleNamespace(matrix=sp.csr_matrix(A), rhs=rng.standard_normal(n), preconditioner=SimpleNamespace(solve=lambda r: d * r))
+    x, converged, iterations, cycles = solver._krylov(system, None)
+    x_ref, converged_ref, iterations_ref = scipy_krylov(system, None)
+    assert cycles == 2
+    assert (iterations, converged) == (iterations_ref, converged_ref) == (solver.KRYLOV_BUDGET, False)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("mu", [1.0, 5e-3])
+def test_lu_solves_are_one_per_factorization_cycle_and_iteration(monkeypatch, mu):
+    calls = 0
+    solve = solver.OrderedFactor.solve
+
+    def counted(self, rhs):
+        nonlocal calls
+        calls += 1
+        return solve(self, rhs)
+
+    own = solver._krylov
+    steps = []
+
+    def krylov(system, x0):
+        before = calls
+        result = own(system, x0)
+        steps.append((result[2], result[3], calls - before))
+        return result
+
+    monkeypatch.setattr(solver.OrderedFactor, "solve", counted)
+    monkeypatch.setattr(solver, "_krylov", krylov)
+    mesh = build_unit_square_mesh(8)
+    params = FormParams(viscosity=mu, penalty=10.0)
+    # a tolerance below the reach of the linear solves: the last step starts at the fixed point
+    settings = NonlinearSettings(init="stokes", tol=1e-13, max_iters=80)
+    _, _, report = solve_navier_stokes(mesh, params, settings, boundary=asm.lid_values(mesh))
+    assert report.converged
+    assert [iterations for iterations, _, _ in steps] == report.krylov_iterations[1:]
+    for iterations, cycles, solves in steps:
+        assert solves == iterations + cycles
+        assert (iterations == 0) == (solves == 0)
+    assert calls == report.factorizations + sum(iterations + cycles for iterations, cycles, _ in steps)
+    assert steps[-1] == (0, 0, 0)
+
+
+def test_a_second_solve_on_the_mesh_starts_from_the_kept_factor():
+    params = FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True)
+    settings = NonlinearSettings(init="stokes")
+    mesh = build_unit_square_mesh(8)
+    solve_navier_stokes(mesh, params, settings, boundary=asm.lid_values(mesh))
+    u, p, report = solve_navier_stokes(mesh, params, settings, boundary=asm.lid_values(mesh, leaky_corners=False))
+    assert report.converged
+    assert report.factorizations == 0
+    fresh = build_unit_square_mesh(8)
+    u_ref, p_ref, ref = solve_navier_stokes(fresh, params, settings, boundary=asm.lid_values(fresh, leaky_corners=False))
+    assert ref.factorizations == 1
+    x, x_ref = (np.concatenate([v.to_vector(), q.values]) for v, q in ((u, p), (u_ref, p_ref)))
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_another_viscosity_frees_the_kept_factor_before_factoring(monkeypatch):
+    mesh = build_unit_square_mesh(8)
+    g = asm.lid_values(mesh)
+    solve_navier_stokes(mesh, FormParams(viscosity=1.0, penalty=10.0), boundary=g)
+    kept = weakref.ref(asm.discretization(mesh).saddle_factor[1])
+    factor = solver._factor
+    alive = []
+
+    def recorded(system):
+        alive.append(kept() is not None)
+        return factor(system)
+
+    monkeypatch.setattr(solver, "_factor", recorded)
+    _, _, report = solve_navier_stokes(mesh, FormParams(viscosity=0.5, penalty=10.0), boundary=g)
+    assert report.converged
+    assert report.factorizations == 1
+    assert alive == [False]
 
 
 def test_incompatible_boundary_data_is_rejected_with_its_net_flux():
