@@ -50,14 +50,15 @@ and kept there: E and its components E_c; the scalar P1 basis with each
 edge's endpoint-hat dofs, lengths and normals, and, on the first convection
 assembly, the fixed CSR pattern of C_s with the maps from local entries to
 it; the matrices R and its components R_c; B and, per penalty, the
-unscaled viscous A.  A and B, too, are assembled on the P1 basis and read
-through E: SIPG acts on each velocity component alone, so
-A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG matrix, and
-B = B_s E.  The SIPG and convective boundary loads are E^T of scalar loads
-on the boundary-edge hats, and the error norms read a field's edge traces
-from its vertex values at the same hats.  Per viscosity, penalty and
-Dirichlet dofs the Discretization also keeps the blocks of the saddle
-system that no step changes (_SaddleBlocks).  The solver and
+unscaled viscous A.  R, A and B are all built on the P1 basis and read
+through E: R = L^-1 S D S^T L E averages the P1 fields' own edge moments
+(reconstruction.reconstruction_matrix); SIPG acts on each velocity
+component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG
+matrix; and B = B_s E.  The SIPG and convective boundary loads are E^T of
+scalar loads on the boundary-edge hats, and the error norms read a field's
+edge traces from its vertex values at the same hats.  Per saddle_key the
+Discretization also keeps the blocks of the saddle system that no step
+changes (_SaddleBlocks).  The solver and
 analysis.error_norms share all of it.  A Picard step evaluates only the
 transport field: its vertex values P z, one batched contraction for the
 volume term, and per edge {w}.n and [w].n at the Gauss points, whose
@@ -235,9 +236,8 @@ class Discretization:
     `saddle_orders` keeps the solver's nested-dissection orders of the saddle
     matrices factored on this mesh, keyed by their sparsity pattern; a solve
     meets only a few patterns (Stokes, Oseen), each factored many times.
-    `saddle_factor` holds the last LU a solve on this mesh used, with the key
-    of its saddle blocks (viscosity, penalty, Dirichlet dofs); the next
-    solve with that key starts from it (see solver.solve_navier_stokes).
+    `saddle_factor` holds the last LU a solve on this mesh used, with its
+    saddle_key; the next solve with that key starts from it (see solver).
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -265,7 +265,7 @@ class Discretization:
         return self._memo("E", lambda: _embedding_matrix(self.mesh))
 
     def reconstruction(self) -> sp.csr_matrix:
-        return self._memo("R", lambda: reconstruction_matrix(self.mesh))
+        return self._memo("R", lambda: reconstruction_matrix(self.mesh, self.embedding()))
 
     def vertex_map(self, params: FormParams) -> sp.csr_matrix:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
@@ -288,9 +288,13 @@ class Discretization:
         return self._memo(("A", params.penalty), lambda: assemble_viscous(self.mesh, params))
 
     def saddle_blocks(self, params: FormParams, dofs: np.ndarray) -> _SaddleBlocks:
-        """The blocks of the saddle system that no Picard step changes, per viscosity, penalty and Dirichlet dofs."""
-        key = ("saddle", params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
-        return self._memo(key, lambda: _SaddleBlocks(self.mesh, params, dofs))
+        """The blocks of the saddle system that no Picard step changes, per saddle_key."""
+        return self._memo(("saddle",) + saddle_key(params, dofs), lambda: _SaddleBlocks(self.mesh, params, dofs))
+
+
+def saddle_key(params: FormParams, dofs: np.ndarray) -> tuple:
+    """What the fixed saddle blocks depend on besides the mesh: viscosity, penalty and Dirichlet dofs."""
+    return (params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
 
 
 def discretization(mesh: MeshTopology) -> Discretization:

@@ -10,8 +10,9 @@ Flag precedence is CLI over config-file over built-in defaults; the config
 file (--config) is a flat JSON object whose keys are the long flag names with
 '_' for '-': levels, n, mu, rho, mode, tol, max_iters, init, mu_list, grid
 and out (converge reads levels, cavity and probe read n).  Any other key,
-or a value of the wrong type, is a configuration error.  All outputs are
-deterministic: rerunning a configuration reproduces the files byte for byte.
+or a value of the wrong type (a float or boolean for an integer), is a
+configuration error.  All outputs are deterministic: rerunning a
+configuration reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if any(type(k) is not int for k in (*self.levels, self.max_iters, self.grid)):
+            raise ValueError("levels, n, max_iters and grid must be integers")
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive")
         if self.mu <= 0:
@@ -372,7 +375,7 @@ _EXPERIMENT_DEFAULTS = {
 _CONFIG_KEYS = ("levels", "n", "mu", "rho", "mode", "tol", "max_iters", "init", "mu_list", "grid", "out")
 # config-file values whose JSON form is not the one RunConfig takes
 _FROM_FILE = {
-    "levels": lambda raw: tuple(int(v) for v in raw),
+    "levels": tuple,
     "mu_list": lambda raw: tuple(float(v) for v in raw),
     "out": Path,
 }

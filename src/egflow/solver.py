@@ -388,7 +388,7 @@ def solve_navier_stokes(
     # the LU the last solve on this mesh kept preconditions the first system
     # if it was made with the same saddle blocks; the solve alone holds it
     # from here, and a factor of other blocks is freed before anything is built
-    key = (params.viscosity, params.penalty, dofs.tobytes())  # as Discretization.saddle_blocks
+    key = asm.saddle_key(params, dofs)
     factor = disc.saddle_factor[1] if disc.saddle_factor is not None and disc.saddle_factor[0] == key else None
     disc.saddle_factor = None
     # build the mesh-bound operators here, on the mesh's first solve, rather

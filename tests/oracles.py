@@ -4,11 +4,12 @@ None of this runs in the solver or the experiments.  Each function is a
 direct, mostly scalar construction of something the package computes in
 batched form (energy and mass Gram matrices; the viscous and divergence
 matrices, the boundary loads and the jump terms of the error norms from
-the tables and edge traces of the 7-dof enriched basis; the elementwise
-P1 embedding, reconstructed fields evaluated point by point, edge traces
-and jumps one edge at a time, canonical interpolants), SciPy's GMRES in
-place of the solver's own, or a small utility only the tests need (rates,
-reading the convergence CSV).
+the tables and edge traces of the 7-dof enriched basis; the reconstruction
+from the enriched basis's own edge moments; the BDM1 mass matrix; the
+elementwise P1 embedding, reconstructed fields evaluated point by point,
+edge traces and jumps one edge at a time, canonical interpolants),
+SciPy's GMRES in place of the solver's own, or a small utility only the
+tests need (rates, reading the convergence CSV).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
 from egflow.cli import CSV_HEADER
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
-from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
+from egflow.reconstruction import local_moment_blocks
 from egflow.solver import KRYLOV_BUDGET, KRYLOV_RTOL
 from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
@@ -305,7 +306,69 @@ def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
 
 
 def reconstruct(v: EGFunction) -> BDMFunction:
-    return BDMFunction.from_vector(v.mesh, reconstruction_matrix(v.mesh) @ v.to_vector())
+    return BDMFunction.from_vector(v.mesh, asm.discretization(v.mesh).reconstruction() @ v.to_vector())
+
+
+# int (1-s) s^j ds and int s s^j ds on [0, 1], j = 0, 1
+_EDGE_MOMENT_A = (0.5, 1.0 / 6.0)
+_EDGE_MOMENT_B = (0.5, 1.0 / 3.0)
+
+
+def edge_moment_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """Moments int_e {v}.n_e s^j ds (j = 0, 1) as rows 2e + j from the enriched basis; boundary rows zero."""
+    nv2 = 2 * mesh.num_vertices
+    ids = mesh.interior_edge_ids
+    a, b = mesh.edge_vertices[ids, 0], mesh.edge_vertices[ids, 1]
+    n = mesh.edge_normal[ids]
+    h = mesh.edge_length[ids]
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    c1 = np.sum((pb - pa) * n, axis=1)
+    rows, cols, vals = [], [], []
+    for j in range(2):
+        r = 2 * ids + j
+        for i in range(2):
+            rows += [r, r]
+            cols += [2 * a + i, 2 * b + i]
+            vals += [h * _EDGE_MOMENT_A[j] * n[:, i], h * _EDGE_MOMENT_B[j] * n[:, i]]
+        # bubble of either side contributes half its trace (x(s) - x_T).n
+        for t in (mesh.edge_tplus[ids], mesh.edge_tminus[ids]):
+            c0 = np.sum((pa - mesh.barycenters[t]) * n, axis=1)
+            # 0.5 * int (c0 + c1 s) s^j ds, scaled by h
+            m = c0 + 0.5 * c1 if j == 0 else 0.5 * c0 + c1 / 3.0
+            rows.append(r)
+            cols.append(nv2 + t)
+            vals.append(0.5 * h * m)
+    shape = (2 * mesh.num_edges, layout_for(mesh).n_velocity)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
+
+
+def enriched_reconstruction_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """R from the enriched basis's own edge moments: per-triangle L^-1 of the selected rows of edge_moment_matrix."""
+    nt = mesh.num_triangles
+    tgt = np.arange(6 * nt)
+    src = (2 * mesh.tri_to_edges[:, :, None] + np.array([0, 1])[None, None, :]).reshape(-1)
+    select = sp.coo_matrix((np.ones(6 * nt), (tgt, src)), shape=(6 * nt, 2 * mesh.num_edges)).tocsr()
+    inv = np.linalg.inv(local_moment_blocks(mesh))
+    rows = np.repeat(np.arange(6 * nt), 6)
+    cols = (6 * np.repeat(np.arange(nt), 36) + np.tile(np.arange(6), 6 * nt)).reshape(-1)
+    blockinv = sp.coo_matrix((inv.reshape(-1), (rows, cols)), shape=(6 * nt, 6 * nt)).tocsr()
+    R = (blockinv @ select @ edge_moment_matrix(mesh)).tocsr()
+    R.sum_duplicates()
+    R.eliminate_zeros()
+    return R
+
+
+def bdm_mass_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """Block-diagonal L2 mass matrix in the elementwise P1 basis (exact)."""
+    nt = mesh.num_triangles
+    scalar = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    block = np.kron(scalar, np.eye(2))  # ordering (2a + i)
+    blocks = mesh.areas[:, None, None] * block[None, :, :]
+    rows = np.repeat(np.arange(6 * nt), 6)
+    cols = (6 * np.repeat(np.arange(nt), 36) + np.tile(np.arange(6), 6 * nt)).reshape(-1)
+    return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(6 * nt, 6 * nt)).tocsr()
 
 
 def bdm_divergence_matrix(mesh: MeshTopology) -> sp.csr_matrix:

@@ -47,12 +47,12 @@ from egflow.quadrature import (
     map_to_triangle,
     triangle_rule,
 )
-from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
 from egflow.spaces import EGFunction, layout_for
 from oracles import (
     BDMFunction,
     assemble_energy_gram,
     bdm_divergence_matrix,
+    bdm_mass_matrix,
     edge_points,
     interpolate_velocity,
     jump_average,
@@ -286,7 +286,7 @@ def test_criterion_4_form_and_reconstruction_properties(capsys):
 
     # reconstruction identities on one mesh
     mesh = build_unit_square_mesh(4)
-    R = reconstruction_matrix(mesh)
+    R = asm.discretization(mesh).reconstruction()
     srule = edge_rule(7)
     s, w = srule.points, srule.weights
     for seed in range(10):
@@ -335,7 +335,7 @@ def test_criterion_4_form_and_reconstruction_properties(capsys):
     ratios = []
     for level, n in enumerate((4, 8, 16, 32)):
         mesh_n = build_unit_square_mesh(n)
-        Rn = reconstruction_matrix(mesh_n)
+        Rn = asm.discretization(mesh_n).reconstruction()
         embed = local_p1_embedding(mesh_n)
         M = bdm_mass_matrix(mesh_n)
         worst = 0.0

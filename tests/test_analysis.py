@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 
 import egflow.analysis as analysis
+import egflow.assembly as asm
 from egflow.analysis import (
     ConvergenceRow,
     ExactSolution,
@@ -26,10 +27,18 @@ from egflow.analysis import (
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
-from egflow.reconstruction import bdm_mass_matrix, local_moment_blocks, reconstruction_matrix
+from egflow.reconstruction import local_moment_blocks
 from egflow.solver import NonlinearSettings, SingularSystemError
 from egflow.spaces import EGFunction, PressureFunction, layout_for
-from oracles import BDMFunction, assemble_energy_gram, assemble_mass, edge_points, jump_average, least_squares_rate
+from oracles import (
+    BDMFunction,
+    assemble_energy_gram,
+    assemble_mass,
+    bdm_mass_matrix,
+    edge_points,
+    jump_average,
+    least_squares_rate,
+)
 from test_assembly import perturbed_mesh
 
 
@@ -316,7 +325,7 @@ def _norms_for_draws(n, seed, draws=25):
     mesh = build_unit_square_mesh(n)
     E = assemble_energy_gram(mesh, 10.0).tocsr()
     M = assemble_mass(mesh).tocsr()
-    R = reconstruction_matrix(mesh)
+    R = asm.discretization(mesh).reconstruction()
     MB = bdm_mass_matrix(mesh)
     rng = np.random.default_rng(seed)
     out = []

@@ -50,6 +50,14 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
     dashed.write_text(json.dumps({"max-iters": 1, "mu-list": [1, 0.5]}))  # flag spellings are not keys
     text_mu.write_text(json.dumps({"mu": "abc"}))
     bare_levels.write_text(json.dumps({"levels": 4}))
+    # integer settings take JSON integers only, not floats or booleans
+    non_integers = []
+    for key, value in (("n", 4.5), ("grid", 2.5), ("max_iters", 2.5), ("n", True)):
+        path = tmp_path / f"{key}_{value}.json"
+        path.write_text(json.dumps({key: value}))
+        non_integers.append(["cavity", "--config", str(path)])
+    float_levels = tmp_path / "float_levels.json"
+    float_levels.write_text(json.dumps({"levels": [4.5, 8]}))
     cases = [
         ["converge", "--levels", "4", "--mu", "-1"],
         ["converge", "--levels", "4", "--tol", "-1"],
@@ -58,6 +66,8 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         ["converge", "--levels", "4", "--config", str(dashed)],
         ["converge", "--levels", "4", "--config", str(text_mu)],
         ["converge", "--config", str(bare_levels)],
+        ["converge", "--config", str(float_levels)],
+        *non_integers,
         ["probe", "--n", "4", "--mu-list", "1,0.1"],
         ["probe", "--n", "4", "--mu-list", "1,0,1e-4"],
     ]

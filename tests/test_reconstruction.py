@@ -10,9 +10,19 @@ import pytest
 
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule
-from egflow.reconstruction import bdm_mass_matrix, reconstruction_matrix
+import egflow.assembly as asm
 from egflow.spaces import EGFunction
-from oracles import BDMFunction, bdm_divergence_matrix, edge_points, jump_average, local_p1_embedding, reconstruct
+from oracles import (
+    BDMFunction,
+    bdm_divergence_matrix,
+    bdm_mass_matrix,
+    edge_points,
+    enriched_reconstruction_matrix,
+    jump_average,
+    local_p1_embedding,
+    reconstruct,
+)
+from test_assembly import perturbed_mesh
 
 RULE = edge_rule(7)
 
@@ -110,9 +120,24 @@ def test_two_triangle_bubble_moments_against_quadrature():
     assert got == pytest.approx(want, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: build_unit_square_mesh(8), lambda: build_unit_square_mesh(64), lambda: perturbed_mesh(8, seed=5)],
+    ids=["n8", "n64", "perturbed-n8"],
+)
+def test_reconstruction_through_embedding_matches_enriched_construction(make_mesh):
+    # R = L^-1 S D S^T L E averages the P1 fields' own edge moments; the
+    # reference takes the moments of {v}.n from the enriched basis directly
+    mesh = make_mesh()
+    R = asm.discretization(mesh).reconstruction()
+    ref = enriched_reconstruction_matrix(mesh)
+    assert R.shape == ref.shape
+    assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
+
+
 def test_reconstruction_linear_in_coefficients():
     mesh = build_unit_square_mesh(2)
-    R = reconstruction_matrix(mesh)
+    R = asm.discretization(mesh).reconstruction()
     va, vb = random_eg(mesh, 5), random_eg(mesh, 6)
     combo = EGFunction(mesh, 2.0 * va.nodal - 3.0 * vb.nodal, 2.0 * va.bubble - 3.0 * vb.bubble)
     lhs = R @ combo.to_vector()
@@ -167,7 +192,7 @@ def test_distance_to_reconstruction_scales_with_h():
     for level, n in enumerate((4, 8, 16, 32)):
         mesh = build_unit_square_mesh(n)
         v = random_eg(mesh, 100 + level)
-        diff = reconstruction_matrix(mesh) @ v.to_vector() - local_p1_embedding(mesh) @ v.to_vector()
+        diff = asm.discretization(mesh).reconstruction() @ v.to_vector() - local_p1_embedding(mesh) @ v.to_vector()
         dist = np.sqrt(diff @ (bdm_mass_matrix(mesh) @ diff))
         ratios.append(dist / ((1.0 / n) * broken_h1_with_jumps(v)))
     assert ratios[-1] <= ratios[0] * 1.05
