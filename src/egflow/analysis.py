@@ -33,7 +33,6 @@ from . import assembly as asm
 from .assembly import _LAMBDA_MASS, FormParams
 from .mesh import MeshTopology, build_unit_square_mesh
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
-from .reconstruction import local_moment_blocks
 from .solver import DivergedError, NonlinearSettings, SingularSystemError, solve_navier_stokes
 from .spaces import EGFunction, PressureFunction
 
@@ -165,8 +164,9 @@ def _reconstructed_error_sq(mesh, u_h, ex):
         moments[ids, 0] = h * np.einsum("q,eq->e", w, un)
         moments[ids, 1] = h * np.einsum("q,q,eq->e", w, s, un)
     rhs = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
-    coeffs_exact = np.linalg.solve(local_moment_blocks(mesh), rhs[..., None])[..., 0].reshape(-1)
-    diff = (coeffs_exact - asm.discretization(mesh).reconstruction() @ u_h.to_vector()).reshape(-1, 3, 2)
+    disc = asm.discretization(mesh)
+    coeffs_exact = np.einsum("tij,tj->ti", disc.moment_inverse(), rhs).reshape(-1)
+    diff = (coeffs_exact - disc.reconstruction() @ u_h.to_vector()).reshape(-1, 3, 2)
     return float(np.einsum("t,kl,tki,tli->", 2.0 * mesh.areas, _LAMBDA_MASS, diff, diff))
 
 

@@ -46,25 +46,28 @@ term except the upwind indicator, which is decided at the 4 Gauss points.
 
 What is built when.  Everything that depends only on the mesh is built once
 per mesh, on first use, in the mesh's Discretization (discretization(mesh))
-and kept there: E and its components E_c; the scalar P1 basis with each
-edge's endpoint-hat dofs, lengths and normals, and, on the first convection
-assembly, the fixed CSR pattern of C_s with the maps from local entries to
-it; the matrices R and its components R_c; B and, per penalty, the
-unscaled viscous A.  R, A and B are all built on the P1 basis and read
-through E: R = L^-1 S D S^T L E averages the P1 fields' own edge moments
+and kept there: E; the scalar P1 basis with each edge's endpoint-hat dofs,
+lengths and normals, and, on the first convection assembly, the fixed CSR
+pattern of C_s with the maps from local entries to it; the matrix R with
+the block inverse L^-1 it was built with; B and, per penalty, the unscaled
+viscous A.  R, A and B are all built on the P1 basis and read through E:
+R = L^-1 S D S^T L E averages the P1 fields' own edge moments
 (reconstruction.reconstruction_matrix); SIPG acts on each velocity
 component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG
 matrix; and B = B_s E.  The SIPG and convective boundary loads are E^T of
 scalar loads on the boundary-edge hats, and the error norms read a field's
-edge traces from its vertex values at the same hats.  Per saddle_key the
-Discretization also keeps the blocks of the saddle system that no step
-changes (_SaddleBlocks).  The solver and
-analysis.error_norms share all of it.  A Picard step evaluates only the
-transport field: its vertex values P z, one batched contraction for the
-volume term, and per edge {w}.n and [w].n at the Gauss points, whose
-upwind and skew weights form the three moments; the local blocks then fill
-the fixed pattern by bincount.  The saddle system of the step restricts
-only C to the free dofs and adds it to the fixed blocks.
+edge traces from its vertex values at the same hats and the exact field's
+reconstruction through L^-1.  Per saddle_key the Discretization also keeps
+the blocks of the saddle system that no step changes (_SaddleBlocks).  The
+solver and analysis.error_norms share all of it.  A Picard step evaluates
+only the transport field: its vertex values P z, one batched contraction
+for the volume term, and per edge {w}.n and [w].n at the Gauss points,
+whose upwind and skew weights form the three moments; the local blocks
+then fill the fixed pattern of C_s by bincount.  The step's convection
+stays in that factored form (ConvectionOperator): GMRES applies it as
+P^T (C_s (P u)), and its saddle system lifts the Dirichlet data through it.
+C and the step's saddle matrix are assembled only when a factorization
+reads SaddleSystem.matrix.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.
@@ -228,8 +231,8 @@ class Discretization:
 
     One per mesh, see discretization().  Each piece is built the first time
     a form asks for it and then kept: the embedding E, the scalar P1 basis
-    with its edge dofs and the pattern of convection, the reconstruction R,
-    the rows P_c of each vertex map, the divergence matrix B, the unscaled
+    with its edge dofs and the pattern of convection, the reconstruction R
+    with its block inverse L^-1, the divergence matrix B, the unscaled
     viscous matrix A of each penalty and the fixed saddle blocks of each
     viscosity, penalty and Dirichlet set.  The mesh arrays are read-only,
     so none of it can go stale.
@@ -264,22 +267,19 @@ class Discretization:
         """E, the exact embedding of enriched velocities into the elementwise P1 basis (see _embedding_matrix)."""
         return self._memo("E", lambda: _embedding_matrix(self.mesh))
 
-    def reconstruction(self) -> sp.csr_matrix:
+    def _reconstruction(self) -> tuple[sp.csr_matrix, np.ndarray]:
         return self._memo("R", lambda: reconstruction_matrix(self.mesh, self.embedding()))
+
+    def reconstruction(self) -> sp.csr_matrix:
+        return self._reconstruction()[0]
+
+    def moment_inverse(self) -> np.ndarray:
+        """(nt, 6, 6) inverses of the triangles' edge-moment blocks L, kept from building R."""
+        return self._reconstruction()[1]
 
     def vertex_map(self, params: FormParams) -> sp.csr_matrix:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
         return self.reconstruction() if params.pressure_robust else self.embedding()
-
-    def embedding_components(self) -> list[sp.csr_matrix]:
-        """E_c = E[c::2], the rows of E for velocity component c."""
-        return self._memo("E_c", lambda: [self.embedding()[c::2] for c in range(2)])
-
-    def vertex_map_components(self, params: FormParams) -> list[sp.csr_matrix]:
-        """P_c = P[c::2], the rows of the vertex map P for velocity component c."""
-        if not params.pressure_robust:
-            return self.embedding_components()
-        return self._memo("R_c", lambda: [self.reconstruction()[c::2] for c in range(2)])
 
     def divergence(self) -> sp.csr_matrix:
         return self._memo("B", lambda: assemble_divergence(self.mesh))
@@ -334,6 +334,11 @@ def _finalize(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
+def _components_sandwich(M_s: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
+    """sum_c P_c^T M_s P_c with P_c = P[c::2], the rows of P for velocity component c: M_s (x) I_2 read through P."""
+    return _finalize(sum(Pc.T @ (M_s @ Pc) for Pc in (P[0::2], P[1::2])))
+
+
 # -- viscous and divergence forms ----------------------------------------
 
 
@@ -363,7 +368,7 @@ def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
         pen = params.penalty * np.einsum("x,y,jk->xjyk", sign, sign, _EDGE_HAT_MASS).reshape(2 * sides, 2 * sides)
         blocks.append((dofs.reshape(ne, -1), np.broadcast_to(pen, (ne,) + pen.shape)))
     A_s = _scatter(blocks, scalar.cells.size)
-    return _finalize(sum(Ec.T @ (A_s @ Ec) for Ec in disc.embedding_components()))
+    return _components_sandwich(A_s, disc.embedding())
 
 
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
@@ -423,16 +428,38 @@ def _edge_weights(h: np.ndarray, ends: np.ndarray, normal: np.ndarray) -> np.nda
     return h[:, None, None, None] * g
 
 
-def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> sp.csr_matrix:
-    """Picard convection matrix on the enriched space for the iterate z.
+class ConvectionOperator:
+    """The Picard convection matrix C = sum_c P_c^T C_s P_c of one step, kept as its factors.
+
+    C_s is the step's scalar DG-P1 matrix on the lam_k (see _ScalarP1) and
+    P the vertex map (Discretization.vertex_map).  `C @ u` applies C as
+    P^T (C_s (P u)), C_s acting on both velocity components at once, which
+    is all a Krylov solve needs; matrix() assembles C for a factorization.
+    """
+
+    def __init__(self, scalar: sp.csr_matrix, vertex_map: sp.csr_matrix):
+        self.scalar = scalar
+        self.vertex_map = vertex_map
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        w = (self.vertex_map @ u).reshape(-1, 2)  # row 3 t + k, column i: P's row 6 t + 2 k + i
+        return self.vertex_map.T @ (self.scalar @ w).ravel()
+
+    def matrix(self) -> sp.csr_matrix:
+        return _components_sandwich(self.scalar, self.vertex_map)
+
+
+def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> ConvectionOperator:
+    """Picard convection operator on the enriched space for the iterate z.
 
     Both the transport field and the trial/test slots act through the vertex
     map P (Discretization.vertex_map): sum_c P_c^T C_s(P z) P_c, with C_s the
-    scalar DG-P1 matrix on the lam_k (see _ScalarP1).
+    scalar DG-P1 matrix on the lam_k (see _ScalarP1).  Only C_s is built.
     """
     disc = discretization(mesh)
     scalar = disc.scalar_p1()
-    wv = (disc.vertex_map(params) @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
+    P = disc.vertex_map(params)
+    wv = (P @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
     Jw = field_jacobians(mesh, wv)
     divw = Jw[:, 0, 0] + Jw[:, 1, 1]
     # int_T lam_k (w . grad lam_l) = 2 |T| sum_m Lambda_km w_m . grad lam_l
@@ -443,8 +470,7 @@ def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -
         width = 2 * dofs.shape[1]
         # side X's hat at endpoint j against side Y's hat at endpoint k
         blocks.append(_hat_moments(g).transpose(0, 1, 3, 2, 4).reshape(len(g), width, width))
-    C_s = scalar.pattern.matrix(blocks)
-    return _finalize(sum(Pc.T @ (C_s @ Pc) for Pc in disc.vertex_map_components(params)))
+    return ConvectionOperator(scalar.pattern.matrix(blocks), P)
 
 
 # -- right-hand side -----------------------------------------------------
@@ -596,6 +622,12 @@ class SaddleSystem:
     hold otherwise.  It is kept as `pinned_row`/`pinned_rhs` so that the
     residual check still sees it.
 
+    The matrix is held in two parts: `fixed`, the blocks without convection
+    (shared by every step with the same saddle_key), and `convection`, the
+    step's ConvectionOperator on the full velocity space (None for Stokes).
+    apply() multiplies by the matrix without assembling it; `matrix` is
+    assembled on first read, which only a factorization needs.
+
     Each unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal
     dofs, num_vertices + t for the bubble and the pressure of cell t.
     `node_positions` holds the vertices, then the cell barycenters.  The
@@ -609,7 +641,7 @@ class SaddleSystem:
     the same layout; solver.solve_linear then solves by preconditioned GMRES.
     """
 
-    matrix: sp.csr_matrix
+    fixed: sp.csr_matrix
     rhs: np.ndarray
     pinned_row: sp.csr_matrix
     pinned_rhs: float
@@ -620,6 +652,7 @@ class SaddleSystem:
     dirichlet_values: np.ndarray
     nodes: np.ndarray
     node_positions: np.ndarray
+    convection: ConvectionOperator | None = None
     orders: dict = field(default_factory=dict)
     preconditioner: object | None = None  # solver.OrderedFactor
 
@@ -629,7 +662,28 @@ class SaddleSystem:
 
     @property
     def pressure(self) -> slice:
-        return slice(len(self.free_velocity), self.matrix.shape[0])
+        return slice(len(self.free_velocity), self.fixed.shape[0])
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """fixed plus the convection block on the free velocity dofs, assembled on first read."""
+        if self.convection is None:
+            return self.fixed
+        free = self.free_velocity
+        C_ff = self.convection.matrix()[free][:, free]
+        # the convection block in the top-left corner, no entries in the pressure rows
+        n = self.fixed.shape[0]
+        indptr = np.concatenate([C_ff.indptr, np.full(n - len(free), C_ff.indptr[-1])])
+        return _finalize(self.fixed + sp.csr_matrix((C_ff.data, C_ff.indices, indptr), shape=(n, n)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """matrix @ x without assembling matrix: fixed @ x plus C on the free velocity dofs."""
+        y = self.fixed @ x
+        if self.convection is not None:
+            u = np.zeros(self.layout.n_velocity)
+            u[self.free_velocity] = x[self.velocity]
+            y[self.velocity] += (self.convection @ u)[self.free_velocity]
+        return y
 
     def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full velocity and zero-mean pressure vectors from a solution x of matrix."""
@@ -678,36 +732,36 @@ class _SaddleBlocks:
 def build_saddle_system(
     mesh: MeshTopology,
     params: FormParams,
-    convection: sp.csr_matrix,
+    convection: ConvectionOperator | None,
     load: np.ndarray,
     dirichlet,
     continuity_load: np.ndarray,
 ) -> SaddleSystem:
-    """Assemble the saddle system of one Picard step on its free unknowns.
+    """The saddle system of one Picard step on its free unknowns; convection None for Stokes.
 
     dirichlet is (dofs, values) over nodal velocity dofs; their rows and
     columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
-    (one entry per cell).  Everything but the convection block comes from
-    the mesh's Discretization (_SaddleBlocks), so a step restricts only the
-    convection matrix and adds it.  The pressure of cell 0 is pinned;
-    solver.solve_linear restores the zero area-weighted mean afterwards
-    (SaddleSystem.expand).
+    (one entry per cell).  Everything but the convection comes from the
+    mesh's Discretization (_SaddleBlocks), and the convection stays an
+    operator: the data is lifted through it, and SaddleSystem.matrix adds
+    it to the fixed blocks only when read.  The pressure of cell 0 is
+    pinned; solver.solve_linear restores the zero area-weighted mean
+    afterwards (SaddleSystem.expand).
     """
     dofs, values = dirichlet
     disc = discretization(mesh)
     fixed = disc.saddle_blocks(params, dofs)
     free = fixed.free
-    C_free = convection[free]
-    C_ff = C_free[:, free]
-    # the convection block in the top-left corner, no entries in the pressure rows
-    n = fixed.matrix.shape[0]
-    indptr = np.concatenate([C_ff.indptr, np.full(n - len(free), C_ff.indptr[-1])])
-    C_pad = sp.csr_matrix((C_ff.data, C_ff.indices, indptr), shape=(n, n))
-    momentum = load[free] - (fixed.viscous_lift + C_free[:, dofs]) @ values
+    momentum = load[free] - fixed.viscous_lift @ values
+    if convection is not None and values.any():
+        data = np.zeros(len(load))
+        data[dofs] = values
+        momentum -= (convection @ data)[free]
     continuity = continuity_load - fixed.divergence_lift @ values
     return SaddleSystem(
-        matrix=_finalize(fixed.matrix + C_pad),
+        fixed=fixed.matrix,
+        convection=convection,
         rhs=np.concatenate([momentum, continuity[1:]]),
         pinned_row=fixed.pinned_row,
         pinned_rhs=float(continuity[0]),

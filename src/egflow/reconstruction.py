@@ -63,8 +63,12 @@ def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, blocks.size + 1, m)), shape=(nt * m, nt * m))
 
 
-def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse operator from flat velocity vectors to BDM coefficient vectors, given the embedding E."""
+def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Sparse operator R from flat velocity vectors to BDM coefficient vectors, given the embedding E.
+
+    Returns R and the (nt, 6, 6) block inverse L^-1 it was built with, which
+    also turns edge moments of an exact field into its reconstruction.
+    """
     nt = mesh.num_triangles
     L = local_moment_blocks(mesh)
     # S: triangle t's moment slot 2k + j reads row 2e + j of its k-th edge e
@@ -73,6 +77,7 @@ def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> sp.csr_matrix
     # D: the mean of both sides on interior edges, zero on boundary edges
     average = select @ sp.diags(np.repeat(np.where(mesh.is_boundary_edge, 0.0, 0.5), 2)) @ select.T
     # SciPy's sparse products drop exact cancellations but leave columns unsorted
-    R = _block_diagonal(np.linalg.inv(L)) @ (average @ (_block_diagonal(L) @ E))
+    L_inv = np.linalg.inv(L)
+    R = _block_diagonal(L_inv) @ (average @ (_block_diagonal(L) @ E))
     R.sort_indices()
-    return R
+    return R, L_inv

@@ -1,13 +1,16 @@
 """Linear saddle-point solves and the Picard loop for the stationary problem.
 
 The nonlinear iteration freezes the transport field at the previous iterate,
-reassembles the convection block, and solves one linear system per step on
-the free unknowns (see assembly.SaddleSystem: Dirichlet dofs lifted out, one
-pressure pinned, the zero pressure mean restored afterwards).  The first
-system of a solve is factored by sparse LU; later steps reuse that factor as
-the left preconditioner of GMRES (_krylov, which spends one LU solve per
+rebuilds the scalar convection matrix C_s (assembly.ConvectionOperator), and
+solves one linear system per step on the free unknowns (see
+assembly.SaddleSystem: Dirichlet dofs lifted out, one pressure pinned, the
+zero pressure mean restored afterwards).  The first system of a solve is
+assembled and factored by sparse LU; later steps reuse that factor as the
+left preconditioner of GMRES (_krylov, which spends one LU solve per
 iteration and per restart cycle, none on a step that starts at the
-solution), started from the previous iterate, and refactor only when GMRES
+solution), started from the previous iterate.  GMRES applies the system as
+the fixed blocks plus P^T (C_s (P u)), so such a step assembles no matrix.
+A step refactors, and only then assembles its saddle matrix, when GMRES
 misses its tolerance within a fixed budget, which at small viscosity happens
 once the frozen transport has moved far from the factored one.  The last
 factor of a solve stays on the mesh's Discretization, so that the next solve
@@ -100,33 +103,36 @@ class LinearSolution(NamedTuple):
     factor: OrderedFactor | None  # the factor made by this solve, None when it made none
 
 
-def _relative_residual(system: SaddleSystem, x: np.ndarray) -> float:
-    r = np.linalg.norm(system.matrix @ x - system.rhs)
+def _relative_residual(system: SaddleSystem, x: np.ndarray, r_norm: float) -> float:
+    """Relative residual over every unpinned row, given r_norm = |rhs - matrix @ x| of the square rows."""
     r_pinned = (system.pinned_row @ x)[0] - system.pinned_rhs
     b = np.hypot(np.linalg.norm(system.rhs), system.pinned_rhs)
-    res = np.hypot(r, r_pinned)
+    res = np.hypot(r_norm, r_pinned)
     return float(res / b if b > 0 else res)
 
 
-def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, int]:
-    """GMRES from x0, left-preconditioned by system.preconditioner: (x, converged, iterations, cycles).
+def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, int, float]:
+    """GMRES from x0, left-preconditioned by system.preconditioner: (x, converged, iterations, cycles, |b - A x|).
 
-    Each cycle minimizes |M (b - A x)| over the Krylov space of M A, with
+    A is applied as system.apply, without assembling the matrix.  Each cycle
+    minimizes |M (b - A x)| over the Krylov space of M A, with
     M = system.preconditioner.solve applied once to the cycle's residual and
     once per iteration, so a call costs iterations + cycles solves, none when
     x0 already meets the tolerance.  A cycle stops once the preconditioned
     residual is KRYLOV_RTOL times |M b|, which M ~ A^-1 lets |x0| stand for
     on a warm start; on a cold start r = b, so the first vector gives it.
-    Converged means the true residual |b - A x| reached KRYLOV_RTOL |b|.
+    Converged means the true residual |b - A x| reached KRYLOV_RTOL |b|; its
+    last value is returned for the caller's residual check.
     A cycle that stops short of that restarts from the new residual with a
     tighter inner target, while the KRYLOV_BUDGET iterations of the call last.
     """
-    A, b, precondition = system.matrix, system.rhs, system.preconditioner.solve
+    A, b, precondition = system.apply, system.rhs, system.preconditioner.solve
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)
-    r = b - A @ x
-    if np.linalg.norm(r) <= tol:
-        return x, True, 0, 0
+    r = b - A(x)
+    r_norm = np.linalg.norm(r)
+    if r_norm <= tol:
+        return x, True, 0, 0, r_norm
     target = KRYLOV_RTOL * np.linalg.norm(x)  # zero on a cold start, set from the first vector
     iterations = cycles = 0
     while iterations < KRYLOV_BUDGET:
@@ -141,7 +147,7 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
         target = target or KRYLOV_RTOL * g[0]
         basis[0] = z / g[0]
         for k in range(size):
-            w = precondition(A @ basis[k])
+            w = precondition(A(basis[k]))
             w_norm = np.linalg.norm(w)
             for i in range(k + 1):  # modified Gram-Schmidt
                 hess[i, k] = basis[i] @ w
@@ -161,16 +167,16 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
             if abs(g[k + 1]) <= target or breakdown:
                 break
         x += solve_triangular(hess[: k + 1, : k + 1], g[: k + 1], check_finite=False) @ basis[: k + 1]
-        r = b - A @ x
+        r = b - A(x)
         r_norm = np.linalg.norm(r)
         if r_norm <= tol:
-            return x, True, iterations, cycles
+            return x, True, iterations, cycles, r_norm
         if breakdown:
             break
         # aim below this cycle's preconditioned residual by the share the true
         # residual still has to fall, and by at least 4x per restart
         target = abs(g[k + 1]) * min(0.25**cycles, tol / r_norm)
-    return x, False, iterations, cycles
+    return x, False, iterations, cycles, r_norm
 
 
 # -- direct factorization --------------------------------------------------
@@ -309,12 +315,14 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
 def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSolution:
     """Solve one saddle system on its free unknowns.
 
-    Without system.preconditioner, system.matrix is factored (see _factor())
-    and solved directly.  With one, GMRES left-preconditioned by it starts
-    from x0 (zero when omitted) and runs for at most KRYLOV_BUDGET
-    iterations (see _krylov); if GMRES misses its tolerance or its answer
-    fails the residual check, the preconditioner is dropped from the system
-    and system.matrix is factored and solved directly.  A factor made here is returned for later steps.
+    Without system.preconditioner, system.matrix is assembled and factored
+    (see _factor()) and solved directly.  With one, GMRES left-preconditioned
+    by it starts from x0 (zero when omitted), applies the system without
+    assembling its matrix and runs for at most KRYLOV_BUDGET iterations (see
+    _krylov); if GMRES misses its tolerance or its answer fails the residual
+    check, the preconditioner is dropped from the system and system.matrix
+    is assembled, factored and solved directly.  A factor made here is
+    returned for later steps.
     The relative residual over every unpinned row, the pinned cell's
     continuity row included, must come out at 1e-10 or better, otherwise the
     system is reported as singular; boundary data with a nonzero net flux
@@ -323,9 +331,9 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     """
     iterations = 0
     if system.preconditioner is not None:
-        x, converged, iterations, cycles = _krylov(system, x0)
+        x, converged, iterations, cycles, r_norm = _krylov(system, x0)
         if converged:
-            rel = _relative_residual(system, x)
+            rel = _relative_residual(system, x, r_norm)
             if rel <= RESIDUAL_TOL:
                 return LinearSolution(*system.expand(x), rel, iterations, None)
         logger.info(
@@ -337,7 +345,7 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     x = lu.solve(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    rel = _relative_residual(system, x)
+    rel = _relative_residual(system, x, np.linalg.norm(system.matrix @ x - system.rhs))
     if rel > RESIDUAL_TOL:
         # B^T annihilates constants, so the continuity right-hand sides of all
         # cells sum to minus the net outward flux of the boundary data, which
@@ -407,7 +415,7 @@ def solve_navier_stokes(
 
     last = None  # (velocity, pressure) of the last solve, where GMRES starts
 
-    def linear_solve(convection: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def linear_solve(convection: asm.ConvectionOperator | None, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal factor, last
         system = asm.build_saddle_system(
             mesh,
@@ -430,7 +438,7 @@ def solve_navier_stokes(
         return solution.velocity, solution.pressure
 
     if settings.init == "stokes":
-        u0, p0 = linear_solve(sp.csr_matrix((layout.n_velocity, layout.n_velocity)), F)
+        u0, p0 = linear_solve(None, F)
         report.stokes_init = True
         x_old = np.concatenate([u0, p0])
         z = EGFunction.from_vector(mesh, u0)

@@ -8,8 +8,9 @@ the tables and edge traces of the 7-dof enriched basis; the reconstruction
 from the enriched basis's own edge moments; the BDM1 mass matrix; the
 elementwise P1 embedding, reconstructed fields evaluated point by point,
 edge traces and jumps one edge at a time, canonical interpolants),
-SciPy's GMRES in place of the solver's own, or a small utility only the
-tests need (rates, reading the convergence CSV).
+SciPy's GMRES in place of the solver's own, point location testing every
+candidate at once, or a small utility only the tests need (rates, reading
+the convergence CSV).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial import cKDTree
 
 import egflow.assembly as asm
 from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
@@ -429,6 +431,25 @@ def project_pressure(mesh: MeshTopology, q) -> PressureFunction:
     pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     vals = np.asarray(q(pts), dtype=float)
     return PressureFunction(mesh, 2.0 * np.einsum("q,tq->t", rule.weights, vals))
+
+
+def locate_points_all_candidates(mesh: MeshTopology, pts: np.ndarray):
+    """cli.locate_points with the barycentric coordinates of all k = 12 candidates of every point at once."""
+    pts = np.asarray(pts, dtype=float)
+    k = min(12, mesh.num_triangles)
+    _, cand = cKDTree(mesh.barycenters).query(pts, k=k)
+    cand = cand.reshape(len(pts), k)
+    lam = barycentric_coords(mesh, cand, pts[:, None, :])  # (npts, k, 3)
+    inside = lam.min(axis=-1) >= -1e-10
+    first = np.argmax(inside, axis=1)  # nearest containing candidate
+    found = inside[np.arange(len(pts)), first]
+    first = np.where(found, first, 0)  # nearest triangle as fallback
+    tri = cand[np.arange(len(pts)), first]
+    bary = lam[np.arange(len(pts)), first]
+    if not found.all():
+        bary = np.clip(bary, 0.0, None)
+        bary /= bary.sum(axis=-1, keepdims=True)
+    return tri, bary, int((~found).sum())
 
 
 # -- convergence tables ----------------------------------------------------

@@ -14,6 +14,7 @@ import sympy as sp
 
 import egflow.analysis as analysis
 import egflow.assembly as asm
+import egflow.reconstruction as reconstruction
 from egflow.analysis import (
     ConvergenceRow,
     ExactSolution,
@@ -280,6 +281,25 @@ def test_error_norms_match_pointwise_evaluation_on_perturbed_mesh(seed):
     row = error_norms(u_h, p_h, ex, mesh, params)
     for name, want in _pointwise_error_columns(u_h, p_h, ex, mesh, params).items():
         assert getattr(row, name) == pytest.approx(want, rel=1e-12), name
+
+
+def test_error_norms_reuse_the_block_inverse_of_the_reconstruction(monkeypatch):
+    # the exact field's reconstruction goes through the L^-1 kept from
+    # building R; a later error evaluation builds no moment blocks
+    mesh = perturbed_mesh(5, seed=4)
+    rng = np.random.default_rng(4)
+    u_h = EGFunction(mesh, 0.1 * rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
+    p_h = PressureFunction(mesh, rng.standard_normal(mesh.num_triangles))
+    params = FormParams(viscosity=0.37, penalty=7.0)
+    ex = example1_solution()
+    first = error_norms(u_h, p_h, ex, mesh, params)
+
+    def rebuilt(_):
+        raise AssertionError("moment blocks rebuilt")
+
+    for module in (reconstruction, analysis):
+        monkeypatch.setattr(module, "local_moment_blocks", rebuilt, raising=False)
+    assert error_norms(u_h, p_h, ex, mesh, params) == first
 
 
 def test_eoc_is_exactly_one_on_synthetic_halving():

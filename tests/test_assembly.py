@@ -336,9 +336,9 @@ def test_convection_is_bounded_in_the_energy_norm(robust):
 
 def test_convection_vanishes_for_zero_transport():
     mesh = build_unit_square_mesh(3)
-    C = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS)
+    C = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS).matrix()
     assert C.nnz == 0
-    Cpr = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS_PR)
+    Cpr = asm.assemble_convection(mesh, EGFunction.zero(mesh), PARAMS_PR).matrix()
     assert Cpr.nnz == 0
 
 
@@ -346,8 +346,8 @@ def test_robust_convection_on_a_mesh_without_interior_edges():
     # every edge is a boundary edge, so R and with it the robust matrix vanish
     mesh = MeshTopology(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
     z = EGFunction(mesh, np.ones((3, 2)), np.ones(1))
-    assert asm.assemble_convection(mesh, z, PARAMS_PR).nnz == 0
-    assert asm.assemble_convection(mesh, z, PARAMS).nnz > 0
+    assert asm.assemble_convection(mesh, z, PARAMS_PR).matrix().nnz == 0
+    assert asm.assemble_convection(mesh, z, PARAMS).matrix().nnz > 0
 
 
 def test_convection_volume_term_against_quadrature():
@@ -445,7 +445,7 @@ def test_convection_upwind_switches_with_flow_direction():
     mesh = build_unit_square_mesh(1)
     nodal = np.tile([1.0, 0.0], (mesh.num_vertices, 1))
     z = EGFunction(mesh, nodal, np.zeros(mesh.num_triangles))
-    C = asm.assemble_convection(mesh, z, PARAMS).toarray()
+    C = asm.assemble_convection(mesh, z, PARAMS).matrix().toarray()
     layout = layout_for(mesh)
     e = mesh.interior_edge_ids[0]
     tp, tm = mesh.edge_tplus[e], mesh.edge_tminus[e]
@@ -468,12 +468,23 @@ def test_pressure_robust_convection_is_reconstruction_sandwich():
     _, sv, vt = np.linalg.svd(R)
     kernel = vt[np.sum(sv > 1e-10 * sv[0]) :]
     assert len(kernel) > 0
-    C = asm.assemble_convection(mesh, z, PARAMS_PR).toarray()
+    C = asm.assemble_convection(mesh, z, PARAMS_PR).matrix().toarray()
     scale = np.abs(C).max()
     assert np.abs(C @ kernel.T).max() <= 1e-12 * scale
     assert np.abs(kernel @ C).max() <= 1e-12 * scale
     shifted = EGFunction.from_vector(mesh, z.to_vector() + kernel[0])
-    assert abs(asm.assemble_convection(mesh, shifted, PARAMS_PR).toarray() - C).max() <= 1e-12 * scale
+    assert abs(asm.assemble_convection(mesh, shifted, PARAMS_PR).matrix().toarray() - C).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_convection_operator_applies_its_assembled_matrix(robust):
+    # C @ u runs P^T (C_s (P u)) without assembling C; matrix() is the CSR a factorization reads
+    mesh = perturbed_mesh(6, seed=12)
+    C = asm.assemble_convection(mesh, random_eg(mesh, 17), PARAMS_PR if robust else PARAMS)
+    M = C.matrix()
+    for seed in (18, 19):
+        u = random_eg(mesh, seed).to_vector()
+        assert np.abs(C @ u - M @ u).max() <= 1e-14 * (abs(M) @ np.abs(u)).max()
 
 
 # -- right-hand sides -----------------------------------------------------
@@ -689,7 +700,7 @@ def test_condensation_equals_manual_reduction():
     A = asm.assemble_viscous(mesh, PARAMS).toarray()
     B = asm.assemble_divergence(mesh).toarray()
     nv, npr = layout.n_velocity, layout.n_pressure
-    full = np.block([[A + C.toarray(), -B.T], [B, np.zeros((npr, npr))]])
+    full = np.block([[A + C.matrix().toarray(), -B.T], [B, np.zeros((npr, npr))]])
     b = np.concatenate([F, cont])
     x_full = np.zeros(nv + npr)
     x_full[dofs] = values
@@ -711,6 +722,31 @@ def test_condensation_equals_manual_reduction():
     assert np.allclose(np.concatenate([u, p]), x_full, atol=1e-10)
     # the lid data carries no net flux, so the pinned row holds as well
     assert abs(M[-1] @ x_full[unknowns] - r[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_saddle_system_applies_and_lifts_through_the_convection_operator(robust):
+    # the step's saddle system keeps C as an operator: its apply is the
+    # assembled matrix's product, and the data lift is C's Dirichlet columns
+    mesh = perturbed_mesh(6, seed=14)
+    params = PARAMS_PR if robust else PARAMS
+    dofs, values, nodal = asm.dirichlet_data(mesh, asm.lid_values(mesh))
+    C = asm.assemble_convection(mesh, random_eg(mesh, 15), params)
+    F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), params)
+    cont = asm.divergence_boundary_load(mesh, nodal)
+    sysm = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values), continuity_load=cont)
+    stokes = asm.build_saddle_system(mesh, params, None, F, dirichlet=(dofs, values), continuity_load=cont)
+    free = sysm.free_velocity
+    lift = stokes.rhs[sysm.velocity] - sysm.rhs[sysm.velocity]
+    want = C.matrix()[free][:, dofs] @ values
+    assert np.abs(want).max() > 0.0
+    assert np.abs(lift - want).max() <= 1e-14 * np.abs(F).max()
+    assert np.array_equal(sysm.rhs[sysm.pressure], stokes.rhs[sysm.pressure])
+    x = np.random.default_rng(16).standard_normal(sysm.fixed.shape[0])
+    got = sysm.apply(x)
+    assert "matrix" not in vars(sysm)  # apply assembled nothing
+    assert np.abs(got - sysm.matrix @ x).max() <= 1e-14 * (abs(sysm.matrix) @ np.abs(x)).max()
+    assert np.array_equal(stokes.apply(x), stokes.matrix @ x)
 
 
 def test_saddle_fixed_blocks_are_built_once_per_key(monkeypatch):
@@ -814,7 +850,9 @@ def test_cached_operators_belong_to_their_mesh():
     assert disc_b is not disc_m and asm.discretization(base) is disc_b
     for get in (lambda d: d.reconstruction(), lambda d: d.divergence(), lambda d: d.viscous(PARAMS)):
         assert abs(get(disc_b) - get(disc_m)).max() > 1e-3
-    assert abs(disc_m.reconstruction() - reconstruction_matrix(moved, asm._embedding_matrix(moved))).max() == 0.0
+    R, L_inv = reconstruction_matrix(moved, asm._embedding_matrix(moved))
+    assert abs(disc_m.reconstruction() - R).max() == 0.0
+    assert np.array_equal(disc_m.moment_inverse(), L_inv)
     assert abs(disc_m.viscous(PARAMS) - asm.assemble_viscous(moved, PARAMS)).max() == 0.0
     # a different penalty is a different matrix, not the cached one
     assert abs(disc_m.viscous(FormParams(penalty=20.0)) - disc_m.viscous(PARAMS)).max() > 1.0
@@ -822,7 +860,7 @@ def test_cached_operators_belong_to_their_mesh():
 
 @pytest.mark.parametrize("robust", [False, True])
 def test_first_convection_stays_small_in_memory(robust):
-    # both modes return P_c^T C_s P_c summed over the two components, with
+    # both modes assemble P_c^T C_s P_c summed over the two components, with
     # C_s one scalar matrix of 3 dofs per cell; a vector operator on the
     # 6-dof reconstructed or 7-dof enriched basis would carry its structural
     # zeros through the pattern build and every step
@@ -831,7 +869,7 @@ def test_first_convection_stays_small_in_memory(robust):
     z = random_eg(mesh, 91)
     tracemalloc.start()
     try:
-        asm.assemble_convection(mesh, z, PARAMS_PR if robust else PARAMS)
+        asm.assemble_convection(mesh, z, PARAMS_PR if robust else PARAMS).matrix()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -900,7 +938,7 @@ def test_repeated_convection_builds_mesh_data_once(monkeypatch):
     # scalar pattern
     assert builds == {"R": 1, "E": 1, "patterns": 1}
     again = asm.assemble_convection(mesh, random_eg(mesh, 81), PARAMS_PR)
-    assert abs(again - first).max() == 0.0
+    assert abs(again.matrix() - first.matrix()).max() == 0.0
 
 
 def test_assembly_is_deterministic():
@@ -909,7 +947,7 @@ def test_assembly_is_deterministic():
 
     def build():
         A = asm.assemble_viscous(mesh, PARAMS)
-        C = asm.assemble_convection(mesh, z, PARAMS_PR)
+        C = asm.assemble_convection(mesh, z, PARAMS_PR).matrix()
         return A, C
 
     (A1, C1), (A2, C2) = build(), build()

@@ -26,7 +26,7 @@ from egflow.cli import (
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
 from egflow.spaces import EGFunction, PressureFunction, barycentric_coords
-from oracles import read_convergence_csv
+from oracles import locate_points_all_candidates, read_convergence_csv
 from test_assembly import perturbed_mesh
 
 
@@ -152,6 +152,25 @@ def test_locate_points_agrees_with_barycentric_search():
         lam = barycentric_coords(mesh, int(tri[q]), pts[q])
         assert lam.min() >= -1e-10  # really contains the point
         assert np.allclose(lam, bary[q], atol=1e-12)
+
+
+def test_locate_points_matches_the_all_candidates_search():
+    # one candidate column at a time, only for the points still unplaced:
+    # the same triangles and bit-identical coordinates as testing all 12 at once
+    grid = sample_grid(build_unit_square_mesh(32), 101, 101).points
+    rng = np.random.default_rng(23)
+    cases = [
+        (build_unit_square_mesh(32), grid),
+        (perturbed_mesh(16, seed=4), np.concatenate([grid, rng.random((500, 2))])),
+        (perturbed_mesh(8, seed=6), rng.uniform(-0.1, 1.1, (400, 2))),  # some outside: fallbacks
+    ]
+    for mesh, pts in cases:
+        tri, bary, fallback = locate_points(mesh, pts)
+        tri_ref, bary_ref, fallback_ref = locate_points_all_candidates(mesh, pts)
+        assert np.array_equal(tri, tri_ref)
+        assert np.array_equal(bary, bary_ref)
+        assert fallback == fallback_ref
+    assert fallback > 0
 
 
 def test_broadcast_barycentric_coords_match_scalar_calls():

@@ -23,7 +23,7 @@ from egflow.solver import (
     solve_linear,
     solve_navier_stokes,
 )
-from egflow.spaces import DofLayout, EGFunction, layout_for
+from egflow.spaces import DofLayout, EGFunction
 from oracles import interpolate_velocity, scipy_krylov
 from test_assembly import perturbed_mesh
 
@@ -37,7 +37,7 @@ def toy_system(matrix, rhs):
     n = matrix.shape[0]
     nt = (n + 1) // 2
     return asm.SaddleSystem(
-        matrix=sp.csr_matrix(matrix),
+        fixed=sp.csr_matrix(matrix),
         rhs=np.asarray(rhs, dtype=float),
         pinned_row=sp.csr_matrix((1, n)),
         pinned_rhs=0.0,
@@ -67,7 +67,7 @@ def multiplier_picard(mesh, params, force, boundary, steps):
     z = EGFunction.zero(mesh)
     for _ in range(steps):
         M = np.zeros((nv + nt + 1, nv + nt + 1))
-        M[:nv, :nv] = params.viscosity * A + asm.assemble_convection(mesh, z, params).toarray()
+        M[:nv, :nv] = params.viscosity * A + asm.assemble_convection(mesh, z, params).matrix().toarray()
         M[:nv, nv:-1] = -B.T
         M[nv:-1, :nv] = B
         M[nv:-1, -1] = M[-1, nv:-1] = mesh.areas
@@ -131,12 +131,8 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
     # fills less; from n = 32 on the dissection order wins there as well
     n = 32 if robust and oseen else 16
     mesh = perturbed_mesh(n, seed=5)
-    layout = layout_for(mesh)
     params = FormParams(viscosity=1e-3 if oseen else 1.0, penalty=10.0, pressure_robust=robust)
-    if oseen:
-        C = asm.assemble_convection(mesh, rotating_flow(mesh), params)
-    else:
-        C = sp.csr_matrix((layout.n_velocity, layout.n_velocity))
+    C = asm.assemble_convection(mesh, rotating_flow(mesh), params) if oseen else None
     F = asm.assemble_load(mesh, poly_force, params)
     dofs, values, _ = asm.dirichlet_data(mesh, asm.lid_values(mesh))
     system = asm.build_saddle_system(
@@ -150,12 +146,10 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
 
 def test_stokes_solve_residual_and_mean_constraint():
     mesh = build_unit_square_mesh(2)
-    layout = layout_for(mesh)
-    C = sp.csr_matrix((layout.n_velocity, layout.n_velocity))
     F = asm.assemble_load(mesh, poly_force, PARAMS)
     dofs, values, _ = asm.dirichlet_data(mesh, None)
     system = asm.build_saddle_system(
-        mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
+        mesh, PARAMS, None, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
     )
     solution = solve_linear(system)
     assert solution.residual <= 1e-10
@@ -309,6 +303,32 @@ def test_small_viscosity_refactors_when_gmres_misses(caplog):
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("mu, init", [(1.0, "stokes"), (5e-3, "zero")])
+def test_oseen_matrices_are_assembled_only_to_be_factored(monkeypatch, mu, init):
+    # GMRES applies each step's convection without assembling it; only a
+    # factorization reads the matrix.  At mu = 1 the Stokes factor carries
+    # every Oseen step; at mu = 5e-3 from z = 0 each factored system is an
+    # Oseen one
+    assembled = 0
+    matrix = asm.ConvectionOperator.matrix
+
+    def counted(self):
+        nonlocal assembled
+        assembled += 1
+        return matrix(self)
+
+    monkeypatch.setattr(asm.ConvectionOperator, "matrix", counted)
+    mesh = build_unit_square_mesh(8)
+    params = FormParams(viscosity=mu, penalty=10.0, pressure_robust=True)
+    settings = NonlinearSettings(init=init, max_iters=80)
+    _, _, report = solve_navier_stokes(mesh, params, settings, boundary=asm.lid_values(mesh))
+    assert report.converged
+    if mu == 1.0:
+        assert (assembled, report.factorizations) == (0, 1)
+    else:
+        assert assembled == report.factorizations > 1
+
+
 @pytest.mark.parametrize("mu", [1.0, 5e-3])
 def test_own_gmres_takes_the_steps_of_scipy_gmres(monkeypatch, mu):
     # on every Picard step, the solver's GMRES and SciPy's (tests/oracles.py)
@@ -319,9 +339,9 @@ def test_own_gmres_takes_the_steps_of_scipy_gmres(monkeypatch, mu):
 
     def both(system, x0):
         x_ref, converged_ref, iterations_ref = scipy_krylov(system, x0)
-        x, converged, iterations, cycles = own(system, x0)
+        x, converged, iterations, cycles, r_norm = own(system, x0)
         steps.append((iterations, iterations_ref, converged, converged_ref, x, x_ref))
-        return x, converged, iterations, cycles
+        return x, converged, iterations, cycles, r_norm
 
     monkeypatch.setattr(solver, "_krylov", both)
     mesh = build_unit_square_mesh(8)
@@ -344,8 +364,11 @@ def test_own_gmres_restarts_as_scipy_gmres_does():
     n = 24
     A = np.eye(n) + 1e-3 * rng.standard_normal((n, n))
     d = np.concatenate([np.repeat([1.0, 0.5, 0.25], 8)[: n - 1], [1e-14]])
-    system = SimpleNamespace(matrix=sp.csr_matrix(A), rhs=rng.standard_normal(n), preconditioner=SimpleNamespace(solve=lambda r: d * r))
-    x, converged, iterations, cycles = solver._krylov(system, None)
+    A = sp.csr_matrix(A)
+    preconditioner = SimpleNamespace(solve=lambda r: d * r)
+    system = SimpleNamespace(matrix=A, apply=A.__matmul__, rhs=rng.standard_normal(n), preconditioner=preconditioner)
+    x, converged, iterations, cycles, r_norm = solver._krylov(system, None)
+    assert r_norm == np.linalg.norm(system.rhs - A @ x)
     x_ref, converged_ref, iterations_ref = scipy_krylov(system, None)
     assert cycles == 2
     assert (iterations, converged) == (iterations_ref, converged_ref) == (solver.KRYLOV_BUDGET, False)
