@@ -163,14 +163,18 @@ def test_locate_points_matches_the_all_candidates_search():
         (build_unit_square_mesh(32), grid),
         (perturbed_mesh(16, seed=4), np.concatenate([grid, rng.random((500, 2))])),
         (perturbed_mesh(8, seed=6), rng.uniform(-0.1, 1.1, (400, 2))),  # some outside: fallbacks
+        # one triangle: the KD-tree returns a single candidate column
+        (MeshTopology(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])), rng.random((20, 2))),
     ]
+    fallbacks = []
     for mesh, pts in cases:
         tri, bary, fallback = locate_points(mesh, pts)
         tri_ref, bary_ref, fallback_ref = locate_points_all_candidates(mesh, pts)
         assert np.array_equal(tri, tri_ref)
         assert np.array_equal(bary, bary_ref)
         assert fallback == fallback_ref
-    assert fallback > 0
+        fallbacks.append(fallback)
+    assert fallbacks[0] == 0 and min(fallbacks[2:]) > 0
 
 
 def test_broadcast_barycentric_coords_match_scalar_calls():
