@@ -236,9 +236,10 @@ class Discretization:
     viscous matrix A of each penalty and the fixed saddle blocks of each
     viscosity, penalty and Dirichlet set.  The mesh arrays are read-only,
     so none of it can go stale.
-    `saddle_orders` keeps the solver's nested-dissection orders of the saddle
-    matrices factored on this mesh, keyed by their sparsity pattern; a solve
-    meets only a few patterns (Stokes, Oseen), each factored many times.
+    `saddle_orders` keeps the solver's orders of the saddle matrices factored
+    on this mesh, minimum-degree orders of their node graphs keyed by their
+    sparsity pattern; a solve meets only a few patterns (Stokes, Oseen),
+    each factored many times.
     `saddle_factor` holds the last LU a solve on this mesh used, with its
     saddle_key; the next solve with that key starts from it (see solver).
     """
@@ -629,13 +630,13 @@ class SaddleSystem:
     assembled on first read, which only a factorization needs.
 
     Each unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal
-    dofs, num_vertices + t for the bubble and the pressure of cell t.
-    `node_positions` holds the vertices, then the cell barycenters.  The
-    sparse factorization orders the unknowns by these positions and keeps
-    each pressure, whose diagonal is zero, together with its bubble.
+    dofs, num_vertices + t for the bubble and the pressure of cell t.  The
+    sparse factorization orders the unknowns node by node and keeps each
+    pressure, whose diagonal is zero, right after its bubble.
 
-    `orders` caches the factorization orders of matrices on these unknowns;
-    build_saddle_system shares its mesh's Discretization.saddle_orders.
+    `orders` caches the factorization orders of matrices on these unknowns,
+    minimum-degree orders of their node graphs; build_saddle_system shares
+    its mesh's Discretization.saddle_orders.
 
     `preconditioner` optionally holds the LU factor of a nearby matrix with
     the same layout; solver.solve_linear then solves by preconditioned GMRES.
@@ -651,7 +652,6 @@ class SaddleSystem:
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
     nodes: np.ndarray
-    node_positions: np.ndarray
     convection: ConvectionOperator | None = None
     orders: dict = field(default_factory=dict)
     preconditioner: object | None = None  # solver.OrderedFactor
@@ -726,7 +726,6 @@ class _SaddleBlocks:
         nv = mesh.num_vertices
         velocity_nodes = np.where(free < 2 * nv, free // 2, free - nv)  # bubble dof 2 nv + t sits at node nv + t
         self.nodes = np.concatenate([velocity_nodes, nv + np.arange(1, B.shape[0])])
-        self.node_positions = np.concatenate([mesh.vertices, mesh.barycenters])
 
 
 def build_saddle_system(
@@ -771,6 +770,5 @@ def build_saddle_system(
         dirichlet_dofs=dofs,
         dirichlet_values=values,
         nodes=fixed.nodes,
-        node_positions=fixed.node_positions,
         orders=disc.saddle_orders,
     )

@@ -6,8 +6,8 @@ solves one linear system per step on the free unknowns (see
 assembly.SaddleSystem: Dirichlet dofs lifted out, one pressure pinned, the
 zero pressure mean restored afterwards).  The first system of a solve is
 assembled and factored by sparse LU; later steps reuse that factor as the
-left preconditioner of GMRES (_krylov, which spends one LU solve per
-iteration and per restart cycle, none on a step that starts at the
+right preconditioner of GMRES (_krylov, which spends one LU solve per
+GMRES iteration, none per restart and none on a step that starts at the
 solution), started from the previous iterate.  GMRES applies the system as
 the fixed blocks plus P^T (C_s (P u)), so such a step assembles no matrix.
 A step refactors, and only then assembles its saddle matrix, when GMRES
@@ -17,9 +17,9 @@ factor of a solve stays on the mesh's Discretization, so that the next solve
 with the same viscosity, penalty and Dirichlet dofs, such as the cavity's
 watertight re-solve, preconditions its first system with it instead of
 factoring.  Each LU is taken of the symmetrically scaled matrix in a
-nested-dissection order of the mesh, with every cell's pressure right after
-its bubble, so that threshold partial pivoting keeps the pivots on the
-diagonal and the factor keeps the fill of the dissection.  Convergence is
+minimum-degree order of the node graph, with every cell's pressure right
+after its bubble, so that threshold partial pivoting keeps the pivots on
+the diagonal and the factor keeps the fill of that order.  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
 pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
@@ -28,7 +28,6 @@ from the solution of the Stokes problem (same system without convection).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -50,7 +49,6 @@ RESIDUAL_TOL = 1e-10  # relative residual every accepted linear solve must reach
 KRYLOV_RTOL = 1e-12  # GMRES target, well inside RESIDUAL_TOL
 KRYLOV_BUDGET = 20  # GMRES iterations before refactoring
 DIAG_PIVOT_THRESH = 0.01  # SuperLU keeps the diagonal pivot unless it is below this share of the column's largest
-DISSECTION_LEAF = 16  # parts of at most this many mesh nodes are not split further
 DIVERGENCE_FACTOR = 1e3  # Picard diverges when DIVERGENCE_RUN updates in a row exceed this multiple of the first
 DIVERGENCE_RUN = 3
 
@@ -111,47 +109,48 @@ def _relative_residual(system: SaddleSystem, x: np.ndarray, r_norm: float) -> fl
     return float(res / b if b > 0 else res)
 
 
-def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, int, float]:
-    """GMRES from x0, left-preconditioned by system.preconditioner: (x, converged, iterations, cycles, |b - A x|).
+def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, float]:
+    """GMRES from x0, right-preconditioned by system.preconditioner: (x, converged, iterations, |b - A x|).
 
-    A is applied as system.apply, without assembling the matrix.  Each cycle
-    minimizes |M (b - A x)| over the Krylov space of M A, with
-    M = system.preconditioner.solve applied once to the cycle's residual and
-    once per iteration, so a call costs iterations + cycles solves, none when
-    x0 already meets the tolerance.  A cycle stops once the preconditioned
-    residual is KRYLOV_RTOL times |M b|, which M ~ A^-1 lets |x0| stand for
-    on a warm start; on a cold start r = b, so the first vector gives it.
-    Converged means the true residual |b - A x| reached KRYLOV_RTOL |b|; its
-    last value is returned for the caller's residual check.
-    A cycle that stops short of that restarts from the new residual with a
-    tighter inner target, while the KRYLOV_BUDGET iterations of the call last.
+    A is applied as system.apply, without assembling the matrix.  From its
+    start x_c, each cycle minimizes |b - A x| over x_c + M K, where K is the
+    Krylov space of A M from b - A x_c and M = system.preconditioner.solve.
+    It keeps the preconditioned vectors Z = M V, the flexible form (Saad,
+    SISC 14, 1993), so the update is Z y without another solve: a call
+    costs one solve per iteration, none per restart and none when x0
+    already meets the tolerance.  V is orthogonalized by classical
+    Gram-Schmidt run twice, which keeps it orthonormal to rounding, so the
+    Arnoldi recurrence carries |b - A x| as |g[k + 1]| also from a start far
+    from the solution.  A cycle stops once that is a tenth of KRYLOV_RTOL
+    |b|, a margin for the rounding of the update x_c + Z y.  Converged
+    means the recomputed |b - A x| reached KRYLOV_RTOL |b|; its last value
+    is returned for the caller's residual check.  A cycle that stops short
+    of that restarts from the new residual while the KRYLOV_BUDGET
+    iterations of the call last.
     """
     A, b, precondition = system.apply, system.rhs, system.preconditioner.solve
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)
     r = b - A(x)
     r_norm = np.linalg.norm(r)
-    if r_norm <= tol:
-        return x, True, 0, 0, r_norm
-    target = KRYLOV_RTOL * np.linalg.norm(x)  # zero on a cold start, set from the first vector
-    iterations = cycles = 0
-    while iterations < KRYLOV_BUDGET:
-        cycles += 1
+    iterations = 0
+    while r_norm > tol and iterations < KRYLOV_BUDGET:
         size = KRYLOV_BUDGET - iterations
         basis = np.empty((size + 1, len(b)))
+        preconditioned = np.empty((size, len(b)))
         hess = np.zeros((size + 1, size))  # upper triangular once rotated
         rotations = np.zeros((size, 2))
-        z = precondition(r)
-        g = np.zeros(size + 1)  # rotated |M r| e_1; |g[k]| is the preconditioned residual after k iterations
-        g[0] = np.linalg.norm(z)
-        target = target or KRYLOV_RTOL * g[0]
-        basis[0] = z / g[0]
+        g = np.zeros(size + 1)  # rotated |r| e_1; |g[k]| is the residual after k iterations
+        g[0] = r_norm
+        basis[0] = r / r_norm
         for k in range(size):
-            w = precondition(A(basis[k]))
+            preconditioned[k] = precondition(basis[k])
+            w = A(preconditioned[k])
             w_norm = np.linalg.norm(w)
-            for i in range(k + 1):  # modified Gram-Schmidt
-                hess[i, k] = basis[i] @ w
-                w -= hess[i, k] * basis[i]
+            for _ in range(2):
+                projection = basis[: k + 1] @ w
+                w -= projection @ basis[: k + 1]
+                hess[: k + 1, k] += projection
             h = np.linalg.norm(w)
             breakdown = h <= np.finfo(float).eps * w_norm  # the space holds the exact solution
             if not breakdown:
@@ -164,86 +163,47 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
             hess[k, k], hess[k + 1, k] = rho, 0.0
             g[k : k + 2] = rotations[k, 0] * g[k], -rotations[k, 1] * g[k]
             iterations += 1
-            if abs(g[k + 1]) <= target or breakdown:
+            if abs(g[k + 1]) <= 0.1 * tol or breakdown:
                 break
-        x += solve_triangular(hess[: k + 1, : k + 1], g[: k + 1], check_finite=False) @ basis[: k + 1]
+        x += solve_triangular(hess[: k + 1, : k + 1], g[: k + 1], check_finite=False) @ preconditioned[: k + 1]
         r = b - A(x)
         r_norm = np.linalg.norm(r)
-        if r_norm <= tol:
-            return x, True, iterations, cycles, r_norm
-        if breakdown:
-            break
-        # aim below this cycle's preconditioned residual by the share the true
-        # residual still has to fall, and by at least 4x per restart
-        target = abs(g[k + 1]) * min(0.25**cycles, tol / r_norm)
-    return x, False, iterations, cycles, r_norm
+    return x, r_norm <= tol, iterations, r_norm
 
 
 # -- direct factorization --------------------------------------------------
 
 
-def _neighbours(adjacency: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(source, neighbour) for every stored entry of the given rows of a CSR graph."""
-    starts = adjacency.indptr[nodes]
-    counts = adjacency.indptr[nodes + 1] - starts
-    source = np.repeat(np.arange(len(nodes)), counts)
-    slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    return source, adjacency.indices[slots]
-
-
-def _dissection_order(system: SaddleSystem) -> np.ndarray:
-    """Nested-dissection permutation of the unknowns of system.matrix.
+def _node_order(system: SaddleSystem) -> np.ndarray:
+    """Minimum-degree permutation of the unknowns of system.matrix, by mesh node.
 
     The unknowns sharing a mesh node (system.nodes) move together: the two
     components of a vertex, and the bubble of a cell with that cell's
-    pressure, which has a zero diagonal and so must follow its bubble.
-    Nodes are split recursively at the median of their positions along the
-    longer side of their bounding box.  Every edge of the matrix graph
-    across the cut puts one of its ends into the separator, the end with
-    more such edges, so the separator runs along the middle of the band of
-    cut edges; it is ordered after both halves.  Within a node, unknowns keep
-    their order, so a pressure comes right after its bubble.
+    pressure, which has a zero diagonal and so must follow its bubble.  Two
+    nodes are joined when the matrix couples any of their unknowns, and
+    SuperLU orders that graph by multiple minimum degree (Liu, ACM TOMS 11,
+    1985).  SuperLU gives the order only with a factorization: spilu reports
+    the perm_c that splu would with these options, and with every
+    off-diagonal dropped and a dominant diagonal it factors almost nothing.
+    Within a node, unknowns keep their order, so a pressure comes right
+    after its bubble.
     """
     n = system.matrix.shape[0]
-    num_nodes = len(system.node_positions)
-    member = sp.csr_matrix((np.ones(n), (np.arange(n), system.nodes)), shape=(n, num_nodes))
+    used, node = np.unique(system.nodes, return_inverse=True)
+    member = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, len(used)))
     pattern = abs(system.matrix)
-    adjacency = (member.T @ (pattern + pattern.T) @ member).tocsr()
-    owner = np.full(num_nodes, -1)  # the split a node last took part in
-    local = np.zeros(num_nodes, dtype=np.int64)  # its index in that part
-    splits = itertools.count()
-    order = []
-
-    def dissect(part: np.ndarray) -> None:
-        if len(part) <= DISSECTION_LEAF:
-            order.append(part)
-            return
-        xy = system.node_positions[part]
-        axis = int(np.argmax(np.ptp(xy, axis=0)))
-        lower = np.zeros(len(part), dtype=bool)
-        lower[np.argpartition(xy[:, axis], len(part) // 2)[: len(part) // 2]] = True
-        split = next(splits)
-        owner[part] = split
-        local[part] = np.arange(len(part))
-        source, neighbour = _neighbours(adjacency, part)
-        inside = owner[neighbour] == split
-        source, target = source[inside], local[neighbour[inside]]
-        across = lower[source] & ~lower[target]
-        low, high = source[across], target[across]
-        degree = np.bincount(low, minlength=len(part)) + np.bincount(high, minlength=len(part))
-        keep_low = degree[low] >= degree[high]
-        separator = np.zeros(len(part), dtype=bool)
-        separator[low[keep_low]] = True
-        separator[high[~keep_low]] = True
-        for half in (lower, ~lower):
-            dissect(part[half & ~separator])
-        order.append(part[separator])
-
-    dissect(np.flatnonzero(np.bincount(system.nodes, minlength=num_nodes)))
-    rank = np.empty(num_nodes, dtype=np.int64)
-    ordered = np.concatenate(order)
-    rank[ordered] = np.arange(len(ordered))
-    return np.lexsort((np.arange(n), rank[system.nodes]))
+    graph = (member.T @ (pattern + pattern.T) @ member).tocsc()
+    graph.data[:] = 1.0
+    graph += len(used) * sp.eye(len(used), format="csc")
+    rank = spla.spilu(
+        graph,
+        permc_spec="MMD_AT_PLUS_A",
+        drop_tol=1e300,
+        fill_factor=1,
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    ).perm_c
+    return np.lexsort((np.arange(n), rank[node]))
 
 
 def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
@@ -274,30 +234,29 @@ class OrderedFactor:
     def __init__(self, lu, scale: np.ndarray, order: np.ndarray):
         self.nnz = lu.nnz  # stored factor size, supernode padding included
         self._lu = lu
-        self._scale = scale
+        self._scale = scale[order]  # D in the factor's order
         self._order = order
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._lu.solve(self._scale[self._order] * rhs[self._order])
-        x = np.empty_like(y)
-        x[self._order] = y
-        return self._scale * x
+        x = np.empty_like(rhs)
+        x[self._order] = self._scale * self._lu.solve(self._scale * rhs[self._order])
+        return x
 
 
 def _factor(system: SaddleSystem) -> OrderedFactor:
-    """Sparse LU of system.matrix, symmetrically scaled and in nested-dissection order.
+    """Sparse LU of system.matrix, symmetrically scaled, in a minimum-degree order of the node graph.
 
     With the pressures right after their bubbles and the matrix scaled, a
     threshold on partial pivoting keeps nearly every pivot on the diagonal,
-    so the dissection order survives the factorization.  The order depends
-    only on the sparsity pattern, so it is computed once per pattern and
-    kept in system.orders.
+    so the order (_node_order) survives the factorization.  The order
+    depends only on the sparsity pattern, so it is computed once per
+    pattern and kept in system.orders.
     """
     mat = system.matrix
     scale = _symmetric_scaling(system)
     pattern = hashlib.blake2b(b"".join(a.tobytes() for a in (mat.indptr, mat.indices, system.nodes))).digest()
     if pattern not in system.orders:
-        system.orders[pattern] = _dissection_order(system)
+        system.orders[pattern] = _node_order(system)
     order = system.orders[pattern]
     D = sp.diags(scale)
     ordered = (D @ mat @ D).tocsr()[order][:, order].tocsc()
@@ -316,7 +275,7 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     """Solve one saddle system on its free unknowns.
 
     Without system.preconditioner, system.matrix is assembled and factored
-    (see _factor()) and solved directly.  With one, GMRES left-preconditioned
+    (see _factor()) and solved directly.  With one, GMRES right-preconditioned
     by it starts from x0 (zero when omitted), applies the system without
     assembling its matrix and runs for at most KRYLOV_BUDGET iterations (see
     _krylov); if GMRES misses its tolerance or its answer fails the residual
@@ -331,14 +290,12 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     """
     iterations = 0
     if system.preconditioner is not None:
-        x, converged, iterations, cycles, r_norm = _krylov(system, x0)
+        x, converged, iterations, r_norm = _krylov(system, x0)
         if converged:
             rel = _relative_residual(system, x, r_norm)
             if rel <= RESIDUAL_TOL:
                 return LinearSolution(*system.expand(x), rel, iterations, None)
-        logger.info(
-            "GMRES missed after %d iterations in %d cycles; refactoring the %d-row system", iterations, cycles, len(x)
-        )
+        logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
         system.preconditioner = None  # release the stale factor first: holding both grows the heap
 
     lu = _factor(system)
