@@ -524,11 +524,11 @@ def dense_gmres(system, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, i
                 w = w - Q @ (Q.T @ w)
             Q = np.column_stack([Q, w / np.linalg.norm(w)])
             H = Q.T @ AMQ
-            y = np.linalg.lstsq(H, beta * np.eye(k + 1)[0], rcond=None)[0]
             iterations += 1
             u = solve_triangular(H[1:], -H[0], trans="T")
             if beta / np.sqrt(1.0 + u @ u) <= 0.1 * tol:
                 break
+        y = np.linalg.lstsq(H, beta * np.eye(k + 1)[0], rcond=None)[0]
         x = x + M(Q[:, :k] @ y)
         r = b - A @ x
     return x, np.linalg.norm(r) <= tol, iterations, cycles
