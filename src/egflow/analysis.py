@@ -324,7 +324,9 @@ def pressure_robustness_probe(
     check_viscosity_list(mu_list)
     settings = settings or NonlinearSettings()
     ex = example1_solution()
-    mesh = build_unit_square_mesh(n)  # one mesh, so every cell shares its cached operators
+    # one mesh, so every cell shares its E, R, A and B; the saddle blocks and
+    # their LU are rebuilt for each viscosity
+    mesh = build_unit_square_mesh(n)
     out: dict[str, list[ProbeCell]] = {}
     for robust, mode in ((False, "standard"), (True, "robust")):
         cells = []

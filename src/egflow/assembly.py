@@ -57,17 +57,19 @@ component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG
 matrix; and B = B_s E.  The SIPG and convective boundary loads are E^T of
 scalar loads on the boundary-edge hats, and the error norms read a field's
 edge traces from its vertex values at the same hats and the exact field's
-reconstruction through L^-1.  Per saddle_key the Discretization also keeps
-the blocks of the saddle system that no step changes (_SaddleBlocks).  The
-solver and analysis.error_norms share all of it.  A Picard step evaluates
-only the transport field: its vertex values P z, one batched contraction
-for the volume term, and per edge {w}.n and [w].n at the Gauss points,
-whose upwind and skew weights form the three moments; the local blocks
-then fill the fixed pattern of C_s by bincount.  The step's convection
-stays in that factored form (ConvectionOperator): GMRES applies it as
-P^T (C_s (P u)), and its saddle system lifts the Dirichlet data through it.
-C and the step's saddle matrix are assembled only when a factorization
-reads SaddleSystem.matrix.
+reconstruction through L^-1.  The solver and analysis.error_norms share
+all of it.  For the viscosity, penalty and Dirichlet dofs last asked for,
+the Discretization also keeps the blocks of the saddle system that no step
+changes (_SaddleBlocks), and with them what the solver keeps across steps
+and solves: the minimum-degree orders and the last accepted LU.  A Picard
+step evaluates only the transport field: its vertex values P z, one
+batched contraction for the volume term, and per edge {w}.n and [w].n at
+the Gauss points, whose upwind and skew weights form the three moments;
+the local blocks then fill the fixed pattern of C_s by bincount.  The
+step's convection stays in that factored form (ConvectionOperator): GMRES
+applies it as P^T (C_s (P u)), and its saddle system lifts the Dirichlet
+data through it.  C and the step's saddle matrix are assembled only when
+a factorization reads SaddleSystem.matrix.
 
 Linearization: the Picard matrix is c(z; u, v) with both the transport field
 and the upwind geometry frozen at the previous iterate z.
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,7 +87,7 @@ import scipy.sparse as sp
 from .mesh import MeshTopology
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
 from .reconstruction import reconstruction_matrix
-from .spaces import DofLayout, EGFunction, layout_for
+from .spaces import EGFunction, layout_for
 
 VOLUME_DEGREE = 6
 EDGE_DEGREE = 7  # 4-point Gauss
@@ -233,15 +235,12 @@ class Discretization:
     a form asks for it and then kept: the embedding E, the scalar P1 basis
     with its edge dofs and the pattern of convection, the reconstruction R
     with its block inverse L^-1, the divergence matrix B, the unscaled
-    viscous matrix A of each penalty and the fixed saddle blocks of each
-    viscosity, penalty and Dirichlet set.  The mesh arrays are read-only,
-    so none of it can go stale.
-    `saddle_orders` keeps the solver's orders of the saddle matrices factored
-    on this mesh, minimum-degree orders of their node graphs keyed by their
-    sparsity pattern; a solve meets only a few patterns (Stokes, Oseen),
-    each factored many times.
-    `saddle_factor` holds the last LU a solve on this mesh used, with its
-    saddle_key; the next solve with that key starts from it (see solver).
+    viscous matrix A of each penalty.  The mesh arrays are read-only, so
+    none of it can go stale.
+    Of the fixed saddle blocks (_SaddleBlocks), which carry the solver's
+    orders and kept LU, only those of the last viscosity, penalty and
+    Dirichlet set asked for are kept: a request for another drops them,
+    LU and all, before it builds its own.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -249,8 +248,7 @@ class Discretization:
         # would leave both to the cycle collector instead of freeing them with the mesh
         self._mesh = weakref.ref(mesh)
         self._built: dict = {}
-        self.saddle_orders: dict = {}
-        self.saddle_factor: tuple | None = None
+        self._saddle: tuple | None = None  # (key, _SaddleBlocks) of the last key asked for
 
     @property
     def mesh(self) -> MeshTopology:
@@ -289,13 +287,12 @@ class Discretization:
         return self._memo(("A", params.penalty), lambda: assemble_viscous(self.mesh, params))
 
     def saddle_blocks(self, params: FormParams, dofs: np.ndarray) -> _SaddleBlocks:
-        """The blocks of the saddle system that no Picard step changes, per saddle_key."""
-        return self._memo(("saddle",) + saddle_key(params, dofs), lambda: _SaddleBlocks(self.mesh, params, dofs))
-
-
-def saddle_key(params: FormParams, dofs: np.ndarray) -> tuple:
-    """What the fixed saddle blocks depend on besides the mesh: viscosity, penalty and Dirichlet dofs."""
-    return (params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
+        """The saddle blocks no Picard step changes for params' viscosity and penalty and these Dirichlet dofs."""
+        key = (params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
+        if self._saddle is None or self._saddle[0] != key:
+            self._saddle = None  # free the old blocks and their LU before building
+            self._saddle = key, _SaddleBlocks(self.mesh, params, dofs)
+        return self._saddle[1]
 
 
 def discretization(mesh: MeshTopology) -> Discretization:
@@ -614,100 +611,94 @@ def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None)
 class SaddleSystem:
     """Oseen system [mu A + C, -B^T; B, 0] on the free unknowns of one step.
 
-    The unknowns are the unconstrained velocity dofs (`free_velocity`, in
-    increasing order) followed by the pressures of cells 1..nt-1; the
-    pressure of cell 0 is pinned to zero, and the Dirichlet values are
-    lifted into rhs.  Cell 0's continuity row is left out of the square
-    `matrix`: the left-hand sides of all continuity rows sum to zero, so one
-    row is redundant when the data has zero net boundary flux and cannot
-    hold otherwise.  It is kept as `pinned_row`/`pinned_rhs` so that the
-    residual check still sees it.
+    The unknowns are the unconstrained velocity dofs (`blocks.free`)
+    followed by the pressures of cells 1..nt-1; the pressure of cell 0 is
+    pinned to zero, and the Dirichlet values are lifted into rhs.  Cell 0's
+    continuity row is left out of the square `matrix`: the left-hand sides
+    of all continuity rows sum to zero, so one row is redundant when the
+    data has zero net boundary flux and cannot hold otherwise.  It is kept
+    as `blocks.pinned_row`/`pinned_rhs` so that the residual check still
+    sees it.
 
-    The matrix is held in two parts: `fixed`, the blocks without convection
-    (shared by every step with the same saddle_key), and `convection`, the
-    step's ConvectionOperator on the full velocity space (None for Stokes).
-    apply() multiplies by the matrix without assembling it; `matrix` is
-    assembled on first read, which only a factorization needs.
-
-    Each unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal
-    dofs, num_vertices + t for the bubble and the pressure of cell t.  The
-    sparse factorization orders the unknowns node by node and keeps each
-    pressure, whose diagonal is zero, right after its bubble.
-
-    `orders` caches the factorization orders of matrices on these unknowns,
-    minimum-degree orders of their node graphs; build_saddle_system shares
-    its mesh's Discretization.saddle_orders.
-
-    `preconditioner` optionally holds the LU factor of a nearby matrix with
-    the same layout; solver.solve_linear then solves by preconditioned GMRES.
+    The system holds only what a step changes: the right-hand side, the
+    Dirichlet values and `convection`, the step's ConvectionOperator on the
+    full velocity space (None for Stokes).  Everything else, the kept LU
+    included, belongs to `blocks`, shared by every step with the same
+    viscosity, penalty and Dirichlet dofs.  apply() multiplies by the
+    matrix without assembling it; `matrix` is assembled on first read,
+    which only a factorization needs.
     """
 
-    fixed: sp.csr_matrix
+    blocks: _SaddleBlocks
     rhs: np.ndarray
-    pinned_row: sp.csr_matrix
     pinned_rhs: float
-    layout: DofLayout
-    free_velocity: np.ndarray
-    areas: np.ndarray
-    dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
-    nodes: np.ndarray
-    convection: ConvectionOperator | None = None
-    orders: dict = field(default_factory=dict)
-    preconditioner: object | None = None  # solver.OrderedFactor
+    convection: ConvectionOperator | None
 
     @property
     def velocity(self) -> slice:
-        return slice(0, len(self.free_velocity))
+        return slice(0, len(self.blocks.free))
 
     @property
     def pressure(self) -> slice:
-        return slice(len(self.free_velocity), self.fixed.shape[0])
+        return slice(len(self.blocks.free), self.blocks.matrix.shape[0])
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """fixed plus the convection block on the free velocity dofs, assembled on first read."""
+        """The fixed blocks plus the convection block on the free velocity dofs, assembled on first read."""
+        fixed = self.blocks.matrix
         if self.convection is None:
-            return self.fixed
-        free = self.free_velocity
+            return fixed
+        free = self.blocks.free
         C_ff = self.convection.matrix()[free][:, free]
         # the convection block in the top-left corner, no entries in the pressure rows
-        n = self.fixed.shape[0]
+        n = fixed.shape[0]
         indptr = np.concatenate([C_ff.indptr, np.full(n - len(free), C_ff.indptr[-1])])
-        return _finalize(self.fixed + sp.csr_matrix((C_ff.data, C_ff.indices, indptr), shape=(n, n)))
+        return _finalize(fixed + sp.csr_matrix((C_ff.data, C_ff.indices, indptr), shape=(n, n)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """matrix @ x without assembling matrix: fixed @ x plus C on the free velocity dofs."""
-        y = self.fixed @ x
+        """matrix @ x without assembling matrix: the fixed blocks times x plus C on the free velocity dofs."""
+        y = self.blocks.matrix @ x
         if self.convection is not None:
-            u = np.zeros(self.layout.n_velocity)
-            u[self.free_velocity] = x[self.velocity]
-            y[self.velocity] += (self.convection @ u)[self.free_velocity]
+            free = self.blocks.free
+            u = np.zeros(self.blocks.n_velocity)
+            u[free] = x[self.velocity]
+            y[self.velocity] += (self.convection @ u)[free]
         return y
 
     def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full velocity and zero-mean pressure vectors from a solution x of matrix."""
-        u = np.empty(self.layout.n_velocity)
-        u[self.dirichlet_dofs] = self.dirichlet_values
-        u[self.free_velocity] = x[self.velocity]
+        blocks = self.blocks
+        u = np.empty(blocks.n_velocity)
+        u[blocks.dirichlet_dofs] = self.dirichlet_values
+        u[blocks.free] = x[self.velocity]
         p = np.concatenate([[0.0], x[self.pressure]])
         # B^T annihilates constants, so shifting p leaves every equation intact
-        p -= (self.areas @ p) / self.areas.sum()
+        p -= (blocks.areas @ p) / blocks.areas.sum()
         return u, p
 
     def restrict(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The unknowns of matrix for full velocity and pressure vectors; the inverse of expand."""
-        return np.concatenate([u[self.free_velocity], p[1:] - p[0]])
+        return np.concatenate([u[self.blocks.free], p[1:] - p[0]])
 
 
 class _SaddleBlocks:
-    """The parts of the saddle system that do not depend on the Picard iterate.
+    """Everything a solve keeps for one viscosity, penalty and set of Dirichlet dofs on a mesh.
 
-    For one viscosity, penalty and set of Dirichlet dofs on a mesh: the free
-    velocity dofs, `matrix` = [mu A_ff, -B_kept^T; B_kept, 0] on the
-    unknowns of SaddleSystem, the Dirichlet columns `viscous_lift` =
-    mu A_fd and `divergence_lift` = B_d that lift the data into the
-    right-hand side, the pinned continuity row and the unknowns' nodes.
+    The parts of the saddle system that no Picard step changes: the free
+    velocity dofs `free` (in increasing order), `matrix` = [mu A_ff,
+    -B_kept^T; B_kept, 0] on the unknowns of SaddleSystem, the Dirichlet
+    columns `viscous_lift` = mu A_fd and `divergence_lift` = B_d that lift
+    the data into the right-hand side, the pinned continuity row, the
+    `dirichlet_dofs` themselves, the number of velocity dofs and the cell
+    areas.  Each unknown sits at a mesh node, `nodes[i]`: vertex v for its
+    nodal dofs, num_vertices + t for the bubble and the pressure of cell t.
+
+    What the solver keeps across steps and solves lives here too: `orders`,
+    minimum-degree orders of the saddle matrices factored on these unknowns,
+    keyed by their sparsity pattern (a solve meets only a few patterns,
+    Stokes and Oseen, each factored many times), and `factor`, the last LU
+    (solver.OrderedFactor) whose solve passed the residual check, or None.
     """
 
     def __init__(self, mesh: MeshTopology, params: FormParams, dofs: np.ndarray):
@@ -719,6 +710,9 @@ class _SaddleBlocks:
         # pinning cell 0 drops its pressure column and sets its continuity row aside
         B_kept = B_free[1:]
         self.free = free
+        self.dirichlet_dofs = dofs
+        self.n_velocity = A.shape[0]
+        self.areas = mesh.areas
         self.matrix = _finalize(sp.bmat([[A_free[:, free], -B_kept.T], [B_kept, None]], format="csr"))
         self.viscous_lift = A_free[:, dofs]
         self.divergence_lift = B[:, dofs]
@@ -726,6 +720,8 @@ class _SaddleBlocks:
         nv = mesh.num_vertices
         velocity_nodes = np.where(free < 2 * nv, free // 2, free - nv)  # bubble dof 2 nv + t sits at node nv + t
         self.nodes = np.concatenate([velocity_nodes, nv + np.arange(1, B.shape[0])])
+        self.orders: dict = {}
+        self.factor = None  # solver.OrderedFactor
 
 
 def build_saddle_system(
@@ -742,33 +738,25 @@ def build_saddle_system(
     columns are dropped and their values lifted into the right-hand side.
     continuity_load carries the boundary-data part of the divergence form
     (one entry per cell).  Everything but the convection comes from the
-    mesh's Discretization (_SaddleBlocks), and the convection stays an
-    operator: the data is lifted through it, and SaddleSystem.matrix adds
-    it to the fixed blocks only when read.  The pressure of cell 0 is
-    pinned; solver.solve_linear restores the zero area-weighted mean
-    afterwards (SaddleSystem.expand).
+    blocks the mesh's Discretization keeps (_SaddleBlocks), which the system
+    references, and the convection stays an operator: the data is lifted
+    through it, and SaddleSystem.matrix adds it to the fixed blocks only
+    when read.  The pressure of cell 0 is pinned; solver.solve_linear
+    restores the zero area-weighted mean afterwards (SaddleSystem.expand).
     """
     dofs, values = dirichlet
-    disc = discretization(mesh)
-    fixed = disc.saddle_blocks(params, dofs)
-    free = fixed.free
-    momentum = load[free] - fixed.viscous_lift @ values
+    blocks = discretization(mesh).saddle_blocks(params, dofs)
+    free = blocks.free
+    momentum = load[free] - blocks.viscous_lift @ values
     if convection is not None and values.any():
         data = np.zeros(len(load))
         data[dofs] = values
         momentum -= (convection @ data)[free]
-    continuity = continuity_load - fixed.divergence_lift @ values
+    continuity = continuity_load - blocks.divergence_lift @ values
     return SaddleSystem(
-        fixed=fixed.matrix,
-        convection=convection,
+        blocks=blocks,
         rhs=np.concatenate([momentum, continuity[1:]]),
-        pinned_row=fixed.pinned_row,
         pinned_rhs=float(continuity[0]),
-        layout=layout_for(mesh),
-        free_velocity=free,
-        areas=mesh.areas,
-        dirichlet_dofs=dofs,
         dirichlet_values=values,
-        nodes=fixed.nodes,
-        orders=disc.saddle_orders,
+        convection=convection,
     )

@@ -28,7 +28,6 @@ MAX_EDGE_DEGREE = 7
 class QuadRule:
     """Points and positive weights; weights sum to the reference measure."""
 
-    degree: int
     points: np.ndarray  # triangle: (nq, 3) barycentric; edge: (nq,) parameter
     weights: np.ndarray
 
@@ -50,7 +49,7 @@ def triangle_rule(degree: int) -> QuadRule:
     Y = (1.0 - X) * E
     W = np.outer(wx, we)
     pts = np.stack([1.0 - X - Y, X, Y], axis=-1).reshape(-1, 3)
-    return QuadRule(degree=degree, points=pts, weights=W.ravel())
+    return QuadRule(points=pts, weights=W.ravel())
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +59,7 @@ def edge_rule(degree: int) -> QuadRule:
         raise ValueError(f"unsupported edge quadrature degree {degree}")
     m = ceil((degree + 1) / 2)
     t, w = np.polynomial.legendre.leggauss(m)
-    return QuadRule(degree=degree, points=(t + 1.0) / 2.0, weights=w / 2.0)
+    return QuadRule(points=(t + 1.0) / 2.0, weights=w / 2.0)
 
 
 def map_to_triangle(rule: QuadRule, vertex_coords: np.ndarray) -> np.ndarray:

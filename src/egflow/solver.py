@@ -12,14 +12,16 @@ solution), started from the previous iterate.  GMRES applies the system as
 the fixed blocks plus P^T (C_s (P u)), so such a step assembles no matrix.
 A step refactors, and only then assembles its saddle matrix, when GMRES
 misses its tolerance within a fixed budget, which at small viscosity happens
-once the frozen transport has moved far from the factored one.  The last
-factor of a solve stays on the mesh's Discretization, so that the next solve
-with the same viscosity, penalty and Dirichlet dofs, such as the cavity's
-watertight re-solve, preconditions its first system with it instead of
-factoring.  Each LU is taken of the symmetrically scaled matrix in a
-minimum-degree order of the node graph, with every cell's pressure right
-after its bubble, so that threshold partial pivoting keeps the pivots on
-the diagonal and the factor keeps the fill of that order.  Convergence is
+once the frozen transport has moved far from the factored one.  The kept
+factor and the orders live with the saddle blocks (assembly._SaddleBlocks),
+which the mesh's Discretization keeps for the last viscosity, penalty and
+Dirichlet dofs asked for, so that the next solve with the same ones, such
+as the cavity's watertight re-solve, preconditions its first system with
+the last accepted factor instead of factoring.  Each LU is taken of the
+symmetrically scaled matrix in a minimum-degree order of the node graph,
+with every cell's pressure right after its bubble, so that threshold
+partial pivoting keeps the pivots on the diagonal and the factor keeps the
+fill of that order.  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
 pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
@@ -98,23 +100,23 @@ class LinearSolution(NamedTuple):
     pressure: np.ndarray
     residual: float  # relative, over every unpinned row
     krylov_iterations: int
-    factor: OrderedFactor | None  # the factor made by this solve, None when it made none
+    factored: bool  # whether this solve made a new factor
 
 
 def _relative_residual(system: SaddleSystem, x: np.ndarray, r_norm: float) -> float:
     """Relative residual over every unpinned row, given r_norm = |rhs - matrix @ x| of the square rows."""
-    r_pinned = (system.pinned_row @ x)[0] - system.pinned_rhs
+    r_pinned = (system.blocks.pinned_row @ x)[0] - system.pinned_rhs
     b = np.hypot(np.linalg.norm(system.rhs), system.pinned_rhs)
     res = np.hypot(r_norm, r_pinned)
     return float(res / b if b > 0 else res)
 
 
 def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, float]:
-    """GMRES from x0, right-preconditioned by system.preconditioner: (x, converged, iterations, |b - A x|).
+    """GMRES from x0, right-preconditioned by system.blocks.factor: (x, converged, iterations, |b - A x|).
 
     A is applied as system.apply, without assembling the matrix.  From its
     start x_c, each cycle minimizes |b - A x| over x_c + M K, where K is the
-    Krylov space of A M from b - A x_c and M = system.preconditioner.solve.
+    Krylov space of A M from b - A x_c and M = system.blocks.factor.solve.
     It keeps the preconditioned vectors Z = M V, the flexible form (Saad,
     SISC 14, 1993), so the update is Z y without another solve: a call
     costs one solve per iteration, none per restart and none when x0
@@ -128,7 +130,7 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
     of that restarts from the new residual while the KRYLOV_BUDGET
     iterations of the call last.
     """
-    A, b, precondition = system.apply, system.rhs, system.preconditioner.solve
+    A, b, precondition = system.apply, system.rhs, system.blocks.factor.solve
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)
     r = b - A(x)
@@ -177,19 +179,19 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
 def _node_order(system: SaddleSystem) -> np.ndarray:
     """Minimum-degree permutation of the unknowns of system.matrix, by mesh node.
 
-    The unknowns sharing a mesh node (system.nodes) move together: the two
-    components of a vertex, and the bubble of a cell with that cell's
-    pressure, which has a zero diagonal and so must follow its bubble.  Two
-    nodes are joined when the matrix couples any of their unknowns, and
-    SuperLU orders that graph by multiple minimum degree (Liu, ACM TOMS 11,
-    1985).  SuperLU gives the order only with a factorization: spilu reports
-    the perm_c that splu would with these options, and with every
-    off-diagonal dropped and a dominant diagonal it factors almost nothing.
-    Within a node, unknowns keep their order, so a pressure comes right
-    after its bubble.
+    The unknowns sharing a mesh node (system.blocks.nodes) move together:
+    the two components of a vertex, and the bubble of a cell with that
+    cell's pressure, which has a zero diagonal and so must follow its
+    bubble.  Two nodes are joined when the matrix couples any of their
+    unknowns, and SuperLU orders that graph by multiple minimum degree
+    (Liu, ACM TOMS 11, 1985).  SuperLU gives the order only with a
+    factorization: spilu reports the perm_c that splu would with these
+    options, and with every off-diagonal dropped and a dominant diagonal it
+    factors almost nothing.  Within a node, unknowns keep their order, so a
+    pressure comes right after its bubble.
     """
     n = system.matrix.shape[0]
-    used, node = np.unique(system.nodes, return_inverse=True)
+    used, node = np.unique(system.blocks.nodes, return_inverse=True)
     member = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, len(used)))
     pattern = abs(system.matrix)
     graph = (member.T @ (pattern + pattern.T) @ member).tocsc()
@@ -248,16 +250,18 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
 
     With the pressures right after their bubbles and the matrix scaled, a
     threshold on partial pivoting keeps nearly every pivot on the diagonal,
-    so the order (_node_order) survives the factorization.  The order
-    depends only on the sparsity pattern, so it is computed once per
-    pattern and kept in system.orders.
+    so the order (_node_order) survives the factorization.  The nodes are
+    fixed with the blocks, so the order depends only on the sparsity
+    pattern; it is computed once per pattern and kept in
+    system.blocks.orders.
     """
     mat = system.matrix
     scale = _symmetric_scaling(system)
-    pattern = hashlib.blake2b(b"".join(a.tobytes() for a in (mat.indptr, mat.indices, system.nodes))).digest()
-    if pattern not in system.orders:
-        system.orders[pattern] = _node_order(system)
-    order = system.orders[pattern]
+    orders = system.blocks.orders
+    pattern = hashlib.blake2b(mat.indptr.tobytes() + mat.indices.tobytes()).digest()
+    if pattern not in orders:
+        orders[pattern] = _node_order(system)
+    order = orders[pattern]
     D = sp.diags(scale)
     ordered = (D @ mat @ D).tocsr()[order][:, order].tocsc()
     try:
@@ -274,29 +278,31 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
 def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSolution:
     """Solve one saddle system on its free unknowns.
 
-    Without system.preconditioner, system.matrix is assembled and factored
-    (see _factor()) and solved directly.  With one, GMRES right-preconditioned
-    by it starts from x0 (zero when omitted), applies the system without
-    assembling its matrix and runs for at most KRYLOV_BUDGET iterations (see
-    _krylov); if GMRES misses its tolerance or its answer fails the residual
-    check, the preconditioner is dropped from the system and system.matrix
-    is assembled, factored and solved directly.  A factor made here is
-    returned for later steps.
+    Without a kept factor on system.blocks, system.matrix is assembled and
+    factored (see _factor()) and solved directly.  With one, GMRES
+    right-preconditioned by it starts from x0 (zero when omitted), applies
+    the system without assembling its matrix and runs for at most
+    KRYLOV_BUDGET iterations (see _krylov); if GMRES misses its tolerance or
+    its answer fails the residual check, the kept factor is dropped and
+    system.matrix is assembled, factored and solved directly.  A new factor
+    is kept on system.blocks for later steps and solves only once its own
+    solve has passed the residual check.
     The relative residual over every unpinned row, the pinned cell's
     continuity row included, must come out at 1e-10 or better, otherwise the
     system is reported as singular; boundary data with a nonzero net flux
     fails here.  The returned velocity and pressure are full vectors, the
     pressure with zero mean.
     """
+    blocks = system.blocks
     iterations = 0
-    if system.preconditioner is not None:
+    if blocks.factor is not None:
         x, converged, iterations, r_norm = _krylov(system, x0)
         if converged:
             rel = _relative_residual(system, x, r_norm)
             if rel <= RESIDUAL_TOL:
-                return LinearSolution(*system.expand(x), rel, iterations, None)
+                return LinearSolution(*system.expand(x), rel, iterations, False)
         logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
-        system.preconditioner = None  # release the stale factor first: holding both grows the heap
+        blocks.factor = None  # release the stale factor first: holding both grows the heap
 
     lu = _factor(system)
     x = lu.solve(system.rhs)
@@ -312,7 +318,8 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
             f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             f"net outward boundary flux of the Dirichlet data is {flux:.3e}"
         )
-    return LinearSolution(*system.expand(x), rel, iterations, lu)
+    blocks.factor = lu
+    return LinearSolution(*system.expand(x), rel, iterations, True)
 
 
 def has_diverged(update_norms: list[float]) -> bool:
@@ -341,21 +348,16 @@ def solve_navier_stokes(
     force is a vectorized callable x -> f(x) (zero when omitted); boundary
     maps boundary vertices to velocity values (missing vertices are fixed
     to zero).  Raises DivergedError when the update norm grows beyond
-    1000x the initial update for three consecutive iterations.  A solve
-    that returns leaves its last LU factor on the mesh's Discretization
-    (saddle_factor) for the next solve on that mesh.
+    1000x the initial update for three consecutive iterations.  The LU the
+    linear solves keep stays with the saddle blocks the mesh's
+    Discretization holds for this viscosity, penalty and Dirichlet set, so
+    the next solve with the same ones starts from it.
     """
     layout = layout_for(mesh)
     report = SolveReport()
 
     disc = asm.discretization(mesh)
     dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
-    # the LU the last solve on this mesh kept preconditions the first system
-    # if it was made with the same saddle blocks; the solve alone holds it
-    # from here, and a factor of other blocks is freed before anything is built
-    key = asm.saddle_key(params, dofs)
-    factor = disc.saddle_factor[1] if disc.saddle_factor is not None and disc.saddle_factor[0] == key else None
-    disc.saddle_factor = None
     # build the mesh-bound operators here, on the mesh's first solve, rather
     # than inside whichever form first needs them
     disc.viscous(params)
@@ -373,7 +375,7 @@ def solve_navier_stokes(
     last = None  # (velocity, pressure) of the last solve, where GMRES starts
 
     def linear_solve(convection: asm.ConvectionOperator | None, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal factor, last
+        nonlocal last
         system = asm.build_saddle_system(
             mesh,
             params,
@@ -382,13 +384,9 @@ def solve_navier_stokes(
             dirichlet=(dofs, values),
             continuity_load=cont_load,
         )
-        system.preconditioner, factor = factor, None  # the system alone holds it, so a refactor frees it
         solution = solve_linear(system, None if last is None else system.restrict(*last))
         last = solution.velocity, solution.pressure
-        if solution.factor is None:
-            factor = system.preconditioner
-        else:
-            factor = solution.factor
+        if solution.factored:
             report.factorizations += 1
         report.linear_residuals.append(solution.residual)
         report.krylov_iterations.append(solution.krylov_iterations)
@@ -424,7 +422,6 @@ def solve_navier_stokes(
                 report,
             )
 
-    disc.saddle_factor = key, factor
     velocity = EGFunction.from_vector(mesh, u)
     pressure = PressureFunction(mesh, p.copy())
     return velocity, pressure, report

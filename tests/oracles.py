@@ -506,7 +506,7 @@ def dense_gmres(system, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, i
     KRYLOV_BUDGET iterations last.
     """
     A = system.matrix.toarray()
-    M = system.preconditioner.solve
+    M = system.blocks.factor.solve
     b = system.rhs
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)

@@ -47,7 +47,7 @@ from egflow.quadrature import (
     map_to_triangle,
     triangle_rule,
 )
-from egflow.spaces import EGFunction, layout_for
+from egflow.spaces import EGFunction
 from oracles import (
     BDMFunction,
     assemble_energy_gram,

@@ -639,7 +639,7 @@ def test_saddle_system_shape_and_block_structure():
     )
     nv, npr = layout.n_velocity, layout.n_pressure
     assert sysm.matrix.shape == (nv + npr - 1, nv + npr - 1)
-    assert np.array_equal(sysm.free_velocity, np.arange(nv))
+    assert np.array_equal(sysm.blocks.free, np.arange(nv))
     M = sysm.matrix.toarray()
     A = asm.assemble_viscous(mesh, PARAMS).toarray()
     B = asm.assemble_divergence(mesh).toarray()
@@ -647,7 +647,7 @@ def test_saddle_system_shape_and_block_structure():
     assert np.allclose(M[nv:, :nv], B[1:])
     assert np.allclose(M[:nv, nv:], -B[1:].T)
     assert np.all(M[nv:, nv:] == 0.0)
-    pinned = sysm.pinned_row.toarray()[0]
+    pinned = sysm.blocks.pinned_row.toarray()[0]
     assert np.allclose(pinned[:nv], B[0])
     assert np.all(pinned[nv:] == 0.0)
 
@@ -680,7 +680,7 @@ def test_condensation_keeps_boundary_values_exactly():
     sysm = asm.build_saddle_system(
         mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
     )
-    assert not np.isin(sysm.free_velocity, dofs).any()
+    assert not np.isin(sysm.blocks.free, dofs).any()
     u, p = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
     assert np.abs(u[dofs] - values).max() == 0.0
     assert float(mesh.areas @ p) == pytest.approx(0.0, abs=1e-12)
@@ -712,7 +712,7 @@ def test_condensation_equals_manual_reduction():
 
     sysm = asm.build_saddle_system(mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=cont)
     assert np.allclose(sysm.matrix.toarray(), M[:-1], atol=1e-14)
-    assert np.allclose(sysm.pinned_row.toarray()[0], M[-1], atol=1e-14)
+    assert np.allclose(sysm.blocks.pinned_row.toarray()[0], M[-1], atol=1e-14)
     assert np.allclose(sysm.rhs, r[:-1], atol=1e-14)
     assert sysm.pinned_rhs == pytest.approx(r[-1], abs=1e-14)
 
@@ -736,13 +736,13 @@ def test_saddle_system_applies_and_lifts_through_the_convection_operator(robust)
     cont = asm.divergence_boundary_load(mesh, nodal)
     sysm = asm.build_saddle_system(mesh, params, C, F, dirichlet=(dofs, values), continuity_load=cont)
     stokes = asm.build_saddle_system(mesh, params, None, F, dirichlet=(dofs, values), continuity_load=cont)
-    free = sysm.free_velocity
+    free = sysm.blocks.free
     lift = stokes.rhs[sysm.velocity] - sysm.rhs[sysm.velocity]
     want = C.matrix()[free][:, dofs] @ values
     assert np.abs(want).max() > 0.0
     assert np.abs(lift - want).max() <= 1e-14 * np.abs(F).max()
     assert np.array_equal(sysm.rhs[sysm.pressure], stokes.rhs[sysm.pressure])
-    x = np.random.default_rng(16).standard_normal(sysm.fixed.shape[0])
+    x = np.random.default_rng(16).standard_normal(sysm.blocks.matrix.shape[0])
     got = sysm.apply(x)
     assert "matrix" not in vars(sysm)  # apply assembled nothing
     assert np.abs(got - sysm.matrix @ x).max() <= 1e-14 * (abs(sysm.matrix) @ np.abs(x)).max()
@@ -750,9 +750,11 @@ def test_saddle_system_applies_and_lifts_through_the_convection_operator(robust)
 
 
 def test_saddle_fixed_blocks_are_built_once_per_key(monkeypatch):
-    # the blocks no Picard step changes are kept per (viscosity, penalty,
-    # Dirichlet dofs); a step on a mesh that holds them builds the same
-    # system, bit for bit, as the first step on a fresh mesh
+    # the mesh keeps the blocks no Picard step changes for the last
+    # (viscosity, penalty, Dirichlet dofs) asked for: the steps of one key
+    # share one blocks object, and each change of key builds anew.  A step
+    # on a mesh that holds them builds the same system, bit for bit, as the
+    # first step on a fresh mesh
     builds = []
     real_blocks = asm._SaddleBlocks
 
@@ -767,14 +769,15 @@ def test_saddle_fixed_blocks_are_built_once_per_key(monkeypatch):
     cont = asm.divergence_boundary_load(mesh, nodal)
     cases = [
         (FormParams(viscosity=1.0, penalty=10.0), (dofs, values)),
+        # the fixed blocks do not depend on the scheme: robust mode shares the first key's
+        (FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True), (dofs, values)),
         (FormParams(viscosity=1e-2, penalty=10.0), (dofs, values)),
         (FormParams(viscosity=1.0, penalty=20.0), (dofs, values)),
         (FormParams(viscosity=1.0, penalty=10.0), (dofs[lid_only], values[lid_only])),
-        # the fixed blocks do not depend on the scheme: robust mode shares the first key's
-        (FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True), (dofs, values)),
     ]
     for _ in range(2):
         for params, dirichlet in cases:
+            systems = []
             for seed in (41, 42):
                 C = asm.assemble_convection(mesh, random_eg(mesh, seed), params)
                 F = asm.assemble_load(mesh, lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), params)
@@ -782,11 +785,15 @@ def test_saddle_fixed_blocks_are_built_once_per_key(monkeypatch):
                 want = asm.build_saddle_system(
                     build_unit_square_mesh(3), params, C, F, dirichlet=dirichlet, continuity_load=cont
                 )
-                for m_got, m_want in ((got.matrix, want.matrix), (got.pinned_row, want.pinned_row)):
+                systems.append(got)
+                pinned_rows = (got.blocks.pinned_row, want.blocks.pinned_row)
+                for m_got, m_want in ((got.matrix, want.matrix), pinned_rows):
                     for part in ("indptr", "indices", "data"):
                         assert getattr(m_got, part).tobytes() == getattr(m_want, part).tobytes()
                 assert got.rhs.tobytes() == want.rhs.tobytes() and got.pinned_rhs == want.pinned_rhs
-    assert sum(built is mesh for built in builds) == 4
+            assert systems[0].blocks is systems[1].blocks
+    # keys 1, 2, 3 and 4 in each of the two rounds; the robust case reuses key 1
+    assert sum(built is mesh for built in builds) == 8
 
 
 def test_gradient_force_produces_no_flow_in_robust_stokes():

@@ -23,7 +23,7 @@ from egflow.solver import (
     solve_linear,
     solve_navier_stokes,
 )
-from egflow.spaces import DofLayout, EGFunction
+from egflow.spaces import EGFunction
 from oracles import dense_gmres, interpolate_velocity
 from test_assembly import perturbed_mesh
 
@@ -33,20 +33,27 @@ PARAMS = FormParams(viscosity=1.0, penalty=10.0)
 def toy_system(matrix, rhs):
     # a layout without vertices: nt bubble dofs and nt pressure cells, the
     # first pinned, so the unknowns are nt velocities and nt - 1 pressures;
-    # cell t's bubble and pressure share node t
+    # cell t's bubble and pressure share node t.  The blocks are a stand-in
+    # for assembly._SaddleBlocks with the same fields
     n = matrix.shape[0]
     nt = (n + 1) // 2
-    return asm.SaddleSystem(
-        fixed=sp.csr_matrix(matrix),
-        rhs=np.asarray(rhs, dtype=float),
-        pinned_row=sp.csr_matrix((1, n)),
-        pinned_rhs=0.0,
-        layout=DofLayout(num_vertices=0, num_triangles=nt),
-        free_velocity=np.arange(nt),
-        areas=np.ones(nt),
+    blocks = SimpleNamespace(
+        matrix=sp.csr_matrix(matrix),
+        free=np.arange(nt),
         dirichlet_dofs=np.empty(0, dtype=np.int64),
-        dirichlet_values=np.empty(0),
+        n_velocity=nt,
+        areas=np.ones(nt),
+        pinned_row=sp.csr_matrix((1, n)),
         nodes=np.concatenate([np.arange(nt), np.arange(1, nt)]),
+        orders={},
+        factor=None,
+    )
+    return asm.SaddleSystem(
+        blocks=blocks,
+        rhs=np.asarray(rhs, dtype=float),
+        pinned_rhs=0.0,
+        dirichlet_values=np.empty(0),
+        convection=None,
     )
 
 
@@ -87,13 +94,15 @@ def poly_force(x):
 
 
 def test_solve_linear_identity_system():
-    solution = solve_linear(toy_system(np.eye(3), [1.0, 2.0, 3.0]))
+    system = toy_system(np.eye(3), [1.0, 2.0, 3.0])
+    solution = solve_linear(system)
     assert np.allclose(solution.velocity, [1.0, 2.0])
     # pressures (0 pinned, 3), shifted to zero mean
     assert np.allclose(solution.pressure, [-1.5, 1.5])
     assert solution.residual <= 1e-15
     assert solution.krylov_iterations == 0
-    assert solution.factor is not None
+    assert solution.factored
+    assert system.blocks.factor is not None
 
 
 def test_solve_linear_rejects_singular_matrix():
@@ -139,7 +148,8 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
     system = asm.build_saddle_system(
         mesh, params, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
     )
-    factor = solve_linear(system).factor
+    solve_linear(system)
+    factor = system.blocks.factor
     x = factor.solve(system.rhs)
     assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-12 * np.linalg.norm(system.rhs)
     assert factor.nnz < spla.splu(system.matrix.tocsc()).nnz
@@ -161,7 +171,7 @@ def test_stokes_solve_residual_and_mean_constraint():
     u, p = solution.velocity, solution.pressure
     A = asm.assemble_viscous(mesh, PARAMS)
     B = asm.assemble_divergence(mesh)
-    residual = np.concatenate([(A @ u - B.T @ p - F)[system.free_velocity], B @ u])
+    residual = np.concatenate([(A @ u - B.T @ p - F)[system.blocks.free], B @ u])
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(F)
     assert np.all(u[dofs] == values)
     assert abs(float(mesh.areas @ p)) <= 1e-14
@@ -404,7 +414,8 @@ def test_own_gmres_restarts_as_the_dense_oracle_does():
         solves.append(1)
         return M @ r
 
-    system = SimpleNamespace(matrix=A, apply=A.__matmul__, rhs=b, preconditioner=SimpleNamespace(solve=precondition))
+    factor = SimpleNamespace(solve=precondition)
+    system = SimpleNamespace(matrix=A, apply=A.__matmul__, rhs=b, blocks=SimpleNamespace(factor=factor))
     x, converged, iterations, r_norm = solver._krylov(system, x0)
     assert r_norm == np.linalg.norm(b - A @ x)
     assert len(solves) == iterations
@@ -465,8 +476,10 @@ def test_a_second_solve_on_the_mesh_starts_from_the_kept_factor():
 def test_another_viscosity_frees_the_kept_factor_before_factoring(monkeypatch):
     mesh = build_unit_square_mesh(8)
     g = asm.lid_values(mesh)
-    solve_navier_stokes(mesh, FormParams(viscosity=1.0, penalty=10.0), boundary=g)
-    kept = weakref.ref(asm.discretization(mesh).saddle_factor[1])
+    params = FormParams(viscosity=1.0, penalty=10.0)
+    solve_navier_stokes(mesh, params, boundary=g)
+    dofs = asm.dirichlet_data(mesh, g)[0]
+    kept = weakref.ref(asm.discretization(mesh).saddle_blocks(params, dofs).factor)
     factor = solver._factor
     alive = []
 
@@ -481,15 +494,35 @@ def test_another_viscosity_frees_the_kept_factor_before_factoring(monkeypatch):
     assert alive == [False]
 
 
-def test_incompatible_boundary_data_is_rejected_with_its_net_flux():
-    # inflow through the left wall and no outflow: the continuity equations
-    # have no solution, and the residual check must say so
-    mesh = build_unit_square_mesh(4)
+def left_inflow(mesh):
+    # inflow through the left wall and no outflow: the continuity equations have no solution
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     left = np.flatnonzero(mesh.is_boundary_vertex & (x == 0.0) & (y > 0.0) & (y < 1.0))
-    g = {int(v): (1.0, 0.0) for v in left}
+    return {int(v): (1.0, 0.0) for v in left}
+
+
+def test_incompatible_boundary_data_is_rejected_with_its_net_flux():
+    # the residual check must say why the system has no solution
+    mesh = build_unit_square_mesh(4)
     with pytest.raises(SingularSystemError, match=r"net outward boundary flux of the Dirichlet data is -7\.500e-01"):
-        solve_navier_stokes(mesh, PARAMS, boundary=g)
+        solve_navier_stokes(mesh, PARAMS, boundary=left_inflow(mesh))
+
+
+@pytest.mark.parametrize("solved_before", [False, True])
+def test_a_solve_that_raises_keeps_no_factor(solved_before):
+    # the net-flux data has the same Dirichlet dofs as zero data, so all
+    # three solves share the mesh's saddle blocks.  The failing solve drops
+    # any factor it was given before refactoring and keeps none of its own,
+    # so the next solve factors afresh
+    mesh = build_unit_square_mesh(4)
+    if solved_before:
+        _, _, report = solve_navier_stokes(mesh, PARAMS)
+        assert report.factorizations == 1
+    with pytest.raises(SingularSystemError):
+        solve_navier_stokes(mesh, PARAMS, boundary=left_inflow(mesh))
+    _, _, report = solve_navier_stokes(mesh, PARAMS)
+    assert report.converged
+    assert report.factorizations == 1
 
 
 def test_divergence_guard_logic():

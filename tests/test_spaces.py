@@ -5,7 +5,7 @@ import pytest
 
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import triangle_rule
-from egflow.spaces import EGFunction, PressureFunction, layout_for
+from egflow.spaces import EGFunction, layout_for
 from oracles import (
     bubble_dof,
     edge_points,

@@ -1,4 +1,4 @@
-"""Every function, class, method and default in src/egflow is used by src/egflow.
+"""Every function, class, method, field and default in src/egflow is used by src/egflow.
 
 A definition counts as used when its name is referenced (as a name or an
 attribute) anywhere in the package outside its own definition.  Code that
@@ -10,6 +10,12 @@ every definition whose name the package never mentions.
 Likewise a parameter with a default counts as used when some call in the
 package passes it, by keyword or by position; one that no call passes is
 an option with a single value.  Calls are matched by the callee's name too.
+
+A field of a dataclass or NamedTuple, and an attribute a method sets on
+self, counts as used when the package reads an attribute of that name; one
+that is only ever written is state nobody needs.
+
+Every module of src/egflow and tests/ uses each name it imports.
 
 Entry points are used from outside and are listed here with their reason.
 """
@@ -135,3 +141,60 @@ def test_every_default_in_src_is_overridden_in_src():
         and not any(callee(c) == called and _passes(c, name, position) for c in calls)
     ]
     assert not unset, "defaults no call in src/egflow overrides (make them constants):\n" + "\n".join(unset)
+
+
+def _records(tree: ast.Module):
+    """Qualified names of the fields of dataclasses and NamedTuples and of the attributes methods set on self."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        record = any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list) or any(
+            ast.unparse(b) == "NamedTuple" for b in node.bases
+        )
+        for item in node.body:
+            if record and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield f"{node.name}.{item.target.id}"
+            if isinstance(item, ast.FunctionDef):
+                for sub in ast.walk(item):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and ast.unparse(sub.value) == "self":
+                        yield f"{node.name}.{sub.attr}"
+
+
+def test_every_field_in_src_is_read_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        {f"{module}: {name}" for module, tree in trees.items() for name in _records(tree) if name.rsplit(".", 1)[-1] not in read}
+    )
+    assert not unread, "fields and attributes src/egflow sets but never reads:\n" + "\n".join(unread)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports but never mentions; names listed in __all__ count as mentioned."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        unused += [f"{name} (line {node.lineno})" for name in names if name not in used]
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [
+        f"{path.relative_to(ROOT)}: {name}" for path in paths for name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not unused, "imported but unused:\n" + "\n".join(unused)
