@@ -324,8 +324,8 @@ def pressure_robustness_probe(
     check_viscosity_list(mu_list)
     settings = settings or NonlinearSettings()
     ex = example1_solution()
-    # one mesh, so every cell shares its E, R, A and B; the saddle blocks and
-    # their LU are rebuilt for each viscosity
+    # one mesh, so every cell shares its E and R; the saddle blocks, with the
+    # A and B they assemble, and their LU are rebuilt for each viscosity
     mesh = build_unit_square_mesh(n)
     out: dict[str, list[ProbeCell]] = {}
     for robust, mode in ((False, "standard"), (True, "robust")):

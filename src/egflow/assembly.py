@@ -44,24 +44,27 @@ per edge, the integrals of g (1-s)^2, g s(1-s) and g s^2 against the 4-point
 Gauss rule, contracted with the endpoint traces.  That is exact for every
 term except the upwind indicator, which is decided at the 4 Gauss points.
 
-What is built when.  Everything that depends only on the mesh is built once
-per mesh, on first use, in the mesh's Discretization (discretization(mesh))
-and kept there: E; the scalar P1 basis with each edge's endpoint-hat dofs,
-lengths and normals, and, on the first convection assembly, the fixed CSR
-pattern of C_s with the maps from local entries to it; the matrix R with
-the block inverse L^-1 it was built with; B and, per penalty, the unscaled
-viscous A.  R, A and B are all built on the P1 basis and read through E:
-R = L^-1 S D S^T L E averages the P1 fields' own edge moments
-(reconstruction.reconstruction_matrix); SIPG acts on each velocity
-component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1 SIPG
-matrix; and B = B_s E.  The SIPG and convective boundary loads are E^T of
-scalar loads on the boundary-edge hats, and the error norms read a field's
-edge traces from its vertex values at the same hats and the exact field's
-reconstruction through L^-1.  The solver and analysis.error_norms share
-all of it.  For the viscosity, penalty and Dirichlet dofs last asked for,
-the Discretization also keeps the blocks of the saddle system that no step
-changes (_SaddleBlocks), and with them what the solver keeps across steps
-and solves: the minimum-degree orders and the last accepted LU.  A Picard
+What is built when.  What every Picard step or the error norms read again
+and depends only on the mesh is built once per mesh, on first use, in the
+mesh's Discretization (discretization(mesh)) and kept there: E; the scalar
+P1 basis with each edge's endpoint-hat dofs, lengths and normals, and, on
+the first convection assembly, the fixed CSR pattern of C_s with the maps
+from local entries to it; the matrix R with the block inverse L^-1 it was
+built with.  R and the viscous and divergence matrices A and B are all
+built on the P1 basis and read through E: R = L^-1 S D S^T L E averages
+the P1 fields' own edge moments (reconstruction.reconstruction_matrix);
+SIPG acts on each velocity component alone, so A = sum_c E_c^T A_s E_c
+with A_s the scalar DG-P1 SIPG matrix; and B = B_s E.  The SIPG and
+convective boundary loads are E^T of scalar loads on the boundary-edge
+hats, and the error norms read a field's edge traces from its vertex
+values at the same hats and the exact field's reconstruction through
+L^-1.  The solver and analysis.error_norms share all of it.  For the
+viscosity, penalty and Dirichlet dofs last asked for, the Discretization
+also keeps the blocks of the saddle system that no step changes
+(_SaddleBlocks), and with them what the solver keeps across steps and
+solves: the minimum-degree orders and the last accepted LU.  The blocks
+are the only reader of A and B: each build assembles both and keeps only
+their restrictions to the free and Dirichlet unknowns.  A Picard
 step evaluates only the transport field: its vertex values P z, one
 batched contraction for the volume term, and per edge {w}.n and [w].n at
 the Gauss points, whose upwind and skew weights form the three moments;
@@ -229,18 +232,17 @@ class _ScalarP1:
 
 
 class Discretization:
-    """Everything the forms need that depends only on the mesh, built on first use.
+    """The mesh-bound data the forms read again at every Picard step, built on first use.
 
     One per mesh, see discretization().  Each piece is built the first time
     a form asks for it and then kept: the embedding E, the scalar P1 basis
-    with its edge dofs and the pattern of convection, the reconstruction R
-    with its block inverse L^-1, the divergence matrix B, the unscaled
-    viscous matrix A of each penalty.  The mesh arrays are read-only, so
-    none of it can go stale.
+    with its edge dofs and the pattern of convection, and the
+    reconstruction R with its block inverse L^-1.  The mesh arrays are
+    read-only, so none of it can go stale.
     Of the fixed saddle blocks (_SaddleBlocks), which carry the solver's
     orders and kept LU, only those of the last viscosity, penalty and
     Dirichlet set asked for are kept: a request for another drops them,
-    LU and all, before it builds its own.
+    LU and all, before it builds its own.  Only the blocks read A and B.
     """
 
     def __init__(self, mesh: MeshTopology):
@@ -279,12 +281,6 @@ class Discretization:
     def vertex_map(self, params: FormParams) -> sp.csr_matrix:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
         return self.reconstruction() if params.pressure_robust else self.embedding()
-
-    def divergence(self) -> sp.csr_matrix:
-        return self._memo("B", lambda: assemble_divergence(self.mesh))
-
-    def viscous(self, params: FormParams) -> sp.csr_matrix:
-        return self._memo(("A", params.penalty), lambda: assemble_viscous(self.mesh, params))
 
     def saddle_blocks(self, params: FormParams, dofs: np.ndarray) -> _SaddleBlocks:
         """The saddle blocks no Picard step changes for params' viscosity and penalty and these Dirichlet dofs."""
@@ -591,10 +587,13 @@ def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None)
     """(dofs, values, nodal array) of the constrained nodal velocity dofs.
 
     g maps boundary vertex -> velocity; unlisted boundary vertices are fixed
-    to zero, non-boundary keys are rejected.  Bubbles are never constrained.
+    to zero, keys that are not boundary vertices are rejected.  Bubbles are
+    never constrained.
     """
     g = g or {}
     for v in g:
+        if not 0 <= v < mesh.num_vertices:
+            raise ValueError(f"vertex {v} is not a vertex of the mesh ({mesh.num_vertices} vertices)")
         if not mesh.is_boundary_vertex[v]:
             raise ValueError(f"vertex {v} is not on the boundary")
     nodal = np.zeros((mesh.num_vertices, 2))
@@ -691,8 +690,9 @@ class _SaddleBlocks:
     columns `viscous_lift` = mu A_fd and `divergence_lift` = B_d that lift
     the data into the right-hand side, the pinned continuity row, the
     `dirichlet_dofs` themselves, the number of velocity dofs and the cell
-    areas.  Each unknown sits at a mesh node, `nodes[i]`: vertex v for its
-    nodal dofs, num_vertices + t for the bubble and the pressure of cell t.
+    areas; A and B are assembled here and kept only restricted.  Each
+    unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal dofs,
+    num_vertices + t for the bubble and the pressure of cell t.
 
     What the solver keeps across steps and solves lives here too: `orders`,
     minimum-degree orders of the saddle matrices factored on these unknowns,
@@ -702,9 +702,8 @@ class _SaddleBlocks:
     """
 
     def __init__(self, mesh: MeshTopology, params: FormParams, dofs: np.ndarray):
-        disc = discretization(mesh)
-        A = params.viscosity * disc.viscous(params)
-        B = disc.divergence()
+        A = params.viscosity * assemble_viscous(mesh, params)
+        B = assemble_divergence(mesh)
         free = np.setdiff1d(np.arange(A.shape[0]), dofs)
         A_free, B_free = A[free], B[:, free]
         # pinning cell 0 drops its pressure column and sets its continuity row aside

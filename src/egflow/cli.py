@@ -10,9 +10,9 @@ Flag precedence is CLI over config-file over built-in defaults; the config
 file (--config) is a flat JSON object whose keys are the long flag names with
 '_' for '-': levels, n, mu, rho, mode, tol, max_iters, init, mu_list, grid
 and out (converge reads levels, cavity and probe read n).  Any other key,
-or a value of the wrong type (a float or boolean for an integer), is a
-configuration error.  All outputs are deterministic: rerunning a
-configuration reproduces the files byte for byte.
+or a value of the wrong type (a float or boolean for an integer, a boolean
+or string for a number), is a configuration error.  All outputs are
+deterministic: rerunning a configuration reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class RunConfig:
             raise ValueError("levels must be nonempty")
         if any(type(k) is not int for k in (*self.levels, self.max_iters, self.grid)):
             raise ValueError("levels, n, max_iters and grid must be integers")
+        numbers = (self.mu, self.rho, self.tol, *self.mu_list)
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
+            raise ValueError("mu, rho, tol and mu_list must be numbers")
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive")
         if self.mu <= 0:
@@ -393,7 +396,7 @@ _CONFIG_KEYS = ("levels", "n", "mu", "rho", "mode", "tol", "max_iters", "init", 
 # config-file values whose JSON form is not the one RunConfig takes
 _FROM_FILE = {
     "levels": tuple,
-    "mu_list": lambda raw: tuple(float(v) for v in raw),
+    "mu_list": tuple,
     "out": Path,
 }
 

@@ -348,22 +348,17 @@ def solve_navier_stokes(
     force is a vectorized callable x -> f(x) (zero when omitted); boundary
     maps boundary vertices to velocity values (missing vertices are fixed
     to zero).  Raises DivergedError when the update norm grows beyond
-    1000x the initial update for three consecutive iterations.  The LU the
-    linear solves keep stays with the saddle blocks the mesh's
-    Discretization holds for this viscosity, penalty and Dirichlet set, so
-    the next solve with the same ones starts from it.
+    1000x the initial update for three consecutive iterations.  Nothing is
+    built ahead of its first reader: the first step's saddle blocks, which
+    the mesh's Discretization holds for this viscosity, penalty and
+    Dirichlet set, assemble A and B, and R is built by the first load or
+    convection that reads it.  The LU the linear solves keep stays with
+    those blocks, so the next solve with the same ones starts from it.
     """
     layout = layout_for(mesh)
     report = SolveReport()
 
-    disc = asm.discretization(mesh)
     dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
-    # build the mesh-bound operators here, on the mesh's first solve, rather
-    # than inside whichever form first needs them
-    disc.viscous(params)
-    disc.divergence()
-    if params.pressure_robust:
-        disc.reconstruction()
     if force is None:
         F = np.zeros(layout.n_velocity)
     else:

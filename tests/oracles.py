@@ -160,17 +160,25 @@ def viscous_blocks(mesh: MeshTopology):
     return stiffness, edges
 
 
+def _coo_sum(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
+    """n x n matrix summed from stacks of square local blocks (dofs, values) in one COO matrix."""
+    rows = [np.broadcast_to(dofs[:, :, None], vals.shape).ravel() for dofs, vals in blocks]
+    cols = [np.broadcast_to(dofs[:, None, :], vals.shape).ravel() for dofs, vals in blocks]
+    vals = [vals.ravel() for _, vals in blocks]
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+
+
 def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
     """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
     stiffness, edges = viscous_blocks(mesh)
-    return asm._scatter([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
+    return _coo_sum([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
 
 
 def enriched_viscous(mesh: MeshTopology, params: asm.FormParams) -> sp.csr_matrix:
     """The viscous matrix from local blocks on the 7-dof enriched basis."""
     stiffness, edges = viscous_blocks(mesh)
     blocks = [(dofs, params.penalty * pen - cons - cons.transpose(0, 2, 1)) for dofs, cons, pen in edges]
-    return asm._scatter([stiffness] + blocks, layout_for(mesh).n_velocity)
+    return _coo_sum([stiffness] + blocks, layout_for(mesh).n_velocity)
 
 
 def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
@@ -189,7 +197,7 @@ def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
             cols.append(batch.dofs)
             vals.append(jn)
     flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
-    return asm._finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)))
+    return sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, space.n_dofs)).tocsr()
 
 
 def boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -624,6 +624,10 @@ def test_dirichlet_data_rejects_interior_vertex():
     assert not mesh.is_boundary_vertex[centre]
     with pytest.raises(ValueError):
         asm.dirichlet_data(mesh, {centre: (1.0, 0.0)})
+    # keys outside the mesh's vertices: -1 would index vertex 8, 9 past the end
+    for outside in (-1, mesh.num_vertices):
+        with pytest.raises(ValueError, match=f"vertex {outside} "):
+            asm.dirichlet_data(mesh, {outside: (1.0, 0.0)})
 
 
 def test_saddle_system_shape_and_block_structure():
@@ -855,14 +859,25 @@ def test_cached_operators_belong_to_their_mesh():
         assert np.abs(asm.vertex_values(z) - (want @ z.to_vector()).reshape(-1, 3, 2)).max() <= 1e-15
     disc_b, disc_m = asm.discretization(base), asm.discretization(moved)
     assert disc_b is not disc_m and asm.discretization(base) is disc_b
-    for get in (lambda d: d.reconstruction(), lambda d: d.divergence(), lambda d: d.viscous(PARAMS)):
-        assert abs(get(disc_b) - get(disc_m)).max() > 1e-3
+    dofs = asm.dirichlet_data(base, None)[0]
+    blocks_b, blocks_m = (disc.saddle_blocks(PARAMS, dofs) for disc in (disc_b, disc_m))
+    assert abs(disc_b.reconstruction() - disc_m.reconstruction()).max() > 1e-3
+    assert abs(blocks_b.matrix - blocks_m.matrix).max() > 1e-3
     R, L_inv = reconstruction_matrix(moved, asm._embedding_matrix(moved))
     assert abs(disc_m.reconstruction() - R).max() == 0.0
     assert np.array_equal(disc_m.moment_inverse(), L_inv)
-    assert abs(disc_m.viscous(PARAMS) - asm.assemble_viscous(moved, PARAMS)).max() == 0.0
-    # a different penalty is a different matrix, not the cached one
-    assert abs(disc_m.viscous(FormParams(penalty=20.0)) - disc_m.viscous(PARAMS)).max() > 1.0
+    # the blocks hold the moved mesh's own A and B, restricted to the free unknowns
+    A, B = asm.assemble_viscous(moved, PARAMS), asm.assemble_divergence(moved)
+    free = blocks_m.free
+    assert abs(blocks_m.matrix[: len(free), : len(free)] - A[free][:, free]).max() == 0.0
+    assert abs(blocks_m.matrix[len(free) :, : len(free)] - B[1:, free]).max() == 0.0
+    assert abs(blocks_m.viscous_lift - A[free][:, dofs]).max() == 0.0
+    assert abs(blocks_m.divergence_lift - B[:, dofs]).max() == 0.0
+    # a different penalty builds its own A, not the kept one
+    other = disc_m.saddle_blocks(FormParams(penalty=20.0), dofs)
+    A_20 = asm.assemble_viscous(moved, FormParams(penalty=20.0))
+    assert abs(other.matrix[: len(free), : len(free)] - A_20[free][:, free]).max() == 0.0
+    assert abs(other.matrix - blocks_m.matrix).max() > 0.1
 
 
 @pytest.mark.parametrize("robust", [False, True])

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import egflow.assembly as asm
 import egflow.cli as cli
 from egflow.analysis import ConvergenceRow, convergence_study
 from egflow.assembly import LID_VELOCITY, FormParams
@@ -58,6 +60,12 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         non_integers.append(["cavity", "--config", str(path)])
     float_levels = tmp_path / "float_levels.json"
     float_levels.write_text(json.dumps({"levels": [4.5, 8]}))
+    # number settings take JSON numbers only, not booleans
+    booleans = []
+    for key, value in (("mu", True), ("rho", True), ("tol", True), ("mu_list", [True, 0.1, 0.001])):
+        path = tmp_path / f"{key}_bool.json"
+        path.write_text(json.dumps({key: value}))
+        booleans.append(["probe", "--n", "4", "--config", str(path)])
     cases = [
         ["converge", "--levels", "4", "--mu", "-1"],
         ["converge", "--levels", "4", "--tol", "-1"],
@@ -68,6 +76,7 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         ["converge", "--config", str(bare_levels)],
         ["converge", "--config", str(float_levels)],
         *non_integers,
+        *booleans,
         ["probe", "--n", "4", "--mu-list", "1,0.1"],
         ["probe", "--n", "4", "--mu-list", "1,0,1e-4"],
     ]
@@ -395,6 +404,47 @@ def test_cavity_failure_exit_code(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "cavity_report.json").read_text())
     assert report["converged"] is False
     assert report["iterations"] == 5
+
+
+def test_cavity_builds_viscous_and_divergence_once_and_keeps_them_in_the_blocks(tmp_path, monkeypatch):
+    # the leaky and the watertight solve constrain the same boundary dofs, so
+    # they share one saddle-blocks build, the only reader of A and B; the
+    # mesh's Discretization keeps neither matrix once the blocks are built
+    built = {"A": [], "B": []}
+    real_A, real_B = asm.assemble_viscous, asm.assemble_divergence
+
+    def counted_A(mesh, params):
+        built["A"].append(mesh)
+        return real_A(mesh, params)
+
+    def counted_B(mesh):
+        built["B"].append(mesh)
+        return real_B(mesh)
+
+    monkeypatch.setattr(asm, "assemble_viscous", counted_A)
+    monkeypatch.setattr(asm, "assemble_divergence", counted_B)
+    assert cli_main(["cavity", "--n", "4", "--grid", "5", "--mode", "pr-eg", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "cavity_report.json").read_text())
+    assert report["watertight_comparison"]["converged"] is True
+    assert len(built["A"]) == len(built["B"]) == 1
+    mesh = built["A"][0]
+    assert built["B"][0] is mesh
+    disc = asm.discretization(mesh)
+    assert not hasattr(disc, "viscous") and not hasattr(disc, "divergence")
+
+    def kept_matrices(value):
+        if sp.issparse(value):
+            yield value
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from kept_matrices(v)
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                yield from kept_matrices(v)
+
+    n_velocity = 2 * mesh.num_vertices + mesh.num_triangles
+    shapes = {m.shape for m in kept_matrices(vars(disc))}
+    assert (n_velocity, n_velocity) not in shapes and (mesh.num_triangles, n_velocity) not in shapes
 
 
 def test_probe_driver_outputs(tmp_path):
