@@ -34,7 +34,6 @@ from .assembly import _LAMBDA_MASS, FormParams
 from .mesh import MeshTopology, build_unit_square_mesh
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
 from .solver import DivergedError, NonlinearSettings, SingularSystemError, solve_navier_stokes
-from .spaces import EGFunction, PressureFunction
 
 EDGE_ERROR_DEGREE = 7  # 4-point Gauss
 VOLUME_ERROR_DEGREE = 4
@@ -166,23 +165,26 @@ def _reconstructed_error_sq(mesh, u_h, ex):
     rhs = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
     disc = asm.discretization(mesh)
     coeffs_exact = np.einsum("tij,tj->ti", disc.moment_inverse(), rhs).reshape(-1)
-    diff = (coeffs_exact - disc.reconstruction() @ u_h.to_vector()).reshape(-1, 3, 2)
+    diff = (coeffs_exact - disc.reconstruction() @ u_h).reshape(-1, 3, 2)
     return float(np.einsum("t,kl,tki,tli->", 2.0 * mesh.areas, _LAMBDA_MASS, diff, diff))
 
 
 def error_norms(
-    u_h: EGFunction,
-    p_h: PressureFunction,
+    u_h: np.ndarray,
+    p_h: np.ndarray,
     ex: ExactSolution,
     mesh: MeshTopology,
     params: FormParams,
 ) -> ConvergenceRow:
-    """All error columns for one solved level (EOC fields left unset)."""
+    """All error columns for one solved level (EOC fields left unset).
+
+    u_h is the velocity coefficient vector and p_h the cell pressures.
+    """
     rule = triangle_rule(VOLUME_ERROR_DEGREE)
     pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     wq = rule.weights
 
-    u_vertex = asm.vertex_values(u_h)
+    u_vertex = asm.vertex_values(mesh, u_h)
     grad_diff = ex.grad_u(pts) - asm.field_jacobians(mesh, u_vertex)[:, None, :, :]
     grad2 = float(np.einsum("t,q,tqij,tqij->", 2.0 * mesh.areas, wq, grad_diff, grad_diff))
 
@@ -197,7 +199,7 @@ def error_norms(
     domain_area = float(np.sum(mesh.areas))
     p_ex = ex.p(pts)
     p_ex_mean = float(np.einsum("t,q,tq->", 2.0 * mesh.areas, wq, p_ex)) / domain_area
-    p_h_vals = p_h.values - float(mesh.areas @ p_h.values) / domain_area
+    p_h_vals = p_h - float(mesh.areas @ p_h) / domain_area
     p_diff = (p_ex - p_ex_mean) - p_h_vals[:, None]
     l2p2 = float(np.einsum("t,q,tq,tq->", 2.0 * mesh.areas, wq, p_diff, p_diff))
 

@@ -23,6 +23,13 @@ their data parts to the right-hand side
 (sipg_boundary_load, divergence_boundary_load, convective_boundary_load).
 All three loads vanish for homogeneous data.
 
+A discrete velocity is one flat coefficient vector of length 2 nv + nt:
+the continuous P1 part, dof 2 v + i for component i at vertex v, then one
+bubble c (x - x_T) per cell, dof 2 nv + t for cell t.  The bubble has
+Jacobian c I, so every velocity is affine on each triangle.  A discrete
+pressure is one value per cell; solves return it with zero area-weighted
+mean.
+
 Convection and the body force read a velocity through a vertex map P into
 the elementwise P1 basis lam_k e_i (rows 6 t + 2 k + i): the exact
 embedding E of the affine-per-triangle enriched fields in the standard
@@ -90,7 +97,6 @@ import scipy.sparse as sp
 from .mesh import MeshTopology
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
 from .reconstruction import reconstruction_matrix
-from .spaces import EGFunction, layout_for
 
 VOLUME_DEGREE = 6
 EDGE_DEGREE = 7  # 4-point Gauss
@@ -116,13 +122,13 @@ class FormParams:
 # -- affine fields ---------------------------------------------------------
 
 
-def vertex_values(z: EGFunction) -> np.ndarray:
-    """(nt, 3, 2) values of an enriched field at each triangle's vertices, E z (Discretization.embedding).
+def vertex_values(mesh: MeshTopology, z: np.ndarray) -> np.ndarray:
+    """(nt, 3, 2) values of the velocity with coefficients z at each triangle's vertices, E z (Discretization.embedding).
 
     The field is affine on each triangle, so these values fix it there, and
     along each edge it interpolates its two endpoint values.
     """
-    return (discretization(z.mesh).embedding() @ z.to_vector()).reshape(-1, 3, 2)
+    return (discretization(mesh).embedding() @ z).reshape(-1, 3, 2)
 
 
 def field_jacobians(mesh: MeshTopology, zv: np.ndarray) -> np.ndarray:
@@ -443,8 +449,8 @@ class ConvectionOperator:
         return _components_sandwich(self.scalar, self.vertex_map)
 
 
-def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -> ConvectionOperator:
-    """Picard convection operator on the enriched space for the iterate z.
+def assemble_convection(mesh: MeshTopology, z: np.ndarray, params: FormParams) -> ConvectionOperator:
+    """Picard convection operator on the enriched space for the velocity coefficients z of the iterate.
 
     Both the transport field and the trial/test slots act through the vertex
     map P (Discretization.vertex_map): sum_c P_c^T C_s(P z) P_c, with C_s the
@@ -453,7 +459,7 @@ def assemble_convection(mesh: MeshTopology, z: EGFunction, params: FormParams) -
     disc = discretization(mesh)
     scalar = disc.scalar_p1()
     P = disc.vertex_map(params)
-    wv = (P @ z.to_vector()).reshape(mesh.num_triangles, 3, 2)
+    wv = (P @ z).reshape(mesh.num_triangles, 3, 2)
     Jw = field_jacobians(mesh, wv)
     divw = Jw[:, 0, 0] + Jw[:, 1, 1]
     # int_T lam_k (w . grad lam_l) = 2 |T| sum_m Lambda_km w_m . grad lam_l
@@ -495,7 +501,7 @@ def _boundary_hat_load(mesh: MeshTopology, ends: np.ndarray, cells: np.ndarray |
     return disc.embedding().T @ load.ravel()
 
 
-def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:
+def convective_boundary_load(mesh: MeshTopology, z: np.ndarray, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:
     """Boundary data of the convective form: inflow and flux-average terms.
 
     The exterior trace of the trial velocity on a Dirichlet edge is the P1
@@ -510,11 +516,11 @@ def convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params:
     zero there.
     """
     if params.pressure_robust or not g_nodal.any():
-        return np.zeros(layout_for(mesh).n_velocity)
+        return np.zeros(len(z))
     dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
     s = edge_rule(EDGE_DEGREE).points
     g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
-    z_ends = vertex_values(z).reshape(-1, 2)[dofs[:, 0]]  # as assemble_convection reads the transport field
+    z_ends = vertex_values(mesh, z).reshape(-1, 2)[dofs[:, 0]]  # as assemble_convection reads the transport field
     # z.n and g.n at the edge Gauss points
     zn, gn = (along_edges(np.einsum("eji,ei->ej", f, normal)[..., None], s)[..., 0] for f in (z_ends, g_ends))
     # h <(|z.n|_in - 1/2 g.n) g, lam_j e_i> with g = sum_k l_k g_k along the edge
@@ -534,7 +540,7 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     part of the unscaled form; the caller applies the viscosity factor.
     """
     if not np.any(g_nodal):
-        return np.zeros(layout_for(mesh).n_velocity)
+        return np.zeros(2 * mesh.num_vertices + mesh.num_triangles)
     dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
     g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
     # rho/h <g, lam_j e_i> on the endpoint hats; h cancels against the edge length
@@ -646,7 +652,7 @@ class SaddleSystem:
     def matrix(self) -> sp.csr_matrix:
         """The fixed blocks plus the convection block on the free velocity dofs, assembled on first read."""
         fixed = self.blocks.matrix
-        if self.convection is None:
+        if self.convection is None or self.convection.scalar.nnz == 0:  # Stokes, or a zero transport field
             return fixed
         free = self.blocks.free
         C_ff = self.convection.matrix()[free][:, free]

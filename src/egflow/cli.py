@@ -36,7 +36,6 @@ from .solver import (
     SingularSystemError,
     solve_navier_stokes,
 )
-from .spaces import EGFunction, PressureFunction, barycentric_coords
 
 CSV_HEADER = "h,energy_err,energy_eoc,l2u_err,l2u_eoc,l2p_err,l2p_eoc"
 
@@ -117,6 +116,22 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def barycentric_coords(mesh: MeshTopology, t, x: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of points x (..., 2) relative to triangles t.
+
+    t is one triangle index or an index array; its shape broadcasts against
+    x.shape[:-1], so x[:, None, :] pairs each point with a row of triangles.
+    """
+    x = np.asarray(x, dtype=float)
+    p = mesh.vertices[mesh.triangles[t]]  # t.shape + (3, 2)
+    det = 2.0 * mesh.areas[t]
+    vx = x[..., 0] - p[..., 0, 0]
+    vy = x[..., 1] - p[..., 0, 1]
+    lam1 = (vx * (p[..., 2, 1] - p[..., 0, 1]) - vy * (p[..., 2, 0] - p[..., 0, 0])) / det
+    lam2 = ((p[..., 1, 0] - p[..., 0, 0]) * vy - (p[..., 1, 1] - p[..., 0, 1]) * vx) / det
+    return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
+
+
 def locate_points(mesh: MeshTopology, pts: np.ndarray):
     """Containing triangle and barycentric coordinates for each point.
 
@@ -179,18 +194,19 @@ def sample_grid(mesh: MeshTopology, nx: int, ny: int) -> SampleGrid:
     return SampleGrid(nx, ny, pts, tri, bary, fallback)
 
 
-def sample_velocity(u_h: EGFunction, grid: SampleGrid) -> np.ndarray:
-    """Velocity (bubbles included) at the grid points, (nx * ny, 2)."""
-    return np.einsum("pk,pki->pi", grid.bary, vertex_values(u_h)[grid.triangles])
+def sample_velocity(mesh: MeshTopology, u_h: np.ndarray, grid: SampleGrid) -> np.ndarray:
+    """Velocity (bubbles included) with coefficients u_h at the grid points, (nx * ny, 2)."""
+    return np.einsum("pk,pki->pi", grid.bary, vertex_values(mesh, u_h)[grid.triangles])
 
 
-def write_field_dump(u_h: EGFunction, p_h: PressureFunction, grid: SampleGrid, path) -> int:
+def write_field_dump(mesh: MeshTopology, u_h: np.ndarray, p_h: np.ndarray, grid: SampleGrid, path) -> int:
     """Write velocity (bubbles included) and pressure at the grid points.
 
-    Rows run x fastest, y slowest.  Returns the fallback-point count, which
-    is also recorded in the header.
+    u_h holds the velocity coefficients and p_h the cell pressures.  Rows
+    run x fastest, y slowest.  Returns the fallback-point count, which is
+    also recorded in the header.
     """
-    rows = np.column_stack([grid.points, sample_velocity(u_h, grid), p_h.values[grid.triangles]])
+    rows = np.column_stack([grid.points, sample_velocity(mesh, u_h, grid), p_h[grid.triangles]])
     header = f"# nx={grid.nx} ny={grid.ny} fallback_points={grid.fallback}\n# x y u1 u2 p\n"
     Path(path).write_text(header + ("%.12e %.12e %.12e %.12e %.12e\n" * len(rows)) % tuple(rows.ravel().tolist()))
     return grid.fallback
@@ -219,7 +235,7 @@ def run_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: EGFunction, grid: SampleGrid) -> dict:
+def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: np.ndarray, grid: SampleGrid) -> dict:
     """Re-solve with the lid corners at rest; the report documents the gap."""
     try:
         u_wt, _, rep = solve_navier_stokes(
@@ -230,8 +246,8 @@ def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, u_leaky: EGFuncti
         )
     except (DivergedError, SingularSystemError) as err:
         return {"converged": False, "error": str(err)}
-    leaky = sample_velocity(u_leaky, grid)
-    wt = sample_velocity(u_wt, grid)
+    leaky = sample_velocity(mesh, u_leaky, grid)
+    wt = sample_velocity(mesh, u_wt, grid)
     # samples on the boundary read the bubbles' trace, which meets the lid data only weakly
     lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
     inside = np.all((grid.points > lo) & (grid.points < hi), axis=1)
@@ -274,7 +290,7 @@ def run_cavity(cfg: RunConfig) -> int:
         return 1
     dump_path = cfg.out_dir / "cavity_field.txt"
     grid = sample_grid(mesh, cfg.grid, cfg.grid)
-    fallback = write_field_dump(u_h, p_h, grid, dump_path)
+    fallback = write_field_dump(mesh, u_h, p_h, grid, dump_path)
     payload = dict(
         meta,
         converged=report.converged,

@@ -42,7 +42,6 @@ from scipy.linalg import solve_triangular
 from . import assembly as asm
 from .assembly import FormParams, SaddleSystem
 from .mesh import MeshTopology
-from .spaces import EGFunction, PressureFunction, layout_for
 
 
 logger = logging.getLogger(__name__)
@@ -342,8 +341,11 @@ def solve_navier_stokes(
     settings: NonlinearSettings = NonlinearSettings(),
     force=None,
     boundary: dict | None = None,
-) -> tuple[EGFunction, PressureFunction, SolveReport]:
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Picard iteration for the stationary momentum/continuity system.
+
+    Returns the velocity coefficient vector (layout in the assembly module
+    docstring), the zero-mean cell pressures and the report.
 
     force is a vectorized callable x -> f(x) (zero when omitted); boundary
     maps boundary vertices to velocity values (missing vertices are fixed
@@ -355,12 +357,12 @@ def solve_navier_stokes(
     convection that reads it.  The LU the linear solves keep stays with
     those blocks, so the next solve with the same ones starts from it.
     """
-    layout = layout_for(mesh)
+    n_velocity = 2 * mesh.num_vertices + mesh.num_triangles
     report = SolveReport()
 
     dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
     if force is None:
-        F = np.zeros(layout.n_velocity)
+        F = np.zeros(n_velocity)
     else:
         F = asm.assemble_load(mesh, force, params)
     # weak Dirichlet data of the viscous and divergence forms (zero for g = 0)
@@ -388,13 +390,12 @@ def solve_navier_stokes(
         return solution.velocity, solution.pressure
 
     if settings.init == "stokes":
-        u0, p0 = linear_solve(None, F)
+        z, p0 = linear_solve(None, F)
         report.stokes_init = True
-        x_old = np.concatenate([u0, p0])
-        z = EGFunction.from_vector(mesh, u0)
+        x_old = np.concatenate([z, p0])
     else:
-        x_old = np.zeros(layout.n_velocity + layout.n_pressure)
-        z = EGFunction.zero(mesh)
+        z = np.zeros(n_velocity)
+        x_old = np.zeros(n_velocity + mesh.num_triangles)
 
     for _ in range(settings.max_iters):  # at least once: NonlinearSettings checks max_iters >= 1
         u, p = linear_solve(
@@ -405,7 +406,7 @@ def solve_navier_stokes(
         update = _relative_update(x_new, x_old)
         report.iterations += 1
         report.update_norms.append(update)
-        z = EGFunction.from_vector(mesh, u)
+        z = u  # the next step's transport field
         x_old = x_new
         if update < settings.tol:
             report.converged = True
@@ -417,6 +418,4 @@ def solve_navier_stokes(
                 report,
             )
 
-    velocity = EGFunction.from_vector(mesh, u)
-    pressure = PressureFunction(mesh, p.copy())
-    return velocity, pressure, report
+    return u, p, report

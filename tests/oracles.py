@@ -6,8 +6,9 @@ batched form (energy and mass Gram matrices; the viscous and divergence
 matrices, the boundary loads and the jump terms of the error norms from
 the tables and edge traces of the 7-dof enriched basis; the reconstruction
 from the enriched basis's own edge moments; the BDM1 mass matrix; the
-elementwise P1 embedding, reconstructed fields evaluated point by point,
-edge traces and jumps one edge at a time, canonical interpolants),
+elementwise P1 embedding, enriched and reconstructed fields evaluated
+point by point, edge traces and jumps one edge at a time, canonical
+interpolants),
 a dense GMRES built from the Krylov space itself, point location testing every
 candidate at once, or a small utility only the tests need (rates, reading
 the convergence CSV).
@@ -25,29 +26,78 @@ from scipy.spatial import cKDTree
 
 import egflow.assembly as asm
 from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
-from egflow.cli import CSV_HEADER
+from egflow.cli import CSV_HEADER, barycentric_coords
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
 from egflow.reconstruction import local_moment_blocks
 from egflow.solver import KRYLOV_BUDGET, KRYLOV_RTOL
-from egflow.spaces import DofLayout, EGFunction, PressureFunction, barycentric_coords, layout_for
 
 VOLUME_QUAD_DEGREE = 6
 
 
-# -- dof layout and pressure -----------------------------------------------
+# -- dof layout, pointwise velocity and pressure ---------------------------
 
 
-def vertex_dof(layout: DofLayout, v: int, comp: int) -> int:
+def n_velocity(mesh: MeshTopology) -> int:
+    """Length of a velocity coefficient vector: two nodal dofs per vertex, one bubble per cell."""
+    return 2 * mesh.num_vertices + mesh.num_triangles
+
+
+def vertex_dof(v: int, comp: int) -> int:
     return 2 * v + comp
 
 
-def bubble_dof(layout: DofLayout, t: int) -> int:
-    return 2 * layout.num_vertices + t
+def bubble_dof(num_vertices: int, t: int) -> int:
+    return 2 * num_vertices + t
 
 
-def pressure_mean(p: PressureFunction) -> float:
-    return float(np.dot(p.mesh.areas, p.values) / np.sum(p.mesh.areas))
+def pressure_mean(mesh: MeshTopology, p: np.ndarray) -> float:
+    """Area-weighted mean of the cell pressures p."""
+    return float(np.dot(mesh.areas, p) / np.sum(mesh.areas))
+
+
+@dataclass
+class EGFunction:
+    """Velocity field: nodal values (nv, 2) plus bubble coefficients (nt,), evaluated point by point.
+
+    The package passes the same field as the flat vector to_vector().  The
+    bubble of triangle t is bubble[t] * (x - x_T), with x_T the barycenter,
+    so its Jacobian is bubble[t] * I and its divergence 2 bubble[t].
+    """
+
+    mesh: MeshTopology
+    nodal: np.ndarray
+    bubble: np.ndarray
+
+    @classmethod
+    def zero(cls, mesh: MeshTopology) -> "EGFunction":
+        return cls(mesh, np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_triangles))
+
+    @classmethod
+    def from_vector(cls, mesh: MeshTopology, vec: np.ndarray) -> "EGFunction":
+        nv = mesh.num_vertices
+        if vec.shape != (n_velocity(mesh),):
+            raise ValueError(f"expected velocity vector of length {n_velocity(mesh)}")
+        return cls(mesh, vec[: 2 * nv].reshape(nv, 2).copy(), vec[2 * nv :].copy())
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([self.nodal.ravel(), self.bubble])
+
+    def value(self, t: int, x: np.ndarray) -> np.ndarray:
+        """Velocity at physical points x (shape (..., 2)) inside triangle t."""
+        x = np.asarray(x, dtype=float)
+        lam = barycentric_coords(self.mesh, t, x)
+        nodal_part = np.einsum("...k,ki->...i", lam, self.nodal[self.mesh.triangles[t]])
+        return nodal_part + self.bubble[t] * (x - self.mesh.barycenters[t])
+
+    def jacobian(self, t: int) -> np.ndarray:
+        """Constant velocity Jacobian J[i, j] = d v_i / d x_j on triangle t."""
+        g = self.mesh.grad_lambda[t]  # (3, 2)
+        J = np.einsum("ki,kj->ij", self.nodal[self.mesh.triangles[t]], g)
+        return J + self.bubble[t] * np.eye(2)
+
+    def divergence(self, t: int) -> float:
+        return float(np.trace(self.jacobian(t)))
 
 
 # -- the 7-dof enriched basis and its edge traces --------------------------
@@ -171,14 +221,14 @@ def _coo_sum(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matr
 def assemble_energy_gram(mesh: MeshTopology, penalty: float) -> sp.csr_matrix:
     """Gram matrix of the jump-augmented broken H1 norm: |grad|^2 + penalty |h^-1/2 [.]|^2."""
     stiffness, edges = viscous_blocks(mesh)
-    return _coo_sum([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], layout_for(mesh).n_velocity)
+    return _coo_sum([stiffness] + [(dofs, penalty * pen) for dofs, _, pen in edges], n_velocity(mesh))
 
 
 def enriched_viscous(mesh: MeshTopology, params: asm.FormParams) -> sp.csr_matrix:
     """The viscous matrix from local blocks on the 7-dof enriched basis."""
     stiffness, edges = viscous_blocks(mesh)
     blocks = [(dofs, params.penalty * pen - cons - cons.transpose(0, 2, 1)) for dofs, cons, pen in edges]
-    return _coo_sum([stiffness] + blocks, layout_for(mesh).n_velocity)
+    return _coo_sum([stiffness] + blocks, n_velocity(mesh))
 
 
 def enriched_divergence(mesh: MeshTopology) -> sp.csr_matrix:
@@ -207,13 +257,13 @@ def boundary_data(mesh: MeshTopology, g_nodal: np.ndarray, s: np.ndarray) -> np.
 
 def enriched_convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray, params: asm.FormParams) -> np.ndarray:
     """assembly.convective_boundary_load from the boundary traces of the 7-dof enriched basis."""
-    vec = np.zeros(layout_for(mesh).n_velocity)
+    vec = np.zeros(n_velocity(mesh))
     if params.pressure_robust or not g_nodal.any():
         return vec
     batch = EdgeBatch(mesh, EnrichedTables(mesh), mesh.boundary_edge_ids)
     srule = edge_rule(asm.EDGE_DEGREE)
     s, w = srule.points, srule.weights
-    ztr = asm.along_edges(batch.field_ends(asm.vertex_values(z))[:, 0], s)
+    ztr = asm.along_edges(batch.field_ends(asm.vertex_values(mesh, z))[:, 0], s)
     w_in = np.maximum(-np.einsum("eqi,ei->eq", ztr, batch.normal), 0.0)
     gq = boundary_data(mesh, g_nodal, s)
     gn = np.einsum("eqi,ei->eq", gq, batch.normal)
@@ -225,7 +275,7 @@ def enriched_convective_boundary_load(mesh: MeshTopology, z, g_nodal: np.ndarray
 
 def enriched_sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: asm.FormParams) -> np.ndarray:
     """assembly.sipg_boundary_load from the boundary traces and Jacobians of the 7-dof enriched basis."""
-    vec = np.zeros(layout_for(mesh).n_velocity)
+    vec = np.zeros(n_velocity(mesh))
     if not np.any(g_nodal):
         return vec
     space = EnrichedTables(mesh)
@@ -309,7 +359,7 @@ def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
                 rows += [r, r]
                 cols += [2 * v + i, nv2 + t]
                 vals += [1.0, offset[i]]
-    shape = (6 * nt, layout_for(mesh).n_velocity)
+    shape = (6 * nt, n_velocity(mesh))
     E = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     E.eliminate_zeros()
     return E
@@ -348,7 +398,7 @@ def edge_moment_matrix(mesh: MeshTopology) -> sp.csr_matrix:
             rows.append(r)
             cols.append(nv2 + t)
             vals.append(0.5 * h * m)
-    shape = (2 * mesh.num_edges, layout_for(mesh).n_velocity)
+    shape = (2 * mesh.num_edges, n_velocity(mesh))
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()
@@ -433,12 +483,12 @@ def interpolate_velocity(mesh: MeshTopology, w, div_w) -> EGFunction:
     return EGFunction(mesh, nodal, bubble)
 
 
-def project_pressure(mesh: MeshTopology, q) -> PressureFunction:
-    """Cellwise mean projection onto piecewise constants."""
+def project_pressure(mesh: MeshTopology, q) -> np.ndarray:
+    """Cellwise mean projection onto piecewise constants: one value per cell."""
     rule = triangle_rule(VOLUME_QUAD_DEGREE)
     pts = map_to_triangle(rule, mesh.vertices[mesh.triangles])
     vals = np.asarray(q(pts), dtype=float)
-    return PressureFunction(mesh, 2.0 * np.einsum("q,tq->t", rule.weights, vals))
+    return 2.0 * np.einsum("q,tq->t", rule.weights, vals)
 
 
 def locate_points_all_candidates(mesh: MeshTopology, pts: np.ndarray):

@@ -30,15 +30,16 @@ from egflow.mesh import build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
 from egflow.reconstruction import local_moment_blocks
 from egflow.solver import NonlinearSettings, SingularSystemError
-from egflow.spaces import EGFunction, PressureFunction, layout_for
 from oracles import (
     BDMFunction,
+    EGFunction,
     assemble_energy_gram,
     assemble_mass,
     bdm_mass_matrix,
     edge_points,
     jump_average,
     least_squares_rate,
+    n_velocity,
 )
 from test_assembly import perturbed_mesh
 
@@ -191,8 +192,8 @@ def test_error_norms_vanish_for_representable_fields():
     )
     mesh = build_unit_square_mesh(3)
     u_h = EGFunction(mesh, u(mesh.vertices), np.zeros(mesh.num_triangles))
-    p_h = PressureFunction(mesh, np.full(mesh.num_triangles, 2.5))
-    row = error_norms(u_h, p_h, ex, mesh, FormParams(viscosity=1.0, penalty=10.0))
+    p_h = np.full(mesh.num_triangles, 2.5)
+    row = error_norms(u_h.to_vector(), p_h, ex, mesh, FormParams(viscosity=1.0, penalty=10.0))
     assert row.energy_err <= 1e-12
     assert row.energy_r_err <= 1e-12
     assert row.l2_u_err <= 1e-13
@@ -209,7 +210,7 @@ def test_interpolant_errors_scale_at_expected_rates():
         rule = triangle_rule(4)
         pts = np.einsum("qk,tki->tqi", rule.points, mesh.vertices[mesh.triangles])
         p_proj = 2.0 * np.einsum("q,tq->t", rule.weights, ex.p(pts))
-        rows.append(error_norms(u_I, PressureFunction(mesh, p_proj), ex, mesh, params))
+        rows.append(error_norms(u_I.to_vector(), p_proj, ex, mesh, params))
     for r in rows:
         assert r.energy_err > 0 and r.l2_u_err > 0 and r.l2_p_err > 0
     assert 1.5 <= rows[0].energy_err / rows[1].energy_err <= 2.6
@@ -218,7 +219,10 @@ def test_interpolant_errors_scale_at_expected_rates():
 
 
 def _pointwise_error_columns(u_h, p_h, ex, mesh, params):
-    """error_norms' four columns, one triangle and one edge at a time through the pointwise evaluators."""
+    """error_norms' four columns, one triangle and one edge at a time through the pointwise evaluators.
+
+    u_h is an EGFunction and p_h the cell pressures.
+    """
     vrule = triangle_rule(analysis.VOLUME_ERROR_DEGREE)
     erule = edge_rule(analysis.EDGE_ERROR_DEGREE)
     s = erule.points
@@ -251,11 +255,11 @@ def _pointwise_error_columns(u_h, p_h, ex, mesh, params):
         x = vrule.points @ mesh.vertices[mesh.triangles[t]]
         rec2 += float(np.einsum("q,qi->", 2.0 * mesh.areas[t] * vrule.weights, rec.value(t, x) ** 2))
     area = float(mesh.areas.sum())
-    p_h_mean = float(mesh.areas @ p_h.values) / area
+    p_h_mean = float(mesh.areas @ p_h) / area
     l2p2 = 0.0
     for t in range(mesh.num_triangles):
         x = vrule.points @ mesh.vertices[mesh.triangles[t]]
-        diff = ex.p(x) - p_int / area - (p_h.values[t] - p_h_mean)
+        diff = ex.p(x) - p_int / area - (p_h[t] - p_h_mean)
         l2p2 += float(2.0 * mesh.areas[t] * vrule.weights @ diff**2)
     mu = params.viscosity
     return {
@@ -274,11 +278,11 @@ def test_error_norms_match_pointwise_evaluation_on_perturbed_mesh(seed):
     mesh = perturbed_mesh(5, seed=seed)
     rng = np.random.default_rng(seed)
     u_h = EGFunction(mesh, 0.1 * rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
-    p_h = PressureFunction(mesh, rng.standard_normal(mesh.num_triangles))
+    p_h = rng.standard_normal(mesh.num_triangles)
     params = FormParams(viscosity=0.37, penalty=7.0)
     base = example1_solution()
     ex = dataclasses.replace(base, u=lambda x: base.u(x) + np.array([0.3, -0.2]))
-    row = error_norms(u_h, p_h, ex, mesh, params)
+    row = error_norms(u_h.to_vector(), p_h, ex, mesh, params)
     for name, want in _pointwise_error_columns(u_h, p_h, ex, mesh, params).items():
         assert getattr(row, name) == pytest.approx(want, rel=1e-12), name
 
@@ -289,17 +293,17 @@ def test_error_norms_reuse_the_block_inverse_of_the_reconstruction(monkeypatch):
     mesh = perturbed_mesh(5, seed=4)
     rng = np.random.default_rng(4)
     u_h = EGFunction(mesh, 0.1 * rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
-    p_h = PressureFunction(mesh, rng.standard_normal(mesh.num_triangles))
+    p_h = rng.standard_normal(mesh.num_triangles)
     params = FormParams(viscosity=0.37, penalty=7.0)
     ex = example1_solution()
-    first = error_norms(u_h, p_h, ex, mesh, params)
+    first = error_norms(u_h.to_vector(), p_h, ex, mesh, params)
 
     def rebuilt(_):
         raise AssertionError("moment blocks rebuilt")
 
     for module in (reconstruction, analysis):
         monkeypatch.setattr(module, "local_moment_blocks", rebuilt, raising=False)
-    assert error_norms(u_h, p_h, ex, mesh, params) == first
+    assert error_norms(u_h.to_vector(), p_h, ex, mesh, params) == first
 
 
 def test_eoc_is_exactly_one_on_synthetic_halving():
@@ -350,7 +354,7 @@ def _norms_for_draws(n, seed, draws=25):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(draws):
-        v = rng.standard_normal(layout_for(mesh).n_velocity)
+        v = rng.standard_normal(n_velocity(mesh))
         rv = R @ v
         out.append((float(v @ (E @ v)), float(v @ (M @ v)), float(rv @ (MB @ rv))))
     return mesh.h_max, out
@@ -384,7 +388,7 @@ def test_bubble_subspace_l2_bound_is_level_stable():
         rng = np.random.default_rng(59)
         cap = 0.0
         for _ in range(25):
-            v = np.zeros(layout_for(mesh).n_velocity)
+            v = np.zeros(n_velocity(mesh))
             v[2 * mesh.num_vertices:] = rng.standard_normal(mesh.num_triangles)
             cap = max(cap, (v @ (M @ v)) / (mesh.h_max**2 * (v @ (E @ v))))
         caps[n] = cap

@@ -19,6 +19,7 @@ from egflow.cli import (
     config_from_args,
     build_parser,
     SampleGrid,
+    barycentric_coords,
     locate_points,
     sample_grid,
     sample_velocity,
@@ -27,8 +28,7 @@ from egflow.cli import (
 )
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
-from egflow.spaces import EGFunction, PressureFunction, barycentric_coords
-from oracles import locate_points_all_candidates, read_convergence_csv
+from oracles import EGFunction, locate_points_all_candidates, n_velocity, read_convergence_csv
 from test_assembly import perturbed_mesh
 
 
@@ -211,8 +211,7 @@ def test_field_dump_zero_solution_and_grid_shape(tmp_path):
     mesh = build_unit_square_mesh(2)
     path = tmp_path / "dump.txt"
     fallback = write_field_dump(
-        EGFunction.zero(mesh), PressureFunction(mesh, np.zeros(mesh.num_triangles)),
-        sample_grid(mesh, 2, 2), path,
+        mesh, np.zeros(n_velocity(mesh)), np.zeros(mesh.num_triangles), sample_grid(mesh, 2, 2), path
     )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# nx=2 ny=2 fallback_points=0"
@@ -230,9 +229,9 @@ def test_field_dump_reproduces_continuous_field(tmp_path):
     a, b = 0.4, -0.9
     nodal = np.stack([a + b * mesh.vertices[:, 1], -b * mesh.vertices[:, 0]], axis=-1)
     u_h = EGFunction(mesh, nodal, np.zeros(mesh.num_triangles))
-    p_h = PressureFunction(mesh, np.arange(mesh.num_triangles, dtype=float))
+    p_h = np.arange(mesh.num_triangles, dtype=float)
     path = tmp_path / "dump.txt"
-    write_field_dump(u_h, p_h, sample_grid(mesh, 7, 5), path)
+    write_field_dump(mesh, u_h.to_vector(), p_h, sample_grid(mesh, 7, 5), path)
     rows = np.loadtxt(path)
     assert rows.shape == (35, 5)
     assert np.allclose(rows[:, 2], a + b * rows[:, 1], atol=1e-12)
@@ -250,7 +249,7 @@ def test_field_dump_includes_bubble_contribution(tmp_path):
     vals = np.array([u_h.value(int(t), x) for t, x in zip(tri, pts)])
     assert np.abs(vals).max() > 0  # bubbles really sampled
     path = tmp_path / "dump.txt"
-    write_field_dump(u_h, PressureFunction(mesh, np.zeros(mesh.num_triangles)), sample_grid(mesh, 9, 9), path)
+    write_field_dump(mesh, u_h.to_vector(), np.zeros(mesh.num_triangles), sample_grid(mesh, 9, 9), path)
     rows = np.loadtxt(path)
     assert np.abs(rows[:, 2:4]).max() > 1e-3
 
@@ -262,7 +261,7 @@ def test_sampled_velocity_matches_pointwise_value_on_perturbed_mesh():
     pts = rng.uniform(0.02, 0.98, (200, 2))
     tri, bary, fallback = locate_points(mesh, pts)
     assert fallback == 0
-    vals = sample_velocity(u_h, SampleGrid(len(pts), 1, pts, tri, bary, fallback))
+    vals = sample_velocity(mesh, u_h.to_vector(), SampleGrid(len(pts), 1, pts, tri, bary, fallback))
     want = np.array([u_h.value(int(t), x) for t, x in zip(tri, pts)])
     assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
 

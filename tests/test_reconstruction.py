@@ -11,9 +11,9 @@ import pytest
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule
 import egflow.assembly as asm
-from egflow.spaces import EGFunction
 from oracles import (
     BDMFunction,
+    EGFunction,
     bdm_divergence_matrix,
     bdm_mass_matrix,
     edge_points,

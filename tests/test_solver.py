@@ -23,8 +23,7 @@ from egflow.solver import (
     solve_linear,
     solve_navier_stokes,
 )
-from egflow.spaces import EGFunction
-from oracles import dense_gmres, interpolate_velocity
+from oracles import EGFunction, dense_gmres, interpolate_velocity
 from test_assembly import perturbed_mesh
 
 PARAMS = FormParams(viscosity=1.0, penalty=10.0)
@@ -70,7 +69,7 @@ def multiplier_picard(mesh, params, force, boundary, steps):
     F = asm.assemble_load(mesh, force, params) + params.viscosity * asm.sipg_boundary_load(mesh, g, params)
     cont = asm.divergence_boundary_load(mesh, g)
     nt, nv = B.shape
-    z = EGFunction.zero(mesh)
+    z = np.zeros(nv)
     for _ in range(steps):
         M = np.zeros((nv + nt + 1, nv + nt + 1))
         M[:nv, :nv] = params.viscosity * A + asm.assemble_convection(mesh, z, params).matrix().toarray()
@@ -84,7 +83,7 @@ def multiplier_picard(mesh, params, force, boundary, steps):
         M[dofs, dofs] = 1.0
         b[dofs] = values
         x = np.linalg.solve(M, b)
-        z = EGFunction.from_vector(mesh, x[:nv])
+        z = x[:nv]
     return x[:nv], x[nv:-1]
 
 
@@ -128,7 +127,7 @@ def rotating_flow(mesh):
             axis=-1,
         )
 
-    return interpolate_velocity(mesh, w, lambda x: np.zeros(x.shape[:-1]))
+    return interpolate_velocity(mesh, w, lambda x: np.zeros(x.shape[:-1])).to_vector()
 
 
 @pytest.mark.parametrize("robust", [False, True])
@@ -182,8 +181,8 @@ def test_zero_data_converges_immediately_to_rest():
     u, p, report = solve_navier_stokes(mesh, PARAMS)
     assert report.converged
     assert report.iterations == 1
-    assert np.abs(u.to_vector()).max() <= 1e-14
-    assert np.abs(p.values).max() <= 1e-14
+    assert np.abs(u).max() <= 1e-14
+    assert np.abs(p).max() <= 1e-14
 
 
 @pytest.mark.parametrize("robust", [False, True])
@@ -196,10 +195,10 @@ def test_manufactured_force_converges_and_reports(robust):
     assert len(report.update_norms) == report.iterations
     assert report.update_norms[-1] < 1e-10
     assert max(report.linear_residuals) <= 1e-10
-    assert abs(float(mesh.areas @ p.values)) <= 1e-10
+    assert abs(float(mesh.areas @ p)) <= 1e-10
     # boundary stays at rest under strong imposition
     bverts = np.flatnonzero(mesh.is_boundary_vertex)
-    assert np.abs(u.nodal[bverts]).max() == 0.0
+    assert np.abs(EGFunction.from_vector(mesh, u).nodal[bverts]).max() == 0.0
 
 
 def gradient_force(x):
@@ -222,10 +221,10 @@ def test_gradient_force_moves_no_fluid_in_the_robust_scheme(perturbed):
         params = FormParams(viscosity=mu, penalty=10.0, pressure_robust=True)
         u, _, report = solve_navier_stokes(mesh, params, force=gradient_force)
         assert report.converged
-        assert np.abs(u.to_vector()).max() <= 1e-10
+        assert np.abs(u).max() <= 1e-10
     u, _, report = solve_navier_stokes(mesh, FormParams(viscosity=1.0, penalty=10.0), force=gradient_force)
     assert report.converged
-    assert np.abs(u.to_vector()).max() >= 1e-3
+    assert np.abs(u).max() >= 1e-3
 
 
 def test_fixed_point_consistency_of_converged_solution():
@@ -240,7 +239,7 @@ def test_fixed_point_consistency_of_converged_solution():
         mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
     )
     u2, p2, *_ = solve_linear(system)
-    x1 = np.concatenate([u.to_vector(), p.values])
+    x1 = np.concatenate([u, p])
     x2 = np.concatenate([u2, p2])
     assert np.linalg.norm(x2 - x1) / np.linalg.norm(x1) < 1e-9
 
@@ -255,8 +254,9 @@ def test_stokes_initialization_runs_and_converges():
     assert report.converged
     assert report.iterations <= 20
     # lid values imposed exactly, including the leaky corners
+    nodal = EGFunction.from_vector(mesh, u).nodal
     for v, val in g.items():
-        assert np.allclose(u.nodal[v], val)
+        assert np.allclose(nodal[v], val)
     assert len(report.linear_residuals) == report.iterations + 1
 
 
@@ -284,9 +284,10 @@ def test_affine_solution_with_inhomogeneous_data_is_reproduced_exactly():
         }
         u, p, report = solve_navier_stokes(mesh, PARAMS, boundary=g, force=force)
         assert report.converged
-        assert np.abs(u.nodal - u_exact(mesh.vertices)).max() < 1e-12
-        assert np.abs(u.bubble).max() < 1e-12
-        assert np.abs(p.values - p.values.mean()).max() < 1e-11
+        field = EGFunction.from_vector(mesh, u)
+        assert np.abs(field.nodal - u_exact(mesh.vertices)).max() < 1e-12
+        assert np.abs(field.bubble).max() < 1e-12
+        assert np.abs(p - p.mean()).max() < 1e-11
 
 
 def test_unit_viscosity_factors_once_and_matches_the_multiplier_system():
@@ -299,7 +300,7 @@ def test_unit_viscosity_factors_once_and_matches_the_multiplier_system():
     assert report.krylov_iterations[0] == 0  # the first (Stokes) step is factored
     assert all(k > 0 for k in report.krylov_iterations[1:])
     u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, report.iterations)
-    x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
+    x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -317,7 +318,7 @@ def test_gmres_starts_from_the_previous_iterate(monkeypatch):
     assert all(w <= c for w, c in zip(warm.krylov_iterations, cold.krylov_iterations))
     assert sum(warm.krylov_iterations) < sum(cold.krylov_iterations)
     u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, warm.iterations)
-    x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
+    x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -338,7 +339,7 @@ def test_small_viscosity_refactors_when_gmres_misses(caplog):
     assert len(report.krylov_iterations) == report.iterations
     assert max(report.linear_residuals) <= 1e-10
     u_ref, p_ref = multiplier_picard(mesh, params, poly_force, g, report.iterations)
-    x, x_ref = np.concatenate([u.to_vector(), p.values]), np.concatenate([u_ref, p_ref])
+    x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -346,9 +347,11 @@ def test_small_viscosity_refactors_when_gmres_misses(caplog):
 def test_oseen_matrices_are_assembled_only_to_be_factored(monkeypatch, mu, init):
     # GMRES applies each step's convection without assembling it; only a
     # factorization reads the matrix.  At mu = 1 the Stokes factor carries
-    # every Oseen step; at mu = 5e-3 from z = 0 each factored system is an
-    # Oseen one, and the force moves the transport of the first steps far
-    # enough from the first factor that GMRES misses its budget
+    # every Oseen step.  At mu = 5e-3 from z = 0 the first step's convection
+    # is empty, so its factorization reads the fixed blocks as they are;
+    # every later factored system is an Oseen one, as the force moves the
+    # transport of the first steps far enough from the first factor that
+    # GMRES misses its budget
     assembled = 0
     matrix = asm.ConvectionOperator.matrix
 
@@ -366,7 +369,7 @@ def test_oseen_matrices_are_assembled_only_to_be_factored(monkeypatch, mu, init)
     if mu == 1.0:
         assert (assembled, report.factorizations) == (0, 1)
     else:
-        assert assembled == report.factorizations > 1
+        assert assembled == report.factorizations - 1 > 0
 
 
 @pytest.mark.parametrize("mu", [1.0, 5e-3])
@@ -469,7 +472,7 @@ def test_a_second_solve_on_the_mesh_starts_from_the_kept_factor():
     fresh = build_unit_square_mesh(8)
     u_ref, p_ref, ref = solve_navier_stokes(fresh, params, settings, boundary=asm.lid_values(fresh, leaky_corners=False))
     assert ref.factorizations == 1
-    x, x_ref = (np.concatenate([v.to_vector(), q.values]) for v, q in ((u, p), (u_ref, p_ref)))
+    x, x_ref = np.concatenate([u, p]), np.concatenate([u_ref, p_ref])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 

@@ -1,16 +1,22 @@
-"""Velocity/pressure space checks: evaluation, jumps, interpolation."""
+"""Velocity/pressure space checks: dof layout, evaluation, jumps, interpolation.
+
+The package passes a velocity as one coefficient vector and a pressure as
+one value per cell; the pointwise evaluator here is oracles.EGFunction.
+"""
 
 import numpy as np
 import pytest
 
+import egflow.assembly as asm
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import triangle_rule
-from egflow.spaces import EGFunction, layout_for
 from oracles import (
+    EGFunction,
     bubble_dof,
     edge_points,
     interpolate_velocity,
     jump_average,
+    n_velocity,
     pressure_mean,
     project_pressure,
     vertex_dof,
@@ -26,17 +32,24 @@ def two_triangle_square():
 
 
 def test_dof_layout_bijection():
+    # the oracle's dof numbering covers exactly the columns of the package's
+    # embedding E, and E reads each dof as that numbering says
     mesh = build_unit_square_mesh(3)
-    layout = layout_for(mesh)
     seen = set()
     for v in range(mesh.num_vertices):
         for c in (0, 1):
-            seen.add(vertex_dof(layout, v, c))
+            seen.add(vertex_dof(v, c))
     for t in range(mesh.num_triangles):
-        seen.add(bubble_dof(layout, t))
-    assert seen == set(range(layout.n_velocity))
-    assert layout.n_velocity == 2 * mesh.num_vertices + mesh.num_triangles
-    assert layout.n_pressure == mesh.num_triangles
+        seen.add(bubble_dof(mesh.num_vertices, t))
+    E = asm.discretization(mesh).embedding()
+    assert seen == set(range(E.shape[1]))
+    assert n_velocity(mesh) == E.shape[1] == 2 * mesh.num_vertices + mesh.num_triangles
+    t, k, c = 4, 1, 1
+    v = mesh.triangles[t, k]
+    row = E[6 * t + 2 * k + c].toarray().ravel()
+    assert row[vertex_dof(v, c)] == 1.0
+    assert row[bubble_dof(mesh.num_vertices, t)] == pytest.approx(mesh.vertices[v, c] - mesh.barycenters[t, c])
+    assert np.count_nonzero(row) == 2
 
 
 def test_vector_roundtrip():
@@ -203,12 +216,12 @@ def test_pressure_projection_and_mean_removal():
     rule = triangle_rule(5)
     pts = np.einsum("qk,ki->qi", rule.points, mesh.vertices[mesh.triangles[t]])
     mean = 2.0 * np.sum(rule.weights * q(pts))
-    assert p.values[t] == pytest.approx(mean, rel=1e-13)
+    assert p[t] == pytest.approx(mean, rel=1e-13)
     # global mean: int q = 1/2 + 2/3
-    assert pressure_mean(p) == pytest.approx(0.5 + 2.0 / 3.0, rel=1e-12)
+    assert pressure_mean(mesh, p) == pytest.approx(0.5 + 2.0 / 3.0, rel=1e-12)
 
 
 def test_constant_pressure_projection_exact():
     mesh = build_unit_square_mesh(2)
     p = project_pressure(mesh, lambda x: np.full_like(x[..., 0], 3.25))
-    assert p.values == pytest.approx(np.full(mesh.num_triangles, 3.25), rel=1e-14)
+    assert p == pytest.approx(np.full(mesh.num_triangles, 3.25), rel=1e-14)

@@ -45,10 +45,6 @@ ENTRY_POINTS = {
     **{name: "exported in egflow.__all__" for name in egflow.__all__},
     **{name: "imported by the README Python API example" for name in _readme_api_names()},
     "main": "console script egflow = egflow.cli:main",
-    **{
-        f"EGFunction.{method}": "pointwise evaluator the tests use as an independent oracle"
-        for method in ("value", "jacobian", "divergence")
-    },
 }
 
 # function.parameter -> why the package never passes it although it has a default
