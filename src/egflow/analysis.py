@@ -139,7 +139,7 @@ def _edge_error_terms(mesh, u_vertex, ex, penalty):
     rule = edge_rule(EDGE_ERROR_DEGREE)
     s, w = rule.points, rule.weights
     total = 0.0
-    for dofs, _, _ in asm.discretization(mesh).scalar_p1().edges:
+    for dofs, _, _ in asm.discretization(mesh).scalar_p1.edges:
         traces = asm.along_edges(u_vertex.reshape(-1, 2)[dofs], s)  # (nE, sides, nq, 2)
         if dofs.shape[1] == 2:
             jump = traces[:, 0] - traces[:, 1]  # exact field is continuous, its jump cancels
@@ -164,8 +164,8 @@ def _reconstructed_error_sq(mesh, u_h, ex):
         moments[ids, 1] = h * np.einsum("q,q,eq->e", w, s, un)
     rhs = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
     disc = asm.discretization(mesh)
-    coeffs_exact = np.einsum("tij,tj->ti", disc.moment_inverse(), rhs).reshape(-1)
-    diff = (coeffs_exact - disc.reconstruction() @ u_h).reshape(-1, 3, 2)
+    coeffs_exact = np.einsum("tij,tj->ti", disc.moment_inverse, rhs).reshape(-1)
+    diff = (coeffs_exact - disc.reconstruction @ u_h).reshape(-1, 3, 2)
     return float(np.einsum("t,kl,tki,tli->", 2.0 * mesh.areas, _LAMBDA_MASS, diff, diff))
 
 

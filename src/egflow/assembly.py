@@ -66,13 +66,14 @@ convective boundary loads are E^T of scalar loads on the boundary-edge
 hats, and the error norms read a field's edge traces from its vertex
 values at the same hats and the exact field's reconstruction through
 L^-1.  The solver and analysis.error_norms share all of it.  For the
-viscosity, penalty and Dirichlet dofs last asked for, the Discretization
-also keeps the blocks of the saddle system that no step changes
-(_SaddleBlocks), and with them what the solver keeps across steps and
-solves: the minimum-degree orders and the last accepted LU.  The blocks
-are the only reader of A and B: each build assembles both and keeps only
-their restrictions to the free and Dirichlet unknowns.  A Picard
-step evaluates only the transport field: its vertex values P z, one
+viscosity and penalty last asked for, the Discretization also keeps the
+blocks of the saddle system that no step changes (_SaddleBlocks), and
+with them what the solver keeps across steps and solves: the
+minimum-degree orders and the last accepted LU.  The Dirichlet dofs are
+the boundary nodal dofs whatever the data, so they need no key.  The
+blocks are the only reader of A and B: each build assembles both and
+keeps only their restrictions to the free and Dirichlet unknowns.  A
+Picard step evaluates only the transport field: its vertex values P z, one
 batched contraction for the volume term, and per edge {w}.n and [w].n at
 the Gauss points, whose upwind and skew weights form the three moments;
 the local blocks then fill the fixed pattern of C_s by bincount.  The
@@ -128,7 +129,7 @@ def vertex_values(mesh: MeshTopology, z: np.ndarray) -> np.ndarray:
     The field is affine on each triangle, so these values fix it there, and
     along each edge it interpolates its two endpoint values.
     """
-    return (discretization(mesh).embedding() @ z).reshape(-1, 3, 2)
+    return (discretization(mesh).embedding @ z).reshape(-1, 3, 2)
 
 
 def field_jacobians(mesh: MeshTopology, zv: np.ndarray) -> np.ndarray:
@@ -246,54 +247,54 @@ class Discretization:
     reconstruction R with its block inverse L^-1.  The mesh arrays are
     read-only, so none of it can go stale.
     Of the fixed saddle blocks (_SaddleBlocks), which carry the solver's
-    orders and kept LU, only those of the last viscosity, penalty and
-    Dirichlet set asked for are kept: a request for another drops them,
-    LU and all, before it builds its own.  Only the blocks read A and B.
+    orders and kept LU, only those of the last viscosity and penalty asked
+    for are kept: a request for another drops them, LU and all, before it
+    builds its own.  Only the blocks read A and B.
     """
 
     def __init__(self, mesh: MeshTopology):
         # weak: the mesh keeps its Discretization, and a strong reference back
         # would leave both to the cycle collector instead of freeing them with the mesh
         self._mesh = weakref.ref(mesh)
-        self._built: dict = {}
         self._saddle: tuple | None = None  # (key, _SaddleBlocks) of the last key asked for
 
     @property
     def mesh(self) -> MeshTopology:
         return self._mesh()
 
-    def _memo(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
+    @functools.cached_property
     def scalar_p1(self) -> _ScalarP1:
-        return self._memo("scalar", lambda: _ScalarP1(self.mesh))
+        return _ScalarP1(self.mesh)
 
+    @functools.cached_property
     def embedding(self) -> sp.csr_matrix:
         """E, the exact embedding of enriched velocities into the elementwise P1 basis (see _embedding_matrix)."""
-        return self._memo("E", lambda: _embedding_matrix(self.mesh))
+        return _embedding_matrix(self.mesh)
 
+    @functools.cached_property
     def _reconstruction(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        return self._memo("R", lambda: reconstruction_matrix(self.mesh, self.embedding()))
+        # through this module's global, which tests and perfbench's tracing replace
+        return reconstruction_matrix(self.mesh, self.embedding)
 
+    @property
     def reconstruction(self) -> sp.csr_matrix:
-        return self._reconstruction()[0]
+        return self._reconstruction[0]
 
+    @property
     def moment_inverse(self) -> np.ndarray:
         """(nt, 6, 6) inverses of the triangles' edge-moment blocks L, kept from building R."""
-        return self._reconstruction()[1]
+        return self._reconstruction[1]
 
     def vertex_map(self, params: FormParams) -> sp.csr_matrix:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""
-        return self.reconstruction() if params.pressure_robust else self.embedding()
+        return self.reconstruction if params.pressure_robust else self.embedding
 
-    def saddle_blocks(self, params: FormParams, dofs: np.ndarray) -> _SaddleBlocks:
-        """The saddle blocks no Picard step changes for params' viscosity and penalty and these Dirichlet dofs."""
-        key = (params.viscosity, params.penalty, np.asarray(dofs, dtype=np.int64).tobytes())
+    def saddle_blocks(self, params: FormParams) -> _SaddleBlocks:
+        """The saddle blocks no Picard step changes for params' viscosity and penalty."""
+        key = (params.viscosity, params.penalty)
         if self._saddle is None or self._saddle[0] != key:
             self._saddle = None  # free the old blocks and their LU before building
-            self._saddle = key, _SaddleBlocks(self.mesh, params, dofs)
+            self._saddle = key, _SaddleBlocks(self.mesh, params)
         return self._saddle[1]
 
 
@@ -349,7 +350,7 @@ def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
     with A_s the scalar DG-P1 SIPG matrix on the hats lam_k (see _ScalarP1).
     """
     disc = discretization(mesh)
-    scalar = disc.scalar_p1()
+    scalar = disc.scalar_p1
     blocks = [(scalar.cells, np.einsum("t,tki,tli->tkl", mesh.areas, mesh.grad_lambda, mesh.grad_lambda))]
     for dofs, h, normal in scalar.edges:
         ne, sides = dofs.shape[:2]
@@ -368,7 +369,7 @@ def assemble_viscous(mesh: MeshTopology, params: FormParams) -> sp.csr_matrix:
         pen = params.penalty * np.einsum("x,y,jk->xjyk", sign, sign, _EDGE_HAT_MASS).reshape(2 * sides, 2 * sides)
         blocks.append((dofs.reshape(ne, -1), np.broadcast_to(pen, (ne,) + pen.shape)))
     A_s = _scatter(blocks, scalar.cells.size)
-    return _components_sandwich(A_s, disc.embedding())
+    return _components_sandwich(A_s, disc.embedding)
 
 
 def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
@@ -379,7 +380,7 @@ def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
     6 t + 2 k + i, as E's rows).
     """
     disc = discretization(mesh)
-    scalar = disc.scalar_p1()
+    scalar = disc.scalar_p1
     nt = mesh.num_triangles
     # (div lam_k e_i, 1)_T = |T| d_i lam_k
     rows = [np.repeat(np.arange(nt), 6)]
@@ -398,7 +399,7 @@ def assemble_divergence(mesh: MeshTopology) -> sp.csr_matrix:
             vals.append(jn)
     flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
     B_s = _finalize(sp.coo_matrix((flat(vals), (flat(rows), flat(cols))), shape=(nt, 6 * nt)))
-    return _finalize(B_s @ disc.embedding())
+    return _finalize(B_s @ disc.embedding)
 
 
 # -- convection ----------------------------------------------------------
@@ -457,7 +458,7 @@ def assemble_convection(mesh: MeshTopology, z: np.ndarray, params: FormParams) -
     scalar DG-P1 matrix on the lam_k (see _ScalarP1).  Only C_s is built.
     """
     disc = discretization(mesh)
-    scalar = disc.scalar_p1()
+    scalar = disc.scalar_p1
     P = disc.vertex_map(params)
     wv = (P @ z).reshape(mesh.num_triangles, 3, 2)
     Jw = field_jacobians(mesh, wv)
@@ -489,16 +490,16 @@ def _boundary_hat_load(mesh: MeshTopology, ends: np.ndarray, cells: np.ndarray |
     """E^T of a load on the elementwise P1 basis lam_k e_i that lives on the boundary edges.
 
     ends[e, j, i] is the load on lam_j e_i, the hat that is 1 at endpoint j
-    of boundary edge e (scalar_p1().edges[1]); cells[e, k, i], if given, the
+    of boundary edge e (scalar_p1.edges[1]); cells[e, k, i], if given, the
     load on all three hats of the edge's triangle.
     """
     disc = discretization(mesh)
-    dofs = disc.scalar_p1().edges[1][0][:, 0]
+    dofs = disc.scalar_p1.edges[1][0][:, 0]
     load = np.zeros((3 * mesh.num_triangles, 2))  # row 3 t + k, column i: E's row 6 t + 2 k + i
     np.add.at(load, dofs, ends)
     if cells is not None:
         np.add.at(load, 3 * (dofs[:, :1] // 3) + np.arange(3), cells)
-    return disc.embedding().T @ load.ravel()
+    return disc.embedding.T @ load.ravel()
 
 
 def convective_boundary_load(mesh: MeshTopology, z: np.ndarray, g_nodal: np.ndarray, params: FormParams) -> np.ndarray:
@@ -515,9 +516,9 @@ def convective_boundary_load(mesh: MeshTopology, z: np.ndarray, g_nodal: np.ndar
     scheme has no boundary convection terms and the result is identically
     zero there.
     """
-    if params.pressure_robust or not g_nodal.any():
+    if params.pressure_robust:
         return np.zeros(len(z))
-    dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
+    dofs, h, normal = discretization(mesh).scalar_p1.edges[1]
     s = edge_rule(EDGE_DEGREE).points
     g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
     z_ends = vertex_values(mesh, z).reshape(-1, 2)[dofs[:, 0]]  # as assemble_convection reads the transport field
@@ -539,9 +540,7 @@ def sipg_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray, params: FormPara
     the prescribed nodal values along each edge.  The result is the data
     part of the unscaled form; the caller applies the viscosity factor.
     """
-    if not np.any(g_nodal):
-        return np.zeros(2 * mesh.num_vertices + mesh.num_triangles)
-    dofs, h, normal = discretization(mesh).scalar_p1().edges[1]
+    dofs, h, normal = discretization(mesh).scalar_p1.edges[1]
     g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
     # rho/h <g, lam_j e_i> on the endpoint hats; h cancels against the edge length
     pen = params.penalty * np.einsum("jk,eki->eji", _EDGE_HAT_MASS, g_ends)
@@ -559,13 +558,11 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
     whenever the prescribed velocity is tangential (g.n = 0), as in the
     driven-cavity setup.
     """
+    dofs, h, normal = discretization(mesh).scalar_p1.edges[1]
+    g_ends = g_nodal[mesh.edge_vertices[mesh.boundary_edge_ids]]
+    gn = 0.5 * h * np.einsum("eji,ei->e", g_ends, normal)
     vec = np.zeros(mesh.num_triangles)
-    if not np.any(g_nodal):
-        return vec
-    eids = mesh.boundary_edge_ids
-    g_ends = g_nodal[mesh.edge_vertices[eids]]
-    gn = 0.5 * mesh.edge_length[eids] * np.einsum("eji,ei->e", g_ends, mesh.edge_normal[eids])
-    np.add.at(vec, mesh.edge_tplus[eids], -gn)
+    np.add.at(vec, dofs[:, 0, 0] // 3, -gn)
     return vec
 
 
@@ -573,28 +570,29 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
 
 
 def lid_values(mesh: MeshTopology, leaky_corners: bool = True) -> dict[int, tuple[float, float]]:
-    """Cavity boundary data: LID_VELOCITY on y = 1, rest at rest.
+    """Cavity boundary data: LID_VELOCITY on the mesh's top side (largest y), rest at rest.
 
     By default the two lid corners take the lid value (leaky-cavity
     convention); with leaky_corners=False they stay at rest (watertight).
     """
     out = {}
-    xmin, xmax = mesh.vertices[:, 0].min(), mesh.vertices[:, 0].max()
+    (xmin, _), (xmax, top) = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     for v in np.flatnonzero(mesh.is_boundary_vertex):
         x, y = mesh.vertices[v]
-        on_lid = abs(y - 1.0) < 1e-12
+        on_lid = abs(y - top) < 1e-12
         if on_lid and not leaky_corners and (abs(x - xmin) < 1e-12 or abs(x - xmax) < 1e-12):
             on_lid = False
         out[int(v)] = LID_VELOCITY if on_lid else (0.0, 0.0)
     return out
 
 
-def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None):
-    """(dofs, values, nodal array) of the constrained nodal velocity dofs.
+def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None) -> np.ndarray:
+    """(nv, 2) nodal array of the Dirichlet data: row v is the velocity prescribed at vertex v.
 
-    g maps boundary vertex -> velocity; unlisted boundary vertices are fixed
-    to zero, keys that are not boundary vertices are rejected.  Bubbles are
-    never constrained.
+    g maps boundary vertex -> velocity; unlisted boundary vertices are held
+    at rest, keys that are not boundary vertices are rejected.  Every
+    boundary vertex is constrained (_SaddleBlocks.dirichlet_dofs); bubbles
+    never are.
     """
     g = g or {}
     for v in g:
@@ -605,11 +603,7 @@ def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None)
     nodal = np.zeros((mesh.num_vertices, 2))
     for v, val in g.items():
         nodal[v] = val
-    bverts = np.flatnonzero(mesh.is_boundary_vertex)
-    dofs = np.concatenate([2 * bverts, 2 * bverts + 1])
-    values = np.concatenate([nodal[bverts, 0], nodal[bverts, 1]])
-    order = np.argsort(dofs)
-    return dofs[order], values[order], nodal
+    return nodal
 
 
 @dataclass
@@ -629,9 +623,9 @@ class SaddleSystem:
     Dirichlet values and `convection`, the step's ConvectionOperator on the
     full velocity space (None for Stokes).  Everything else, the kept LU
     included, belongs to `blocks`, shared by every step with the same
-    viscosity, penalty and Dirichlet dofs.  apply() multiplies by the
-    matrix without assembling it; `matrix` is assembled on first read,
-    which only a factorization needs.
+    viscosity and penalty.  apply() multiplies by the matrix without
+    assembling it; `matrix` is assembled on first read, which only a
+    factorization needs.
     """
 
     blocks: _SaddleBlocks
@@ -688,17 +682,18 @@ class SaddleSystem:
 
 
 class _SaddleBlocks:
-    """Everything a solve keeps for one viscosity, penalty and set of Dirichlet dofs on a mesh.
+    """Everything a solve keeps for one viscosity and penalty on a mesh.
 
-    The parts of the saddle system that no Picard step changes: the free
-    velocity dofs `free` (in increasing order), `matrix` = [mu A_ff,
+    The parts of the saddle system that no Picard step changes: the
+    `dirichlet_dofs`, the nodal dofs of every boundary vertex, and the free
+    velocity dofs `free`, both in increasing order; `matrix` = [mu A_ff,
     -B_kept^T; B_kept, 0] on the unknowns of SaddleSystem, the Dirichlet
     columns `viscous_lift` = mu A_fd and `divergence_lift` = B_d that lift
     the data into the right-hand side, the pinned continuity row, the
-    `dirichlet_dofs` themselves, the number of velocity dofs and the cell
-    areas; A and B are assembled here and kept only restricted.  Each
-    unknown sits at a mesh node, `nodes[i]`: vertex v for its nodal dofs,
-    num_vertices + t for the bubble and the pressure of cell t.
+    number of velocity dofs and the cell areas; A and B are assembled here
+    and kept only restricted.  Each unknown sits at a mesh node,
+    `nodes[i]`: vertex v for its nodal dofs, num_vertices + t for the
+    bubble and the pressure of cell t.
 
     What the solver keeps across steps and solves lives here too: `orders`,
     minimum-degree orders of the saddle matrices factored on these unknowns,
@@ -707,7 +702,8 @@ class _SaddleBlocks:
     (solver.OrderedFactor) whose solve passed the residual check, or None.
     """
 
-    def __init__(self, mesh: MeshTopology, params: FormParams, dofs: np.ndarray):
+    def __init__(self, mesh: MeshTopology, params: FormParams):
+        dofs = np.flatnonzero(np.repeat(mesh.is_boundary_vertex, 2))  # dof 2 v + i of boundary vertex v
         A = params.viscosity * assemble_viscous(mesh, params)
         B = assemble_divergence(mesh)
         free = np.setdiff1d(np.arange(A.shape[0]), dofs)
@@ -734,24 +730,24 @@ def build_saddle_system(
     params: FormParams,
     convection: ConvectionOperator | None,
     load: np.ndarray,
-    dirichlet,
+    g_nodal: np.ndarray,
     continuity_load: np.ndarray,
 ) -> SaddleSystem:
     """The saddle system of one Picard step on its free unknowns; convection None for Stokes.
 
-    dirichlet is (dofs, values) over nodal velocity dofs; their rows and
-    columns are dropped and their values lifted into the right-hand side.
-    continuity_load carries the boundary-data part of the divergence form
-    (one entry per cell).  Everything but the convection comes from the
+    g_nodal is the (nv, 2) Dirichlet data (dirichlet_data); the rows and
+    columns of the boundary nodal dofs are dropped and their values lifted
+    into the right-hand side.  continuity_load carries the boundary-data
+    part of the divergence form (one entry per cell).  Everything but the convection comes from the
     blocks the mesh's Discretization keeps (_SaddleBlocks), which the system
     references, and the convection stays an operator: the data is lifted
     through it, and SaddleSystem.matrix adds it to the fixed blocks only
     when read.  The pressure of cell 0 is pinned; solver.solve_linear
     restores the zero area-weighted mean afterwards (SaddleSystem.expand).
     """
-    dofs, values = dirichlet
-    blocks = discretization(mesh).saddle_blocks(params, dofs)
-    free = blocks.free
+    blocks = discretization(mesh).saddle_blocks(params)
+    dofs, free = blocks.dirichlet_dofs, blocks.free
+    values = g_nodal.ravel()[dofs]
     momentum = load[free] - blocks.viscous_lift @ values
     if convection is not None and values.any():
         data = np.zeros(len(load))

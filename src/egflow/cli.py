@@ -299,7 +299,7 @@ def run_cavity(cfg: RunConfig) -> int:
         linear_residuals=list(report.linear_residuals),
         krylov_iterations=list(report.krylov_iterations),
         factorizations=report.factorizations,
-        stokes_init=report.stokes_init,
+        stokes_init=cfg.init == "stokes",
         field_dump=dump_path.name,
         fallback_points=fallback,
         watertight_comparison=_watertight_comparison(mesh, cfg, u_h, grid),

@@ -14,9 +14,9 @@ A step refactors, and only then assembles its saddle matrix, when GMRES
 misses its tolerance within a fixed budget, which at small viscosity happens
 once the frozen transport has moved far from the factored one.  The kept
 factor and the orders live with the saddle blocks (assembly._SaddleBlocks),
-which the mesh's Discretization keeps for the last viscosity, penalty and
-Dirichlet dofs asked for, so that the next solve with the same ones, such
-as the cavity's watertight re-solve, preconditions its first system with
+which the mesh's Discretization keeps for the last viscosity and penalty
+asked for, so that the next solve with the same ones, such as the
+cavity's watertight re-solve, preconditions its first system with
 the last accepted factor instead of factoring.  Each LU is taken of the
 symmetrically scaled matrix in a minimum-degree order of the node graph,
 with every cell's pressure right after its bubble, so that threshold
@@ -89,7 +89,6 @@ class SolveReport:
     linear_residuals: list[float] = field(default_factory=list)
     krylov_iterations: list[int] = field(default_factory=list)  # per linear solve; 0 where no GMRES ran
     factorizations: int = 0
-    stokes_init: bool = False
 
 
 class LinearSolution(NamedTuple):
@@ -348,19 +347,19 @@ def solve_navier_stokes(
     docstring), the zero-mean cell pressures and the report.
 
     force is a vectorized callable x -> f(x) (zero when omitted); boundary
-    maps boundary vertices to velocity values (missing vertices are fixed
-    to zero).  Raises DivergedError when the update norm grows beyond
+    maps boundary vertices to velocity values (missing boundary vertices are
+    held at rest).  Raises DivergedError when the update norm grows beyond
     1000x the initial update for three consecutive iterations.  Nothing is
     built ahead of its first reader: the first step's saddle blocks, which
-    the mesh's Discretization holds for this viscosity, penalty and
-    Dirichlet set, assemble A and B, and R is built by the first load or
-    convection that reads it.  The LU the linear solves keep stays with
-    those blocks, so the next solve with the same ones starts from it.
+    the mesh's Discretization holds for this viscosity and penalty,
+    assemble A and B, and R is built by the first load or convection that
+    reads it.  The LU the linear solves keep stays with those blocks, so
+    the next solve with the same ones starts from it.
     """
     n_velocity = 2 * mesh.num_vertices + mesh.num_triangles
     report = SolveReport()
 
-    dofs, values, g_nodal = asm.dirichlet_data(mesh, boundary)
+    g_nodal = asm.dirichlet_data(mesh, boundary)
     if force is None:
         F = np.zeros(n_velocity)
     else:
@@ -371,37 +370,32 @@ def solve_navier_stokes(
 
     last = None  # (velocity, pressure) of the last solve, where GMRES starts
 
-    def linear_solve(convection: asm.ConvectionOperator | None, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_step(z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Build and solve the step system at transport field z, None for the Stokes step, and record it."""
         nonlocal last
-        system = asm.build_saddle_system(
-            mesh,
-            params,
-            convection,
-            rhs,
-            dirichlet=(dofs, values),
-            continuity_load=cont_load,
-        )
+        if z is None:
+            convection, load = None, F
+        else:
+            convection = asm.assemble_convection(mesh, z, params)
+            load = F + asm.convective_boundary_load(mesh, z, g_nodal, params)
+        system = asm.build_saddle_system(mesh, params, convection, load, g_nodal, cont_load)
         solution = solve_linear(system, None if last is None else system.restrict(*last))
         last = solution.velocity, solution.pressure
         if solution.factored:
             report.factorizations += 1
         report.linear_residuals.append(solution.residual)
         report.krylov_iterations.append(solution.krylov_iterations)
-        return solution.velocity, solution.pressure
+        return last
 
     if settings.init == "stokes":
-        z, p0 = linear_solve(None, F)
-        report.stokes_init = True
+        z, p0 = solve_step(None)
         x_old = np.concatenate([z, p0])
     else:
         z = np.zeros(n_velocity)
         x_old = np.zeros(n_velocity + mesh.num_triangles)
 
     for _ in range(settings.max_iters):  # at least once: NonlinearSettings checks max_iters >= 1
-        u, p = linear_solve(
-            asm.assemble_convection(mesh, z, params),
-            F + asm.convective_boundary_load(mesh, z, g_nodal, params),
-        )
+        u, p = solve_step(z)
         x_new = np.concatenate([u, p])
         update = _relative_update(x_new, x_old)
         report.iterations += 1

@@ -366,7 +366,7 @@ def local_p1_embedding(mesh: MeshTopology) -> sp.csr_matrix:
 
 
 def reconstruct(v: EGFunction) -> BDMFunction:
-    return BDMFunction.from_vector(v.mesh, asm.discretization(v.mesh).reconstruction() @ v.to_vector())
+    return BDMFunction.from_vector(v.mesh, asm.discretization(v.mesh).reconstruction @ v.to_vector())
 
 
 # int (1-s) s^j ds and int s s^j ds on [0, 1], j = 0, 1

@@ -286,7 +286,7 @@ def test_criterion_4_form_and_reconstruction_properties(capsys):
 
     # reconstruction identities on one mesh
     mesh = build_unit_square_mesh(4)
-    R = asm.discretization(mesh).reconstruction()
+    R = asm.discretization(mesh).reconstruction
     srule = edge_rule(7)
     s, w = srule.points, srule.weights
     for seed in range(10):
@@ -335,7 +335,7 @@ def test_criterion_4_form_and_reconstruction_properties(capsys):
     ratios = []
     for level, n in enumerate((4, 8, 16, 32)):
         mesh_n = build_unit_square_mesh(n)
-        Rn = asm.discretization(mesh_n).reconstruction()
+        Rn = asm.discretization(mesh_n).reconstruction
         embed = local_p1_embedding(mesh_n)
         M = bdm_mass_matrix(mesh_n)
         worst = 0.0

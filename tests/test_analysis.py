@@ -349,7 +349,7 @@ def _norms_for_draws(n, seed, draws=25):
     mesh = build_unit_square_mesh(n)
     E = assemble_energy_gram(mesh, 10.0).tocsr()
     M = assemble_mass(mesh).tocsr()
-    R = asm.discretization(mesh).reconstruction()
+    R = asm.discretization(mesh).reconstruction
     MB = bdm_mass_matrix(mesh)
     rng = np.random.default_rng(seed)
     out = []

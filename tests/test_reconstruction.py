@@ -129,7 +129,7 @@ def test_reconstruction_through_embedding_matches_enriched_construction(make_mes
     # R = L^-1 S D S^T L E averages the P1 fields' own edge moments; the
     # reference takes the moments of {v}.n from the enriched basis directly
     mesh = make_mesh()
-    R = asm.discretization(mesh).reconstruction()
+    R = asm.discretization(mesh).reconstruction
     ref = enriched_reconstruction_matrix(mesh)
     assert R.shape == ref.shape
     assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
@@ -137,7 +137,7 @@ def test_reconstruction_through_embedding_matches_enriched_construction(make_mes
 
 def test_reconstruction_linear_in_coefficients():
     mesh = build_unit_square_mesh(2)
-    R = asm.discretization(mesh).reconstruction()
+    R = asm.discretization(mesh).reconstruction
     va, vb = random_eg(mesh, 5), random_eg(mesh, 6)
     combo = EGFunction(mesh, 2.0 * va.nodal - 3.0 * vb.nodal, 2.0 * va.bubble - 3.0 * vb.bubble)
     lhs = R @ combo.to_vector()
@@ -192,7 +192,7 @@ def test_distance_to_reconstruction_scales_with_h():
     for level, n in enumerate((4, 8, 16, 32)):
         mesh = build_unit_square_mesh(n)
         v = random_eg(mesh, 100 + level)
-        diff = asm.discretization(mesh).reconstruction() @ v.to_vector() - local_p1_embedding(mesh) @ v.to_vector()
+        diff = asm.discretization(mesh).reconstruction @ v.to_vector() - local_p1_embedding(mesh) @ v.to_vector()
         dist = np.sqrt(diff @ (bdm_mass_matrix(mesh) @ diff))
         ratios.append(dist / ((1.0 / n) * broken_h1_with_jumps(v)))
     assert ratios[-1] <= ratios[0] * 1.05

@@ -61,11 +61,15 @@ def multiplier_picard(mesh, params, force, boundary, steps):
 
     Unknowns are every velocity dof, every pressure and one Lagrange
     multiplier for the zero area-weighted pressure mean; Dirichlet dofs keep
-    identity rows and their values are lifted out of the other rows.
+    identity rows and their values are lifted out of the other rows.  The
+    Dirichlet dofs are both components of every boundary vertex.
     """
     A = asm.assemble_viscous(mesh, params).toarray()
     B = asm.assemble_divergence(mesh).toarray()
-    dofs, values, g = asm.dirichlet_data(mesh, boundary)
+    g = asm.dirichlet_data(mesh, boundary)
+    bverts = np.flatnonzero(mesh.is_boundary_vertex)
+    dofs = np.concatenate([2 * bverts, 2 * bverts + 1])
+    values = g[bverts].T.ravel()
     F = asm.assemble_load(mesh, force, params) + params.viscosity * asm.sipg_boundary_load(mesh, g, params)
     cont = asm.divergence_boundary_load(mesh, g)
     nt, nv = B.shape
@@ -143,10 +147,8 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
     params = FormParams(viscosity=1e-3 if oseen else 1.0, penalty=10.0, pressure_robust=robust)
     C = asm.assemble_convection(mesh, rotating_flow(mesh), params) if oseen else None
     F = asm.assemble_load(mesh, poly_force, params)
-    dofs, values, _ = asm.dirichlet_data(mesh, asm.lid_values(mesh))
-    system = asm.build_saddle_system(
-        mesh, params, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
-    )
+    g = asm.dirichlet_data(mesh, asm.lid_values(mesh))
+    system = asm.build_saddle_system(mesh, params, C, F, g, np.zeros(mesh.num_triangles))
     solve_linear(system)
     factor = system.blocks.factor
     x = factor.solve(system.rhs)
@@ -159,10 +161,8 @@ def test_ordered_factor_solves_with_less_fill_than_colamd(robust, oseen):
 def test_stokes_solve_residual_and_mean_constraint():
     mesh = build_unit_square_mesh(2)
     F = asm.assemble_load(mesh, poly_force, PARAMS)
-    dofs, values, _ = asm.dirichlet_data(mesh, None)
-    system = asm.build_saddle_system(
-        mesh, PARAMS, None, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
-    )
+    g = asm.dirichlet_data(mesh, None)
+    system = asm.build_saddle_system(mesh, PARAMS, None, F, g, np.zeros(mesh.num_triangles))
     solution = solve_linear(system)
     assert solution.residual <= 1e-10
     # the unreduced equations hold on every free momentum row and on every
@@ -172,7 +172,7 @@ def test_stokes_solve_residual_and_mean_constraint():
     B = asm.assemble_divergence(mesh)
     residual = np.concatenate([(A @ u - B.T @ p - F)[system.blocks.free], B @ u])
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(F)
-    assert np.all(u[dofs] == values)
+    assert np.all(u[system.blocks.dirichlet_dofs] == 0.0)
     assert abs(float(mesh.areas @ p)) <= 1e-14
 
 
@@ -231,13 +231,11 @@ def test_fixed_point_consistency_of_converged_solution():
     mesh = build_unit_square_mesh(8)
     u, p, report = solve_navier_stokes(mesh, PARAMS, force=poly_force)
     assert report.converged
-    dofs, values, g_nodal = asm.dirichlet_data(mesh, None)
+    g_nodal = asm.dirichlet_data(mesh, None)
     C = asm.assemble_convection(mesh, u, PARAMS)
     F = asm.assemble_load(mesh, poly_force, PARAMS)
     F = F + asm.convective_boundary_load(mesh, u, g_nodal, PARAMS)
-    system = asm.build_saddle_system(
-        mesh, PARAMS, C, F, dirichlet=(dofs, values), continuity_load=np.zeros(mesh.num_triangles)
-    )
+    system = asm.build_saddle_system(mesh, PARAMS, C, F, g_nodal, np.zeros(mesh.num_triangles))
     u2, p2, *_ = solve_linear(system)
     x1 = np.concatenate([u, p])
     x2 = np.concatenate([u2, p2])
@@ -250,7 +248,6 @@ def test_stokes_initialization_runs_and_converges():
     settings = NonlinearSettings(init="stokes")
     g = asm.lid_values(mesh)
     u, p, report = solve_navier_stokes(mesh, params, settings, boundary=g)
-    assert report.stokes_init
     assert report.converged
     assert report.iterations <= 20
     # lid values imposed exactly, including the leaky corners
@@ -481,8 +478,7 @@ def test_another_viscosity_frees_the_kept_factor_before_factoring(monkeypatch):
     g = asm.lid_values(mesh)
     params = FormParams(viscosity=1.0, penalty=10.0)
     solve_navier_stokes(mesh, params, boundary=g)
-    dofs = asm.dirichlet_data(mesh, g)[0]
-    kept = weakref.ref(asm.discretization(mesh).saddle_blocks(params, dofs).factor)
+    kept = weakref.ref(asm.discretization(mesh).saddle_blocks(params).factor)
     factor = solver._factor
     alive = []
 

@@ -41,7 +41,7 @@ def test_dof_layout_bijection():
             seen.add(vertex_dof(v, c))
     for t in range(mesh.num_triangles):
         seen.add(bubble_dof(mesh.num_vertices, t))
-    E = asm.discretization(mesh).embedding()
+    E = asm.discretization(mesh).embedding
     assert seen == set(range(E.shape[1]))
     assert n_velocity(mesh) == E.shape[1] == 2 * mesh.num_vertices + mesh.num_triangles
     t, k, c = 4, 1, 1

@@ -17,10 +17,13 @@ that is only ever written is state nobody needs.
 
 Every module of src/egflow and tests/ uses each name it imports.
 
+Every (module, function) that perfbench/spans.py traces by name exists.
+
 Entry points are used from outside and are listed here with their reason.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -194,3 +197,18 @@ def test_no_module_imports_a_name_it_does_not_use():
         f"{path.relative_to(ROOT)}: {name}" for path in paths for name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert not unused, "imported but unused:\n" + "\n".join(unused)
+
+
+def test_every_traced_function_resolves():
+    # perfbench/spans.py wraps these (module, function) pairs by name; a
+    # refactor that renames or moves one would drop its layer from the trace
+    source = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    targets = next(
+        node.value for node in source.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, name in ast.literal_eval(targets).values()
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert not missing, "perfbench traces functions egflow no longer has:\n" + "\n".join(missing)
