@@ -301,9 +301,9 @@ class ProbeCell:
 
 
 def check_viscosity_list(mu_list) -> None:
-    """Raise ValueError unless mu_list holds positive viscosities spanning at least three decades."""
-    if any(mu <= 0 for mu in mu_list):
-        raise ValueError("viscosities must be positive")
+    """Raise ValueError unless mu_list holds positive finite viscosities spanning at least three decades."""
+    if not all(mu > 0 and math.isfinite(mu) for mu in mu_list):
+        raise ValueError("viscosities must be positive and finite")
     if not mu_list or max(mu_list) / min(mu_list) < 1e3:
         raise ValueError("viscosity list must span at least three decades")
 
@@ -311,7 +311,7 @@ def check_viscosity_list(mu_list) -> None:
 def pressure_robustness_probe(
     n: int,
     mu_list,
-    penalty: float = 10.0,
+    penalty: float = FormParams.penalty,
     settings: NonlinearSettings | None = None,
 ) -> dict[str, list[ProbeCell]]:
     """Fixed-mesh error comparison across viscosities for both schemes.

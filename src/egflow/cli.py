@@ -18,7 +18,9 @@ deterministic: rerunning a configuration reproduces the files byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,12 +48,12 @@ class RunConfig:
 
     experiment: str
     levels: tuple = (4, 8, 16, 32, 64)
-    mu: float = 1.0
-    rho: float = 10.0
+    mu: float = FormParams.viscosity
+    rho: float = FormParams.penalty
     mode: str = "eg"
-    tol: float = 1e-10
-    max_iters: int = 20
-    init: str = "zero"
+    tol: float = NonlinearSettings.tol
+    max_iters: int = NonlinearSettings.max_iters
+    init: str = NonlinearSettings.init
     mu_list: tuple = (1.0, 1e-2, 1e-4)
     grid: int = 101
     out_dir: Path = field(default_factory=lambda: Path("."))
@@ -66,6 +68,8 @@ class RunConfig:
         numbers = (self.mu, self.rho, self.tol, *self.mu_list)
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
             raise ValueError("mu, rho, tol and mu_list must be numbers")
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("mu, rho, tol and mu_list must be finite")
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive")
         if self.mu <= 0:
@@ -293,12 +297,7 @@ def run_cavity(cfg: RunConfig) -> int:
     fallback = write_field_dump(mesh, u_h, p_h, grid, dump_path)
     payload = dict(
         meta,
-        converged=report.converged,
-        iterations=report.iterations,
-        update_norms=list(report.update_norms),
-        linear_residuals=list(report.linear_residuals),
-        krylov_iterations=list(report.krylov_iterations),
-        factorizations=report.factorizations,
+        **dataclasses.asdict(report),
         stokes_init=cfg.init == "stokes",
         field_dump=dump_path.name,
         fallback_points=fallback,
@@ -457,7 +456,8 @@ def cli_main(argv=None) -> int:
         return err.code if err.code is not None else 2
     try:
         cfg = config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
+        # OverflowError comes from math.isfinite on a config-file integer past the float range
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,9 +25,14 @@ import numpy as np
 class MeshTopology:
     """Conforming triangulation with precomputed edge and geometry data.
 
+    The edge incidence comes from the slot table that forms the edges (slot
+    ``3t + k`` is local edge ``k`` of triangle ``t``): sorted by edge, the
+    slots give each edge's triangles and its endpoints' local positions in
+    them.  ``h_max`` is the longest edge.
+
     Parameters
     ----------
-    vertices : (nv, 2) float array
+    vertices : (nv, 2) float array, finite coordinates
     triangles : (nt, 3) int array, counterclockwise vertex triples
     """
 
@@ -37,6 +42,8 @@ class MeshTopology:
         self.triangles = np.array(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (nt, 3)")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= len(self.vertices):
@@ -61,17 +68,6 @@ class MeshTopology:
             raise ValueError(f"triangle {bad} is not counterclockwise (signed area {det[bad] / 2:g})")
         self.areas = 0.5 * det
         self.barycenters = p.mean(axis=1)
-        # h_T = longest edge
-        sides = np.stack(
-            [
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            ],
-            axis=1,
-        )
-        self.h_tri = sides.max(axis=1)
-        self.h_max = float(self.h_tri.max())
         # grad of barycentric coordinate k: perp(p_{k+2} - p_{k+1}) / (2 area)
         perp = lambda v: np.stack([-v[:, 1], v[:, 0]], axis=1)
         g0 = perp(p[:, 2] - p[:, 1])
@@ -82,28 +78,31 @@ class MeshTopology:
     def _build_edges(self):
         nt = len(self.triangles)
         tri = self.triangles
-        # local edge k of a triangle joins vertices k and (k+1) % 3
+        # slot 3t + k is local edge k of triangle t, from local vertex k to (k+1) % 3
         raw = np.stack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=1).reshape(-1, 2)
-        keys = np.sort(raw, axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        # local positions of each slot's endpoints, in ascending global order
+        local = np.tile([[0, 1], [1, 2], [2, 0]], (nt, 1))
+        local = np.where((raw[:, 0] > raw[:, 1])[:, None], local[:, ::-1], local)
+        uniq, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
-        ne = len(uniq)
         self.edge_vertices = uniq
         self.tri_to_edges = inverse.reshape(nt, 3)
 
         # incident triangles: plus = smaller index
-        count = np.bincount(inverse, minlength=ne)
+        count = np.bincount(inverse, minlength=len(uniq))
         if count.max(initial=0) > 2:
             raise ValueError(f"edge {int(np.argmax(count > 2))} shared by more than two triangles")
-        # a stable sort keeps each edge's owners in ascending triangle order
-        owner = np.repeat(np.arange(nt), 3)[np.argsort(inverse, kind="stable")]
+        # a stable sort keeps each edge's slots in ascending triangle order
+        slots = np.argsort(inverse, kind="stable")
         first = np.concatenate([[0], np.cumsum(count)[:-1]])
-        tplus = owner[first]
-        second = np.minimum(first + 1, len(owner) - 1)  # kept in range where an edge has one owner
-        tminus = np.where(count == 2, owner[second], -1)
-        self.edge_tplus = tplus
-        self.edge_tminus = tminus
-        self.is_boundary_edge = tminus < 0
+        plus = slots[first]
+        minus = slots[np.minimum(first + 1, len(slots) - 1)]  # kept in range where an edge has one slot
+        two = count == 2
+        self.edge_tplus = plus // 3
+        self.edge_tminus = np.where(two, minus // 3, -1)
+        self.is_boundary_edge = ~two
+        self.edge_local_plus = local[plus]
+        self.edge_local_minus = np.where(two[:, None], local[minus], -1)
 
         pa = self.vertices[uniq[:, 0]]
         pb = self.vertices[uniq[:, 1]]
@@ -111,29 +110,14 @@ class MeshTopology:
         self.edge_length = np.linalg.norm(tang, axis=1)
         if np.any(self.edge_length <= 0.0):
             raise ValueError("degenerate edge of zero length")
+        self.h_max = float(self.edge_length.max())
 
         # unit normal pointing out of the plus triangle
         nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.edge_length[:, None]
-        to_bary = self.barycenters[tplus] - pa
+        to_bary = self.barycenters[self.edge_tplus] - pa
         flip = np.sum(nrm * to_bary, axis=1) > 0.0
         nrm[flip] *= -1.0
         self.edge_normal = nrm
-
-        # local position (0..2) of each edge endpoint inside either triangle
-        def local_index(tris, verts):
-            out = np.full(len(verts), -1, dtype=np.int64)
-            ok = tris >= 0
-            for k in range(3):
-                hit = ok & (tri[tris.clip(min=0), k] == verts)
-                out[hit] = k
-            return out
-
-        self.edge_local_plus = np.stack(
-            [local_index(tplus, uniq[:, 0]), local_index(tplus, uniq[:, 1])], axis=1
-        )
-        self.edge_local_minus = np.stack(
-            [local_index(tminus, uniq[:, 0]), local_index(tminus, uniq[:, 1])], axis=1
-        )
 
         self.interior_edge_ids = np.flatnonzero(~self.is_boundary_edge)
         self.boundary_edge_ids = np.flatnonzero(self.is_boundary_edge)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,8 +74,8 @@ class NonlinearSettings:
     init: str = "zero"  # or "stokes"
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.init not in ("zero", "stokes"):

@@ -58,6 +58,10 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         path = tmp_path / f"{key}_{value}.json"
         path.write_text(json.dumps({key: value}))
         non_integers.append(["cavity", "--config", str(path)])
+    nan_mu = tmp_path / "nan_mu.json"
+    nan_mu.write_text('{"mu": NaN}')  # json.loads accepts NaN
+    huge_mu = tmp_path / "huge_mu.json"
+    huge_mu.write_text('{"mu": 1' + "0" * 400 + "}")  # a JSON integer past float range
     float_levels = tmp_path / "float_levels.json"
     float_levels.write_text(json.dumps({"levels": [4.5, 8]}))
     # number settings take JSON numbers only, not booleans
@@ -79,6 +83,13 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         *booleans,
         ["probe", "--n", "4", "--mu-list", "1,0.1"],
         ["probe", "--n", "4", "--mu-list", "1,0,1e-4"],
+        # non-finite numbers pass a sign test, so they are rejected as such
+        ["cavity", "--n", "4", "--mu", "nan"],
+        ["converge", "--levels", "2", "--rho", "nan"],
+        ["probe", "--n", "2", "--mu-list", "1,nan,1e-4"],
+        ["converge", "--levels", "2", "--tol", "inf"],
+        ["cavity", "--n", "4", "--config", str(nan_mu)],
+        ["cavity", "--n", "4", "--config", str(huge_mu)],
     ]
     for argv in cases:
         out = tmp_path / "out"

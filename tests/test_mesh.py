@@ -24,6 +24,24 @@ def reference_triangle_mesh():
     return MeshTopology([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
 
 
+def shuffled_square_mesh(n, seed):
+    """build_unit_square_mesh(n) with its triangles permuted and each one's vertices rotated."""
+    mesh = build_unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    triangles = mesh.triangles[rng.permutation(mesh.num_triangles)]
+    shift = rng.integers(0, 3, len(triangles))
+    rows = np.arange(len(triangles))[:, None]
+    return MeshTopology(mesh.vertices, triangles[rows, (np.arange(3) + shift[:, None]) % 3])
+
+
+# one mesh whose triangles all share a vertex order, and two whose do not
+TOPOLOGY_MESHES = {
+    "square": lambda: build_unit_square_mesh(3),
+    "shuffled": lambda: shuffled_square_mesh(3, seed=5),
+    "shuffled-refined": lambda: refine_uniform(shuffled_square_mesh(3, seed=5)),
+}
+
+
 def test_unit_cell_counts():
     mesh = build_unit_square_mesh(1)
     assert mesh.num_vertices == 4
@@ -72,7 +90,7 @@ def test_reject_clockwise_triangle():
 def test_reference_triangle_geometry():
     mesh = reference_triangle_mesh()
     assert mesh.areas[0] == pytest.approx(0.5)
-    assert mesh.h_tri[0] == pytest.approx(np.sqrt(2.0))
+    assert mesh.h_max == pytest.approx(np.sqrt(2.0))
     bary = mesh.barycenters[0]
     assert bary == pytest.approx(np.array([1.0, 1.0]) / 3.0)
     # every edge is a boundary edge, so each stored normal is the outward one
@@ -87,12 +105,13 @@ def test_reference_triangle_geometry():
 
 def test_three_four_five_triangle():
     mesh = MeshTopology([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [[0, 1, 2]])
-    assert mesh.h_tri[0] == pytest.approx(5.0)
+    assert mesh.h_max == pytest.approx(5.0)
     assert mesh.areas[0] == pytest.approx(6.0)
 
 
-def test_edge_normals_unit_and_plus_to_minus():
-    mesh = build_unit_square_mesh(3)
+@pytest.mark.parametrize("make_mesh", TOPOLOGY_MESHES.values(), ids=TOPOLOGY_MESHES.keys())
+def test_edge_normals_unit_and_plus_to_minus(make_mesh):
+    mesh = make_mesh()
     assert np.allclose(np.linalg.norm(mesh.edge_normal, axis=1), 1.0, atol=1e-14)
     assert np.all(mesh.edge_vertices[:, 0] < mesh.edge_vertices[:, 1])
     mid = mesh.vertices[mesh.edge_vertices].mean(axis=1)
@@ -107,8 +126,9 @@ def test_edge_normals_unit_and_plus_to_minus():
     assert np.all(mesh.edge_tminus[mesh.is_boundary_edge] == -1)
 
 
-def test_edge_local_indices_are_endpoints():
-    mesh = build_unit_square_mesh(3)
+@pytest.mark.parametrize("make_mesh", TOPOLOGY_MESHES.values(), ids=TOPOLOGY_MESHES.keys())
+def test_edge_local_indices_are_endpoints(make_mesh):
+    mesh = make_mesh()
     for e in range(mesh.num_edges):
         a, b = mesh.edge_vertices[e]
         tp = mesh.edge_tplus[e]
@@ -180,6 +200,12 @@ def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
     for name, arr in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MeshTopology([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [[0, 1, 2]])
 
 
 def test_edge_of_three_triangles_is_rejected():

@@ -537,6 +537,8 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         NonlinearSettings(tol=0.0)
     with pytest.raises(ValueError):
+        NonlinearSettings(tol=float("inf"))
+    with pytest.raises(ValueError):
         NonlinearSettings(max_iters=0)
     with pytest.raises(ValueError):
         NonlinearSettings(init="random")

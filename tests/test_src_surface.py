@@ -13,7 +13,9 @@ an option with a single value.  Calls are matched by the callee's name too.
 
 A field of a dataclass or NamedTuple, and an attribute a method sets on
 self, counts as used when the package reads an attribute of that name; one
-that is only ever written is state nobody needs.
+that is only ever written is state nobody needs.  A record that the package
+turns into a dict with dataclasses.asdict has every field read, and is
+listed here with its reason.
 
 Every module of src/egflow and tests/ uses each name it imports.
 
@@ -53,6 +55,12 @@ ENTRY_POINTS = {
 # function.parameter -> why the package never passes it although it has a default
 DEFAULTS_SET_OUTSIDE = {
     "cli_main.argv": "perfbench and the tests call cli_main(argv); main() leaves it None, so argparse reads sys.argv",
+}
+
+
+# record -> why the package reads every one of its fields without naming them
+RECORDS_READ_WHOLE = {
+    "SolveReport": "cli.run_cavity writes every field to cavity_report.json through dataclasses.asdict",
 }
 
 
@@ -167,8 +175,14 @@ def test_every_field_in_src_is_read_in_src():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+    assert "asdict" in read or not RECORDS_READ_WHOLE, "the package reads no record whole through asdict"
     unread = sorted(
-        {f"{module}: {name}" for module, tree in trees.items() for name in _records(tree) if name.rsplit(".", 1)[-1] not in read}
+        {
+            f"{module}: {name}"
+            for module, tree in trees.items()
+            for name in _records(tree)
+            if name.rsplit(".", 1)[-1] not in read and name.split(".")[0] not in RECORDS_READ_WHOLE
+        }
     )
     assert not unread, "fields and attributes src/egflow sets but never reads:\n" + "\n".join(unread)
 
