@@ -33,13 +33,16 @@ class MeshTopology:
     Parameters
     ----------
     vertices : (nv, 2) float array, finite coordinates
-    triangles : (nt, 3) int array, counterclockwise vertex triples
+    triangles : (nt, 3) integer array, counterclockwise vertex triples
     """
 
     def __init__(self, vertices, triangles):
         # own copies: every array is made read-only below, and the caller's stay writable
         self.vertices = np.array(vertices, dtype=float)
-        self.triangles = np.array(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
+        if not np.issubdtype(triangles.dtype, np.integer):
+            raise ValueError(f"triangle vertex indices must be integers, not {triangles.dtype}")
+        self.triangles = triangles.astype(np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if not np.isfinite(self.vertices).all():

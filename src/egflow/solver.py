@@ -4,24 +4,27 @@ The nonlinear iteration freezes the transport field at the previous iterate,
 rebuilds the scalar convection matrix C_s (assembly.ConvectionOperator), and
 solves one linear system per step on the free unknowns (see
 assembly.SaddleSystem: Dirichlet dofs lifted out, one pressure pinned, the
-zero pressure mean restored afterwards).  The first system of a solve is
-assembled and factored by sparse LU; later steps reuse that factor as the
-right preconditioner of GMRES (_krylov, which spends one LU solve per
+zero pressure mean restored afterwards).  Every system is solved by GMRES
+right-preconditioned by a sparse LU (_krylov, which spends one LU solve per
 GMRES iteration, none per restart and none on a step that starts at the
 solution), started from the previous iterate.  GMRES applies the system as
-the fixed blocks plus P^T (C_s (P u)), so such a step assembles no matrix.
-A step refactors, and only then assembles its saddle matrix, when GMRES
-misses its tolerance within a fixed budget, which at small viscosity happens
-once the frozen transport has moved far from the factored one.  The kept
-factor and the orders live with the saddle blocks (assembly._SaddleBlocks),
-which the mesh's Discretization keeps for the last viscosity and penalty
-asked for, so that the next solve with the same ones, such as the
-cavity's watertight re-solve, preconditions its first system with
-the last accepted factor instead of factoring.  Each LU is taken of the
-symmetrically scaled matrix in a minimum-degree order of the node graph,
-with every cell's pressure right after its bubble, so that threshold
-partial pivoting keeps the pivots on the diagonal and the factor keeps the
-fill of that order.  Convergence is
+the fixed blocks plus P^T (C_s (P u)), so a step that reuses the kept LU
+assembles no matrix.  A step factors, and only then assembles its saddle
+matrix, when no LU is kept or GMRES misses its tolerance within a fixed
+budget, which at small viscosity happens once the frozen transport has
+moved far from the factored one; GMRES then runs again with the new LU.
+The kept factor and the orders live with the saddle blocks
+(assembly._SaddleBlocks), which the mesh's Discretization keeps for the
+last viscosity and penalty asked for, so that the next solve with the same
+ones, such as the cavity's watertight re-solve, preconditions its first
+system with the last accepted factor instead of factoring.  Each LU is
+taken of the symmetrically scaled matrix in a minimum-degree order of the
+node graph, with every cell's pressure right after its bubble, so that
+threshold partial pivoting keeps the pivots on the diagonal and the factor
+keeps the fill of that order.  The LU stores its values in single
+precision, which halves their memory, and GMRES in double precision refines
+every solve to the same tolerances (Arioli & Duff, ETNA 33, 2009; Carson &
+Higham, SISC 40, 2018).  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
 pressure) coefficient vector.  The iteration starts either from zero or
 from the solution of the Stokes problem (same system without convection).
@@ -88,7 +91,10 @@ class SolveReport:
     update_norms: list[float] = field(default_factory=list)
     converged: bool = False
     linear_residuals: list[float] = field(default_factory=list)
-    krylov_iterations: list[int] = field(default_factory=list)  # per linear solve; 0 where no GMRES ran
+    # GMRES iterations per linear solve, with the kept LU and with a new one
+    # together; each costs one LU solve, and nothing else does, so the LU
+    # solves of a run number sum(krylov_iterations)
+    krylov_iterations: list[int] = field(default_factory=list)
     factorizations: int = 0
 
 
@@ -98,7 +104,7 @@ class LinearSolution(NamedTuple):
     velocity: np.ndarray
     pressure: np.ndarray
     residual: float  # relative, over every unpinned row
-    krylov_iterations: int
+    krylov_iterations: int  # with the kept factor and the new one together
     factored: bool  # whether this solve made a new factor
 
 
@@ -110,12 +116,12 @@ def _relative_residual(system: SaddleSystem, x: np.ndarray, r_norm: float) -> fl
     return float(res / b if b > 0 else res)
 
 
-def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, float]:
-    """GMRES from x0, right-preconditioned by system.blocks.factor: (x, converged, iterations, |b - A x|).
+def _krylov(system: SaddleSystem, x0: np.ndarray | None, factor: OrderedFactor) -> tuple[np.ndarray, bool, int, float]:
+    """GMRES from x0, right-preconditioned by factor: (x, converged, iterations, |b - A x|).
 
     A is applied as system.apply, without assembling the matrix.  From its
     start x_c, each cycle minimizes |b - A x| over x_c + M K, where K is the
-    Krylov space of A M from b - A x_c and M = system.blocks.factor.solve.
+    Krylov space of A M from b - A x_c and M = factor.solve.
     It keeps the preconditioned vectors Z = M V, the flexible form (Saad,
     SISC 14, 1993), so the update is Z y without another solve: a call
     costs one solve per iteration, none per restart and none when x0
@@ -129,7 +135,7 @@ def _krylov(system: SaddleSystem, x0: np.ndarray | None) -> tuple[np.ndarray, bo
     of that restarts from the new residual while the KRYLOV_BUDGET
     iterations of the call last.
     """
-    A, b, precondition = system.apply, system.rhs, system.blocks.factor.solve
+    A, b, precondition = system.apply, system.rhs, factor.solve
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)
     r = b - A(x)
@@ -227,9 +233,11 @@ def _symmetric_scaling(system: SaddleSystem) -> np.ndarray:
 
 
 class OrderedFactor:
-    """LU of P D A D P^T for a saddle matrix A, D diagonal and P a permutation.
+    """Single-precision LU of P D A D P^T for a saddle matrix A, D diagonal and P a permutation.
 
-    solve() takes and returns vectors in the unknown order of A.
+    solve() takes and returns double-precision vectors in the unknown order
+    of A; only the triangular solves run in single precision, so it solves
+    with A only to about single-precision accuracy, as a preconditioner.
     """
 
     def __init__(self, lu, scale: np.ndarray, order: np.ndarray):
@@ -240,18 +248,20 @@ class OrderedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)
-        x[self._order] = self._scale * self._lu.solve(self._scale * rhs[self._order])
+        x[self._order] = self._scale * self._lu.solve((self._scale * rhs[self._order]).astype(np.float32))
         return x
 
 
 def _factor(system: SaddleSystem) -> OrderedFactor:
-    """Sparse LU of system.matrix, symmetrically scaled, in a minimum-degree order of the node graph.
+    """Single-precision sparse LU of system.matrix, symmetrically scaled, in a minimum-degree order of the node graph.
 
-    With the pressures right after their bubbles and the matrix scaled, a
-    threshold on partial pivoting keeps nearly every pivot on the diagonal,
-    so the order (_node_order) survives the factorization.  The nodes are
-    fixed with the blocks, so the order depends only on the sparsity
-    pattern; it is computed once per pattern and kept in
+    The scaled and ordered matrix is rounded to float32 and factored as
+    such, so the factor's values take half the memory of double precision
+    at the same fill.  With the pressures right after their bubbles and the
+    matrix scaled, a threshold on partial pivoting keeps nearly every pivot
+    on the diagonal, so the order (_node_order) survives the factorization.
+    The nodes are fixed with the blocks, so the order depends only on the
+    sparsity pattern; it is computed once per pattern and kept in
     system.blocks.orders.
     """
     mat = system.matrix
@@ -262,7 +272,7 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
         orders[pattern] = _node_order(system)
     order = orders[pattern]
     D = sp.diags(scale)
-    ordered = (D @ mat @ D).tocsr()[order][:, order].tocsc()
+    ordered = (D @ mat @ D).tocsr()[order][:, order].tocsc().astype(np.float32)
     try:
         lu = spla.splu(ordered, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH)
     except RuntimeError as err:
@@ -275,17 +285,17 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
 
 
 def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSolution:
-    """Solve one saddle system on its free unknowns.
+    """Solve one saddle system on its free unknowns by GMRES preconditioned by a sparse LU.
 
-    Without a kept factor on system.blocks, system.matrix is assembled and
-    factored (see _factor()) and solved directly.  With one, GMRES
-    right-preconditioned by it starts from x0 (zero when omitted), applies
-    the system without assembling its matrix and runs for at most
-    KRYLOV_BUDGET iterations (see _krylov); if GMRES misses its tolerance or
-    its answer fails the residual check, the kept factor is dropped and
-    system.matrix is assembled, factored and solved directly.  A new factor
-    is kept on system.blocks for later steps and solves only once its own
-    solve has passed the residual check.
+    GMRES (see _krylov) starts from x0 (zero when omitted), applies the
+    system without assembling its matrix and runs for at most KRYLOV_BUDGET
+    iterations, right-preconditioned by the factor kept on system.blocks.
+    Without a kept factor, or when GMRES with it misses its tolerance or
+    its answer fails the residual check, the kept factor is dropped,
+    system.matrix is assembled and factored (see _factor()), and GMRES runs
+    again from x0 with the new factor, which alone leaves a relative
+    residual of order 1e-4.  A new factor is kept on system.blocks for later
+    steps and solves only once its own solve has passed the residual check.
     The relative residual over every unpinned row, the pinned cell's
     continuity row included, must come out at 1e-10 or better, otherwise the
     system is reported as singular; boundary data with a nonzero net flux
@@ -295,7 +305,7 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     blocks = system.blocks
     iterations = 0
     if blocks.factor is not None:
-        x, converged, iterations, r_norm = _krylov(system, x0)
+        x, converged, iterations, r_norm = _krylov(system, x0, blocks.factor)
         if converged:
             rel = _relative_residual(system, x, r_norm)
             if rel <= RESIDUAL_TOL:
@@ -304,18 +314,19 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
         blocks.factor = None  # release the stale factor first: holding both grows the heap
 
     lu = _factor(system)
-    x = lu.solve(system.rhs)
+    x, _, fresh_iterations, r_norm = _krylov(system, x0, lu)
+    iterations += fresh_iterations
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    rel = _relative_residual(system, x, np.linalg.norm(system.matrix @ x - system.rhs))
+    rel = _relative_residual(system, x, r_norm)
     if rel > RESIDUAL_TOL:
         # B^T annihilates constants, so the continuity right-hand sides of all
         # cells sum to minus the net outward flux of the boundary data, which
         # a solvable problem has at zero
         flux = -(system.rhs[system.pressure].sum() + system.pinned_rhs)
         raise SingularSystemError(
-            f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            f"net outward boundary flux of the Dirichlet data is {flux:.3e}"
+            f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e} after {fresh_iterations} "
+            f"GMRES iterations with a new factor; net outward boundary flux of the Dirichlet data is {flux:.3e}"
         )
     blocks.factor = lu
     return LinearSolution(*system.expand(x), rel, iterations, True)

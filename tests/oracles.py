@@ -548,15 +548,18 @@ def least_squares_rate(hs, errors) -> float:
 # -- linear solves ----------------------------------------------------------
 
 
-def dense_gmres(system, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, int]:
-    """Right-preconditioned GMRES on the dense matrix from x0: (x, converged, iterations, cycles).
+def dense_gmres(system, x0: np.ndarray | None, factor) -> tuple[np.ndarray, bool, int, int]:
+    """GMRES on the dense matrix from x0, right-preconditioned by factor: (x, converged, iterations, cycles).
 
     The method and stopping tests of solver._krylov, built directly rather
     than by its Arnoldi recurrence and Givens rotations.  Each cycle takes an
     orthonormal basis Q of the Krylov space of A M from its residual r0,
-    one vector A M q at a time (classical Gram-Schmidt, twice), projects
-    A M onto it, H = Q^T A M Q[:, :k], and takes the least-squares iterate
-    x + M Q[:, :k] y with y minimizing |(|r0| e_1) - H y|.  That residual is
+    one vector A M q at a time (classical Gram-Schmidt, twice), keeps the
+    preconditioned vectors Z = [M q_0, ..., M q_{k-1}], projects A Z onto
+    Q, H = Q^T A Z, and takes the least-squares iterate x + Z y with y
+    minimizing |(|r0| e_1) - H y|.  Keeping Z is the flexible form, which
+    does not assume M linear: a single-precision factor rounds what it
+    solves for, so M (Q y) differs from Z y in the seventh digit.  That residual is
     |r0| / |u| for the left null vector u of H with u_0 = 1, which a
     triangular solve gives without cancellation.  A cycle stops once it is a
     tenth of KRYLOV_RTOL |b|; the call converges when the recomputed
@@ -564,7 +567,7 @@ def dense_gmres(system, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, i
     KRYLOV_BUDGET iterations last.
     """
     A = system.matrix.toarray()
-    M = system.blocks.factor.solve
+    M = factor.solve
     b = system.rhs
     x = np.zeros_like(b) if x0 is None else x0.copy()
     tol = KRYLOV_RTOL * np.linalg.norm(b)
@@ -574,19 +577,20 @@ def dense_gmres(system, x0: np.ndarray | None) -> tuple[np.ndarray, bool, int, i
         cycles += 1
         beta = np.linalg.norm(r)
         Q = (r / beta)[:, None]
-        AMQ = np.empty((len(b), 0))
+        Z = AZ = np.empty((len(b), 0))
         for k in range(1, KRYLOV_BUDGET - iterations + 1):
-            w = A @ M(Q[:, -1])
-            AMQ = np.column_stack([AMQ, w])
+            Z = np.column_stack([Z, M(Q[:, -1])])
+            w = A @ Z[:, -1]
+            AZ = np.column_stack([AZ, w])
             for _ in range(2):
                 w = w - Q @ (Q.T @ w)
             Q = np.column_stack([Q, w / np.linalg.norm(w)])
-            H = Q.T @ AMQ
+            H = Q.T @ AZ
             iterations += 1
             u = solve_triangular(H[1:], -H[0], trans="T")
             if beta / np.sqrt(1.0 + u @ u) <= 0.1 * tol:
                 break
         y = np.linalg.lstsq(H, beta * np.eye(k + 1)[0], rcond=None)[0]
-        x = x + M(Q[:, :k] @ y)
+        x = x + Z @ y
         r = b - A @ x
     return x, np.linalg.norm(r) <= tol, iterations, cycles

@@ -212,3 +212,14 @@ def test_edge_of_three_triangles_is_rejected():
     vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]]
     with pytest.raises(ValueError, match="shared by more than two triangles"):
         MeshTopology(vertices, [[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+
+
+@pytest.mark.parametrize(
+    "triangles",
+    [[[0, 1.9, 2.2]], np.array([[True, False, True]])],
+    ids=["float", "bool"],
+)
+def test_non_integer_triangle_indices_are_rejected(triangles):
+    # a cast would truncate 1.9 to 1 and read True as 1, building another mesh without an error
+    with pytest.raises(ValueError, match="must be integers"):
+        MeshTopology([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangles)
