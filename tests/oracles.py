@@ -557,11 +557,11 @@ def dense_gmres(system, x0: np.ndarray | None, factor) -> tuple[np.ndarray, bool
     one vector A M q at a time (classical Gram-Schmidt, twice), keeps the
     preconditioned vectors Z = [M q_0, ..., M q_{k-1}], projects A Z onto
     Q, H = Q^T A Z, and takes the least-squares iterate x + Z y with y
-    minimizing |(|r0| e_1) - H y|.  Keeping Z is the flexible form, which
-    does not assume M linear: a single-precision factor rounds what it
-    solves for, so M (Q y) differs from Z y in the seventh digit.  That residual is
-    |r0| / |u| for the left null vector u of H with u_0 = 1, which a
-    triangular solve gives without cancellation.  A cycle stops once it is a
+    minimizing |(|r0| e_1) - H y|.  That residual is |r0| / |u| for the
+    left null vector u of H with u_0 = 1, which a triangular solve gives
+    without cancellation.  Keeping Z is the flexible form, which does not
+    assume M linear: a single-precision factor rounds what it solves for,
+    so M (Q y) differs from Z y in the seventh digit.  A cycle stops once it is a
     tenth of KRYLOV_RTOL |b|; the call converges when the recomputed
     |b - A x| reaches KRYLOV_RTOL |b|, and restarts otherwise while the
     KRYLOV_BUDGET iterations last.
