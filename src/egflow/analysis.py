@@ -301,9 +301,9 @@ class ProbeCell:
 
 
 def check_viscosity_list(mu_list) -> None:
-    """Raise ValueError unless mu_list holds positive finite viscosities spanning at least three decades."""
-    if not all(mu > 0 and math.isfinite(mu) for mu in mu_list):
-        raise ValueError("viscosities must be positive and finite")
+    """Raise ValueError unless mu_list holds viscosities that FormParams takes, spanning at least three decades."""
+    for mu in mu_list:
+        FormParams(viscosity=mu)
     if not mu_list or max(mu_list) / min(mu_list) < 1e3:
         raise ValueError("viscosity list must span at least three decades")
 

@@ -89,6 +89,7 @@ and the upwind geometry frozen at the previous iterate z.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -113,11 +114,21 @@ _SIDE_SIGN = np.array([1.0, -1.0])
 
 @dataclass(frozen=True)
 class FormParams:
-    """Physical and scheme parameters shared by all forms."""
+    """Physical and scheme parameters shared by all forms.
+
+    The viscosity and the SIPG jump penalty must be positive and finite;
+    anything else raises ValueError here, before any form reads them.
+    """
 
     viscosity: float = 1.0
     penalty: float = 10.0
     pressure_robust: bool = False
+
+    def __post_init__(self):
+        for name in ("viscosity", "penalty"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # -- affine fields ---------------------------------------------------------
@@ -409,24 +420,28 @@ def _edge_weights(h: np.ndarray, ends: np.ndarray, normal: np.ndarray) -> np.nda
     """h g[e, X, Y, q]: weight of test side X against trial side Y at edge Gauss point q.
 
     ends[e, X, j, i] are the endpoint values of the transport field from each
-    side (one side on boundary edges); g collects the skew and upwind terms.
+    side (one side on boundary edges); g collects the skew and upwind terms,
+    one formula for both kinds of edge.  With zn_X = z_X.n and sign_X the
+    jump sign of side X: zeta = mean_X zn_X is the averaged field;
+    -1/2 <[z].n, {u.v}> pairs only one-sided traces, skew = -1/2 mean_X
+    sign_X zn_X; each side's test rows see the jump where zeta enters that
+    side, into_X = max(-sign_X zeta, 0).  g[X, X] = skew + into_X and
+    g[X, Y] = -into_X for Y != X.
     """
     s = edge_rule(EDGE_DEGREE).points
     zn = along_edges(np.einsum("exji,ei->exj", ends, normal)[..., None], s)[..., 0]
-    if zn.shape[1] == 2:
-        zeta = 0.5 * (zn[:, 0] + zn[:, 1])
-        # -1/2 <[z].n, {u.v}> pairs only one-sided traces, with {.} = 1/2 (plus + minus)
-        skew = -0.25 * (zn[:, 0] - zn[:, 1])
-        # upwind: each side's test rows see the jump where the averaged field enters that side
-        into_plus, into_minus = np.maximum(-zeta, 0.0), np.maximum(zeta, 0.0)
-        g = np.stack(
-            [np.stack([skew + into_plus, -into_plus], axis=1), np.stack([-into_minus, skew + into_minus], axis=1)],
-            axis=1,
-        )
-    else:
-        zeta = zn[:, 0]
-        g = (-0.5 * zeta + np.maximum(-zeta, 0.0))[:, None, None, :]
-    return h[:, None, None, None] * g
+    ne, sides, nq = zn.shape
+    sign = _SIDE_SIGN[:sides]
+    # sums over the sides start at side 0, which keeps its signed zeros, and run on contiguous slices
+    zeta = sum((zn[:, x] for x in range(1, sides)), zn[:, 0]) / sides
+    skew = -0.5 / sides * sum((sign[x] * zn[:, x] for x in range(1, sides)), zn[:, 0])
+    g = np.empty((ne, sides, sides, nq))
+    for x in range(sides):
+        into = np.maximum(-sign[x] * zeta, 0.0)
+        g[:, x] = -into[:, None]
+        g[:, x, x] = skew + into
+    g *= h[:, None, None, None]
+    return g
 
 
 class ConvectionOperator:
@@ -569,41 +584,45 @@ def divergence_boundary_load(mesh: MeshTopology, g_nodal: np.ndarray) -> np.ndar
 # -- boundary data and the saddle system ---------------------------------
 
 
-def lid_values(mesh: MeshTopology, leaky_corners: bool = True) -> dict[int, tuple[float, float]]:
-    """Cavity boundary data: LID_VELOCITY on the mesh's top side (largest y), rest at rest.
+def lid_values(mesh: MeshTopology, leaky_corners: bool = True) -> np.ndarray:
+    """(nv, 2) cavity Dirichlet data: LID_VELOCITY on the mesh's top side, zero at every other vertex.
 
-    By default the two lid corners take the lid value (leaky-cavity
-    convention); with leaky_corners=False they stay at rest (watertight).
+    The lid is the boundary vertices within 1e-12 of the largest y.  By
+    default its two corners, the lid vertices within 1e-12 of the smallest
+    or largest x, take the lid value (leaky-cavity convention); with
+    leaky_corners=False they stay at rest (watertight).
     """
-    out = {}
     (xmin, _), (xmax, top) = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    for v in np.flatnonzero(mesh.is_boundary_vertex):
-        x, y = mesh.vertices[v]
-        on_lid = abs(y - top) < 1e-12
-        if on_lid and not leaky_corners and (abs(x - xmin) < 1e-12 or abs(x - xmax) < 1e-12):
-            on_lid = False
-        out[int(v)] = LID_VELOCITY if on_lid else (0.0, 0.0)
-    return out
+    x, y = mesh.vertices.T
+    lid = mesh.is_boundary_vertex & (np.abs(y - top) < 1e-12)
+    lid &= leaky_corners | ((np.abs(x - xmin) >= 1e-12) & (np.abs(x - xmax) >= 1e-12))
+    return np.where(lid[:, None], LID_VELOCITY, 0.0)
 
 
-def dirichlet_data(mesh: MeshTopology, g: dict[int, tuple[float, float]] | None) -> np.ndarray:
-    """(nv, 2) nodal array of the Dirichlet data: row v is the velocity prescribed at vertex v.
+def dirichlet_data(mesh: MeshTopology, g: np.ndarray | None) -> np.ndarray:
+    """The checked (nv, 2) nodal Dirichlet data: row v is the velocity prescribed at vertex v.
 
-    g maps boundary vertex -> velocity; unlisted boundary vertices are held
-    at rest, keys that are not boundary vertices are rejected.  Every
-    boundary vertex is constrained (_SaddleBlocks.dirichlet_dofs); bubbles
-    never are.
+    g is that array, or None for homogeneous data.  Anything but exactly
+    shape (nv, 2) (nothing is broadcast), real finite values and zero rows
+    off the boundary raises ValueError.  Every boundary vertex is
+    constrained (_SaddleBlocks.dirichlet_dofs), a zero row holding it at
+    rest; bubbles never are.  Returns a float copy.
     """
-    g = g or {}
-    for v in g:
-        if not 0 <= v < mesh.num_vertices:
-            raise ValueError(f"vertex {v} is not a vertex of the mesh ({mesh.num_vertices} vertices)")
-        if not mesh.is_boundary_vertex[v]:
-            raise ValueError(f"vertex {v} is not on the boundary")
-    nodal = np.zeros((mesh.num_vertices, 2))
-    for v, val in g.items():
-        nodal[v] = val
-    return nodal
+    shape = (mesh.num_vertices, 2)
+    if g is None:
+        return np.zeros(shape)
+    try:
+        array = np.asarray(g)
+    except ValueError:  # ragged nesting
+        array = np.empty(0)
+    if array.shape != shape or array.dtype.kind not in "iuf":
+        raise ValueError(f"Dirichlet data must be a real array of shape {shape}, got {type(g).__name__} {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError("Dirichlet data must be finite")
+    off_boundary = np.flatnonzero(~mesh.is_boundary_vertex & np.any(array != 0, axis=1))
+    if len(off_boundary):
+        raise ValueError(f"Dirichlet data is nonzero at vertices off the boundary: {off_boundary.tolist()}")
+    return array.astype(float)
 
 
 @dataclass

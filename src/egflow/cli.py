@@ -68,18 +68,15 @@ class RunConfig:
         numbers = (self.mu, self.rho, self.tol, *self.mu_list)
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
             raise ValueError("mu, rho, tol and mu_list must be numbers")
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("mu, rho, tol and mu_list must be finite")
+        if not all(map(math.isfinite, self.mu_list)):
+            raise ValueError("mu_list must be finite")
         if any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
         if self.mode not in ("eg", "pr-eg"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid < 2:
             raise ValueError("grid resolution must be at least 2")
+        self.form_params()  # rejects a bad mu or rho
         self.nonlinear_settings()  # rejects a bad tol, max_iters or init
         if self.experiment == "probe":
             check_viscosity_list(self.mu_list)
@@ -104,19 +101,8 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
     """One CSV line per refinement level; EOC cells are blank where undefined."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.h),
-                    _fmt(r.energy_err),
-                    _fmt(r.energy_eoc),
-                    _fmt(r.l2_u_err),
-                    _fmt(r.l2_u_eoc),
-                    _fmt(r.l2_p_err),
-                    _fmt(r.l2_p_eoc),
-                ]
-            )
-        )
+        columns = (r.h, r.energy_err, r.energy_eoc, r.l2_u_err, r.l2_u_eoc, r.l2_p_err, r.l2_p_eoc)
+        lines.append(",".join(map(_fmt, columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -324,21 +310,9 @@ def run_probe(cfg: RunConfig) -> int:
     lines = [PROBE_HEADER]
     for mode in ("standard", "robust"):
         for c in table[mode]:
-            lines.append(
-                ",".join(
-                    [
-                        mode,
-                        _fmt(c.mu),
-                        _fmt(c.energy_err),
-                        _fmt(c.energy_r_err),
-                        _fmt(c.l2_u_err),
-                        str(c.iterations),
-                        str(c.converged).lower(),
-                        _fmt(c.energy_ratio),
-                        _fmt(c.energy_r_ratio),
-                    ]
-                )
-            )
+            errors = map(_fmt, (c.mu, c.energy_err, c.energy_r_err, c.l2_u_err))
+            ratios = map(_fmt, (c.energy_ratio, c.energy_r_ratio))
+            lines.append(",".join([mode, *errors, str(c.iterations), str(c.converged).lower(), *ratios]))
             flag = "" if c.converged else f"  [{c.note or 'not-converged'}]"
             print(
                 f"{mode:8s} mu={c.mu:.1e} energy_r={c.energy_r_err:.6e} "

@@ -12,7 +12,8 @@ the fixed blocks plus P^T (C_s (P u)), so a step that reuses the kept LU
 assembles no matrix.  A step factors, and only then assembles its saddle
 matrix, when no LU is kept or GMRES misses its tolerance within a fixed
 budget, which at small viscosity happens once the frozen transport has
-moved far from the factored one; GMRES then runs again with the new LU.
+moved far from the factored one; GMRES then runs again with the new LU,
+from where the stale attempt stopped.
 The kept factor and the orders live with the saddle blocks
 (assembly._SaddleBlocks), which the mesh's Discretization keeps for the
 last viscosity and penalty asked for, so that the next solve with the same
@@ -241,7 +242,6 @@ class OrderedFactor:
     """
 
     def __init__(self, lu, scale: np.ndarray, order: np.ndarray):
-        self.nnz = lu.nnz  # stored factor size, supernode padding included
         self._lu = lu
         self._scale = scale[order]  # D in the factor's order
         self._order = order
@@ -293,9 +293,11 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
     Without a kept factor, or when GMRES with it misses its tolerance or
     its answer fails the residual check, the kept factor is dropped,
     system.matrix is assembled and factored (see _factor()), and GMRES runs
-    again from x0 with the new factor, which alone leaves a relative
-    residual of order 1e-4.  A new factor is kept on system.blocks for later
-    steps and solves only once its own solve has passed the residual check.
+    again with the new factor, which alone leaves a relative residual of
+    order 1e-4.  It starts from the stale attempt's iterate, whose residual
+    is no larger than x0's, unless that iterate is not finite.  A new factor
+    is kept on system.blocks for later steps and solves only once its own
+    solve has passed the residual check.
     The relative residual over every unpinned row, the pinned cell's
     continuity row included, must come out at 1e-10 or better, otherwise the
     system is reported as singular; boundary data with a nonzero net flux
@@ -312,6 +314,8 @@ def solve_linear(system: SaddleSystem, x0: np.ndarray | None = None) -> LinearSo
                 return LinearSolution(*system.expand(x), rel, iterations, False)
         logger.info("GMRES missed after %d iterations; refactoring the %d-row system", iterations, len(x))
         blocks.factor = None  # release the stale factor first: holding both grows the heap
+        if np.all(np.isfinite(x)):
+            x0 = x  # GMRES never raises the residual of its start
 
     lu = _factor(system)
     x, _, fresh_iterations, r_norm = _krylov(system, x0, lu)
@@ -351,16 +355,18 @@ def solve_navier_stokes(
     params: FormParams,
     settings: NonlinearSettings = NonlinearSettings(),
     force=None,
-    boundary: dict | None = None,
+    boundary: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Picard iteration for the stationary momentum/continuity system.
 
     Returns the velocity coefficient vector (layout in the assembly module
     docstring), the zero-mean cell pressures and the report.
 
-    force is a vectorized callable x -> f(x) (zero when omitted); boundary
-    maps boundary vertices to velocity values (missing boundary vertices are
-    held at rest).  Raises DivergedError when the update norm grows beyond
+    force is a vectorized callable x -> f(x) (zero when omitted).  boundary
+    is the (nv, 2) nodal Dirichlet data, row v the velocity at vertex v, as
+    lid_values builds it; it must be zero off the boundary, and None holds
+    every boundary vertex at rest (see assembly.dirichlet_data, which
+    checks it).  Raises DivergedError when the update norm grows beyond
     1000x the initial update for three consecutive iterations.  Nothing is
     built ahead of its first reader: the first step's saddle blocks, which
     the mesh's Discretization holds for this viscosity and penalty,

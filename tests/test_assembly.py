@@ -606,14 +606,14 @@ def test_sipg_boundary_load_matches_edgewise_quadrature():
 
 
 def test_lid_values_cover_boundary_and_prefer_lid_at_corners():
+    # one row per vertex: the lid velocity on the top side, its corners included, and zero elsewhere
     mesh = build_unit_square_mesh(4)
     g = asm.lid_values(mesh)
-    assert set(g) == set(np.flatnonzero(mesh.is_boundary_vertex).tolist())
-    for v, val in g.items():
-        if abs(mesh.vertices[v, 1] - 1.0) < 1e-12:
-            assert val == (1.0, 0.0)
-        else:
-            assert val == (0.0, 0.0)
+    assert isinstance(g, np.ndarray) and g.shape == (mesh.num_vertices, 2) and g.dtype == float
+    lid = np.abs(mesh.vertices[:, 1] - 1.0) < 1e-12
+    assert lid.sum() == 5
+    assert np.all(g[lid] == (1.0, 0.0))
+    assert np.all(g[~lid] == 0.0)
 
 
 def test_lid_values_find_the_lid_of_a_scaled_square():
@@ -627,22 +627,68 @@ def test_lid_values_find_the_lid_of_a_scaled_square():
     assert len(top) == 5 and len(corners) == 2
     for leaky in (True, False):
         g = asm.lid_values(mesh, leaky_corners=leaky)
-        assert set(g) == set(np.flatnonzero(mesh.is_boundary_vertex).tolist())
-        lid = set(top.tolist()) if leaky else set(top.tolist()) - set(corners.tolist())
-        assert {v for v, val in g.items() if val == asm.LID_VELOCITY} == lid
-        assert all(val == (0.0, 0.0) for v, val in g.items() if v not in lid)
+        assert g.shape == (mesh.num_vertices, 2)
+        lid = top if leaky else np.setdiff1d(top, corners)
+        assert np.array_equal(np.flatnonzero(np.all(g == asm.LID_VELOCITY, axis=1)), lid)
+        assert not np.delete(g, lid, axis=0).any()
 
 
 def test_dirichlet_data_rejects_interior_vertex():
     mesh = build_unit_square_mesh(2)
     centre = 4  # vertex (0.5, 0.5)
     assert not mesh.is_boundary_vertex[centre]
-    with pytest.raises(ValueError):
-        asm.dirichlet_data(mesh, {centre: (1.0, 0.0)})
-    # keys outside the mesh's vertices: -1 would index vertex 8, 9 past the end
-    for outside in (-1, mesh.num_vertices):
-        with pytest.raises(ValueError, match=f"vertex {outside} "):
-            asm.dirichlet_data(mesh, {outside: (1.0, 0.0)})
+    g = np.zeros((mesh.num_vertices, 2))
+    g[centre] = (1.0, 0.0)
+    with pytest.raises(ValueError, match=r"off the boundary: \[4\]"):
+        asm.dirichlet_data(mesh, g)
+    # one row too few or too many: there is no vertex outside the mesh to name
+    for rows in (mesh.num_vertices - 1, mesh.num_vertices + 1):
+        with pytest.raises(ValueError, match=r"shape \(9, 2\)"):
+            asm.dirichlet_data(mesh, np.zeros((rows, 2)))
+
+
+def _nodal_with(mesh, vertex, value):
+    g = np.zeros((mesh.num_vertices, 2))
+    g[vertex] = value
+    return g
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda mesh: 5.0, "shape"),  # a scalar is not broadcast
+        (lambda mesh: [(0.0, 0.0), 5.0] + [(0.0, 0.0)] * (mesh.num_vertices - 2), "shape"),  # a scalar row
+        (lambda mesh: np.ones((mesh.num_vertices, 1)), "shape"),
+        (lambda mesh: np.ones(mesh.num_vertices), "shape"),
+        (lambda mesh: {1: (1.0, 0.0)}, "shape"),  # the vertex-keyed form
+        (lambda mesh: np.zeros((mesh.num_vertices, 2), dtype=complex), "shape"),
+        (lambda mesh: _nodal_with(mesh, 1, (np.nan, 0.0)), "finite"),
+        (lambda mesh: _nodal_with(mesh, 1, (0.0, np.inf)), "finite"),
+    ],
+    ids=["scalar", "scalar-row", "column", "vector", "dict", "complex", "nan", "inf"],
+)
+def test_dirichlet_data_takes_only_a_finite_nodal_array(make, message):
+    mesh = build_unit_square_mesh(2)  # 9 vertices, vertex 1 on the bottom side
+    with pytest.raises(ValueError, match=r"shape \(9, 2\)" if message == "shape" else message):
+        asm.dirichlet_data(mesh, make(mesh))
+
+
+def test_dirichlet_data_returns_a_float_copy():
+    mesh = build_unit_square_mesh(2)
+    g = np.zeros((mesh.num_vertices, 2), dtype=int)
+    g[1] = (2, -1)
+    nodal = asm.dirichlet_data(mesh, g)
+    assert nodal.dtype == float and np.array_equal(nodal, g)
+    nodal[1] = 0.0
+    assert g[1].tolist() == [2, -1]
+    assert np.array_equal(asm.dirichlet_data(mesh, None), np.zeros((mesh.num_vertices, 2)))
+
+
+@pytest.mark.parametrize("name", ["viscosity", "penalty"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_form_params_reject_a_non_positive_or_non_finite_coefficient(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        FormParams(**{name: value})
 
 
 def test_saddle_system_shape_and_block_structure():
@@ -721,7 +767,8 @@ def test_condensation_keeps_boundary_values_exactly():
     assert not np.isin(sysm.blocks.free, dofs).any()
     u, p = sysm.expand(spla.spsolve(sysm.matrix.tocsc(), sysm.rhs))
     assert np.abs(u[dofs] - nodal.ravel()[dofs]).max() == 0.0
-    assert np.abs(EGFunction.from_vector(mesh, u).nodal[list(g)] - list(g.values())).max() == 0.0
+    bverts = np.flatnonzero(mesh.is_boundary_vertex)
+    assert np.abs(EGFunction.from_vector(mesh, u).nodal[bverts] - g[bverts]).max() == 0.0
     assert float(mesh.areas @ p) == pytest.approx(0.0, abs=1e-12)
 
 
