@@ -112,6 +112,16 @@ _EDGE_HAT_MASS = (1.0 + np.eye(2)) / 6.0
 _SIDE_SIGN = np.array([1.0, -1.0])
 
 
+def check_positive_finite(name: str, value) -> None:
+    """Raise ValueError unless value is positive and finite; an integer past the float range is not finite."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an integer to float
+        finite = False
+    if not (value > 0 and finite):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FormParams:
     """Physical and scheme parameters shared by all forms.
@@ -125,10 +135,8 @@ class FormParams:
     pressure_robust: bool = False
 
     def __post_init__(self):
-        for name in ("viscosity", "penalty"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_positive_finite("viscosity", self.viscosity)
+        check_positive_finite("penalty", self.penalty)
 
 
 # -- affine fields ---------------------------------------------------------

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,8 +77,7 @@ class NonlinearSettings:
     init: str = "zero"  # or "stokes"
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
+        asm.check_positive_finite("tol", self.tol)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.init not in ("zero", "stokes"):
@@ -188,19 +186,27 @@ def _node_order(system: SaddleSystem) -> np.ndarray:
     The unknowns sharing a mesh node (system.blocks.nodes) move together:
     the two components of a vertex, and the bubble of a cell with that
     cell's pressure, which has a zero diagonal and so must follow its
-    bubble.  Two nodes are joined when the matrix couples any of their
-    unknowns, and SuperLU orders that graph by multiple minimum degree
-    (Liu, ACM TOMS 11, 1985).  SuperLU gives the order only with a
+    bubble.  Two nodes are joined when the matrix stores an entry between
+    any of their unknowns, and SuperLU orders that graph by multiple minimum
+    degree (Liu, ACM TOMS 11, 1985).  The graph is read off the sparsity
+    pattern alone: member^T S member, for S the float32 ones on the
+    matrix's own index arrays and member the unknown-to-node incidence,
+    symmetrized on the nodes, so the only temporaries larger than the
+    graph are S's values and S member.  SuperLU gives the order only with a
     factorization: spilu reports the perm_c that splu would with these
     options, and with every off-diagonal dropped and a dominant diagonal it
     factors almost nothing.  Within a node, unknowns keep their order, so a
     pressure comes right after its bubble.
     """
-    n = system.matrix.shape[0]
+    mat = system.matrix
+    n = mat.shape[0]
     used, node = np.unique(system.blocks.nodes, return_inverse=True)
-    member = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, len(used)))
-    pattern = abs(system.matrix)
-    graph = (member.T @ (pattern + pattern.T) @ member).tocsc()
+    member = sp.csr_matrix((np.ones(n, dtype=np.float32), node, np.arange(n + 1)), shape=(n, len(used)))
+    # S member is formed, and S freed, before member^T multiplies it
+    graph = member.T.tocsr() @ (
+        sp.csr_matrix((np.ones(mat.nnz, dtype=np.float32), mat.indices, mat.indptr), shape=mat.shape) @ member
+    )
+    graph = (graph + graph.T).tocsc()
     graph.data[:] = 1.0
     graph += len(used) * sp.eye(len(used), format="csc")
     rank = spla.spilu(

@@ -9,9 +9,10 @@ from the enriched basis's own edge moments; the BDM1 mass matrix; the
 elementwise P1 embedding, enriched and reconstructed fields evaluated
 point by point, edge traces and jumps one edge at a time, canonical
 interpolants),
-a dense GMRES built from the Krylov space itself, point location testing every
-candidate at once, or a small utility only the tests need (rates, reading
-the convergence CSV).
+a dense GMRES built from the Krylov space itself, the node order of a
+factorization from a graph formed by sparse products, point location
+testing every candidate at once, the field dump written in one piece, or a
+small utility only the tests need (rates, reading the convergence CSV).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 import egflow.assembly as asm
 from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
-from egflow.cli import CSV_HEADER, barycentric_coords
+from egflow.cli import CSV_HEADER, barycentric_coords, sample_velocity
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
 from egflow.reconstruction import local_moment_blocks
@@ -510,6 +512,13 @@ def locate_points_all_candidates(mesh: MeshTopology, pts: np.ndarray):
     return tri, bary, int((~found).sum())
 
 
+def field_dump_at_once(mesh: MeshTopology, u_h: np.ndarray, p_h: np.ndarray, grid, path) -> None:
+    """cli.write_field_dump with every row formatted into one string and written in one call."""
+    rows = np.column_stack([grid.points, sample_velocity(mesh, u_h, grid), p_h[grid.triangles]])
+    header = f"# nx={grid.nx} ny={grid.ny} fallback_points={grid.fallback}\n# x y u1 u2 p\n"
+    Path(path).write_text(header + ("%.12e %.12e %.12e %.12e %.12e\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 # -- convergence tables ----------------------------------------------------
 
 
@@ -594,3 +603,29 @@ def dense_gmres(system, x0: np.ndarray | None, factor) -> tuple[np.ndarray, bool
         x = x + Z @ y
         r = b - A @ x
     return x, np.linalg.norm(r) <= tol, iterations, cycles
+
+
+def node_order_by_products(system) -> np.ndarray:
+    """solver._node_order with the node graph member^T (|A| + |A|^T) member formed by float64 products.
+
+    member is the unknown-to-node incidence; two nodes are joined when an
+    entry of A or A^T couples their unknowns.  SuperLU's multiple minimum
+    degree orders the graph, and the unknowns of each node follow in their
+    own order.
+    """
+    n = system.matrix.shape[0]
+    used, node = np.unique(system.blocks.nodes, return_inverse=True)
+    member = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, len(used)))
+    pattern = abs(system.matrix)
+    graph = (member.T @ (pattern + pattern.T) @ member).tocsc()
+    graph.data[:] = 1.0
+    graph += len(used) * sp.eye(len(used), format="csc")
+    rank = spla.spilu(
+        graph,
+        permc_spec="MMD_AT_PLUS_A",
+        drop_tol=1e300,
+        fill_factor=1,
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    ).perm_c
+    return np.lexsort((np.arange(n), rank[node]))

@@ -685,7 +685,7 @@ def test_dirichlet_data_returns_a_float_copy():
 
 
 @pytest.mark.parametrize("name", ["viscosity", "penalty"])
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, pytest.param(10**400, id="int-past-float-range")])
 def test_form_params_reject_a_non_positive_or_non_finite_coefficient(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         FormParams(**{name: value})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from egflow.cli import (
 )
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import DivergedError, SolveReport
-from oracles import EGFunction, locate_points_all_candidates, n_velocity, read_convergence_csv
+from oracles import EGFunction, field_dump_at_once, locate_points_all_candidates, n_velocity, read_convergence_csv
 from test_assembly import perturbed_mesh
 
 
@@ -64,6 +65,10 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
     huge_mu.write_text('{"mu": 1' + "0" * 400 + "}")  # a JSON integer past float range
     float_levels = tmp_path / "float_levels.json"
     float_levels.write_text(json.dumps({"levels": [4.5, 8]}))
+    # mu_list is checked by the probe's whole rule also where it is not read
+    zero_in_list, huge_in_list = tmp_path / "zero_in_list.json", tmp_path / "huge_in_list.json"
+    zero_in_list.write_text(json.dumps({"mu_list": [1, 0, 1e-4]}))
+    huge_in_list.write_text('{"mu_list": [1, 1e-4, 1' + "0" * 400 + "]}")
     # number settings take JSON numbers only, not booleans
     booleans = []
     for key, value in (("mu", True), ("rho", True), ("tol", True), ("mu_list", [True, 0.1, 0.001])):
@@ -90,6 +95,9 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
         ["converge", "--levels", "2", "--tol", "inf"],
         ["cavity", "--n", "4", "--config", str(nan_mu)],
         ["cavity", "--n", "4", "--config", str(huge_mu)],
+        ["converge", "--levels", "2", "--config", str(zero_in_list)],
+        ["cavity", "--n", "2", "--config", str(zero_in_list)],
+        ["converge", "--levels", "2", "--config", str(huge_in_list)],
     ]
     for argv in cases:
         out = tmp_path / "out"
@@ -218,15 +226,27 @@ def test_broadcast_barycentric_coords_match_scalar_calls():
     assert np.allclose(bary.sum(axis=1), 1.0) and bary.min() >= 0.0
 
 
+def test_located_points_do_not_depend_on_the_block_size(monkeypatch):
+    # each point's search is its own, so locating a few points at a time
+    # changes nothing, the clipping after a fallback in a later block included
+    mesh = perturbed_mesh(6, seed=3)
+    pts = np.random.default_rng(5).uniform(-0.05, 1.05, (200, 2))
+    tri, bary, fallback = locate_points(mesh, pts)
+    assert 0 < fallback < len(pts)
+    monkeypatch.setattr(cli, "_BLOCK_POINTS", 7)
+    tri_7, bary_7, fallback_7 = locate_points(mesh, pts)
+    assert np.array_equal(tri_7, tri) and np.array_equal(bary_7, bary) and fallback_7 == fallback
+
+
 def test_field_dump_zero_solution_and_grid_shape(tmp_path):
     mesh = build_unit_square_mesh(2)
     path = tmp_path / "dump.txt"
-    fallback = write_field_dump(
+    velocity = write_field_dump(
         mesh, np.zeros(n_velocity(mesh)), np.zeros(mesh.num_triangles), sample_grid(mesh, 2, 2), path
     )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# nx=2 ny=2 fallback_points=0"
-    assert fallback == 0
+    assert np.array_equal(velocity, np.zeros((4, 2)))
     assert len(lines) == 2 + 4
     for line in lines[2:]:
         x, y, u1, u2, p = map(float, line.split())
@@ -263,6 +283,37 @@ def test_field_dump_includes_bubble_contribution(tmp_path):
     write_field_dump(mesh, u_h.to_vector(), np.zeros(mesh.num_triangles), sample_grid(mesh, 9, 9), path)
     rows = np.loadtxt(path)
     assert np.abs(rows[:, 2:4]).max() > 1e-3
+
+
+@pytest.mark.parametrize("n, nx, ny", [(2, 2, 2), (3, 7, 5), (32, 101, 101)])
+def test_field_dump_is_the_one_shot_dump(tmp_path, n, nx, ny):
+    # grids of fewer rows than one block, and of 10,201 rows that end in a
+    # partial block, give the bytes of the dump formatted in one piece
+    mesh = build_unit_square_mesh(n)
+    rng = np.random.default_rng(n)
+    u_h, p_h = rng.standard_normal(n_velocity(mesh)), rng.standard_normal(mesh.num_triangles)
+    grid = sample_grid(mesh, nx, ny)
+    velocity = write_field_dump(mesh, u_h, p_h, grid, tmp_path / "dump.txt")
+    field_dump_at_once(mesh, u_h, p_h, grid, tmp_path / "oracle.txt")
+    assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+    assert np.array_equal(velocity, sample_velocity(mesh, u_h, grid))
+
+
+def test_field_dump_stays_small_in_memory(tmp_path):
+    # rows are formatted a block at a time; the string of all 10,201 rows,
+    # its tuple of floats and its encoded copy took 3.7 MB here
+    mesh = build_unit_square_mesh(32)
+    asm.discretization(mesh).embedding
+    rng = np.random.default_rng(4)
+    u_h, p_h = rng.standard_normal(n_velocity(mesh)), rng.standard_normal(mesh.num_triangles)
+    grid = sample_grid(mesh, 101, 101)
+    tracemalloc.start()
+    try:
+        write_field_dump(mesh, u_h, p_h, grid, tmp_path / "dump.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_sampled_velocity_matches_pointwise_value_on_perturbed_mesh():
