@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["eg", "pr-eg"], help="discretization mode")
         p.add_argument("--tol", type=float, help="nonlinear relative-update tolerance")
         p.add_argument("--max-iters", type=int, help="nonlinear iteration cap")
-        p.add_argument("--init", choices=["zero", "stokes"], help="nonlinear initial guess")
+        p.add_argument("--init", choices=["zero", "stokes"], help="stokes leaves the first step from zero uncounted")
         p.add_argument("--out", type=Path, help=f"output directory (default {defaults.out_dir})")
         return p, defaults
 
@@ -450,10 +450,10 @@ def cli_main(argv=None) -> int:
         return err.code if err.code is not None else 2
     try:
         cfg = config_from_args(args)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)  # an --out naming a file is an OSError here
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     runner = {"converge": run_converge, "cavity": run_cavity, "probe": run_probe}
     return runner[cfg.experiment](cfg)
 

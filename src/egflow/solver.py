@@ -27,8 +27,8 @@ precision, which halves their memory, and GMRES in double precision refines
 every solve to the same tolerances (Arioli & Duff, ETNA 33, 2009; Carson &
 Higham, SISC 40, 2018).  Convergence is
 measured on the relative Euclidean update of the stacked (velocity,
-pressure) coefficient vector.  The iteration starts either from zero or
-from the solution of the Stokes problem (same system without convection).
+pressure) coefficient vector.  Every iteration starts from zero, whose step
+assembles no convection; a Stokes start leaves that first step uncounted.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class DivergedError(RuntimeError):
 class NonlinearSettings:
     tol: float = 1e-10
     max_iters: int = 20
-    init: str = "zero"  # or "stokes"
+    init: str = "zero"  # or "stokes": the same iteration from zero, its first step left uncounted
 
     def __post_init__(self):
         asm.check_positive_finite("tol", self.tol)
@@ -273,7 +273,10 @@ def _factor(system: SaddleSystem) -> OrderedFactor:
     mat = system.matrix
     scale = _symmetric_scaling(system)
     orders = system.blocks.orders
-    pattern = hashlib.blake2b(mat.indptr.tobytes() + mat.indices.tobytes()).digest()
+    h = hashlib.blake2b()  # fed array by array, without a concatenated copy of the pattern
+    h.update(mat.indptr)
+    h.update(mat.indices)
+    pattern = h.digest()
     if pattern not in orders:
         orders[pattern] = _node_order(system)
     order = orders[pattern]
@@ -372,13 +375,18 @@ def solve_navier_stokes(
     is the (nv, 2) nodal Dirichlet data, row v the velocity at vertex v, as
     lid_values builds it; it must be zero off the boundary, and None holds
     every boundary vertex at rest (see assembly.dirichlet_data, which
-    checks it).  Raises DivergedError when the update norm grows beyond
-    1000x the initial update for three consecutive iterations.  Nothing is
-    built ahead of its first reader: the first step's saddle blocks, which
-    the mesh's Discretization holds for this viscosity and penalty,
-    assemble A and B, and R is built by the first load or convection that
-    reads it.  The LU the linear solves keep stays with those blocks, so
-    the next solve with the same ones starts from it.
+    checks it).  Each step solves the system linearized at the last
+    iterate, by GMRES started there.  The iteration starts from u = p = 0,
+    where the step assembles no convection: it is the Stokes step, except
+    that in the standard scheme data with a normal flux adds the
+    -1/2 (g.n) g load of the convective form.  settings.init "stokes" leaves
+    that first step uncounted.  Raises DivergedError when the update norm
+    grows beyond 1000x the initial update for three consecutive iterations.
+    Nothing is built ahead of its first reader: the first step's saddle
+    blocks, which the mesh's Discretization holds for this viscosity and
+    penalty, assemble A and B, and R is built by the first load or
+    convection that reads it.  The LU the linear solves keep stays with
+    those blocks, so the next solve with the same ones starts from it.
     """
     n_velocity = 2 * mesh.num_vertices + mesh.num_triangles
     report = SolveReport()
@@ -392,40 +400,27 @@ def solve_navier_stokes(
     F = F + params.viscosity * asm.sipg_boundary_load(mesh, g_nodal, params)
     cont_load = asm.divergence_boundary_load(mesh, g_nodal)
 
-    last = None  # (velocity, pressure) of the last solve, where GMRES starts
-
-    def solve_step(z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Build and solve the step system at transport field z, None for the Stokes step, and record it."""
-        nonlocal last
-        if z is None:
-            convection, load = None, F
-        else:
-            convection = asm.assemble_convection(mesh, z, params)
-            load = F + asm.convective_boundary_load(mesh, z, g_nodal, params)
+    def solve_step(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the step linearized at the iterate (u, p) by GMRES started there, and record it."""
+        convection = asm.assemble_convection(mesh, u, params) if u.any() else None  # a zero field has no convection
+        load = F + asm.convective_boundary_load(mesh, u, g_nodal, params)
         system = asm.build_saddle_system(mesh, params, convection, load, g_nodal, cont_load)
-        solution = solve_linear(system, None if last is None else system.restrict(*last))
-        last = solution.velocity, solution.pressure
+        solution = solve_linear(system, system.restrict(u, p))
         if solution.factored:
             report.factorizations += 1
         report.linear_residuals.append(solution.residual)
         report.krylov_iterations.append(solution.krylov_iterations)
-        return last
+        return solution.velocity, solution.pressure
 
+    u, p = np.zeros(n_velocity), np.zeros(mesh.num_triangles)
     if settings.init == "stokes":
-        z, p0 = solve_step(None)
-        x_old = np.concatenate([z, p0])
-    else:
-        z = np.zeros(n_velocity)
-        x_old = np.zeros(n_velocity + mesh.num_triangles)
-
+        u, p = solve_step(u, p)  # the first step, left uncounted
     for _ in range(settings.max_iters):  # at least once: NonlinearSettings checks max_iters >= 1
-        u, p = solve_step(z)
-        x_new = np.concatenate([u, p])
-        update = _relative_update(x_new, x_old)
+        u_new, p_new = solve_step(u, p)
+        update = _relative_update(np.concatenate([u_new, p_new]), np.concatenate([u, p]))
+        u, p = u_new, p_new
         report.iterations += 1
         report.update_norms.append(update)
-        z = u  # the next step's transport field
-        x_old = x_new
         if update < settings.tol:
             report.converged = True
             break

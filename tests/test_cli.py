@@ -108,6 +108,17 @@ def test_invalid_parameter_values_are_configuration_errors(capsys, tmp_path):
     assert "'max-iters', 'mu-list'" in capsys.readouterr().err
 
 
+def test_an_out_path_through_a_file_is_a_bad_configuration(tmp_path, capsys):
+    # exit 1 means "did not converge", so an output directory that cannot be made exits 2
+    existing = tmp_path / "file"
+    existing.write_text("kept")
+    for out in (existing, existing / "sub"):
+        assert cli_main(["converge", "--levels", "2", "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration") and "Traceback" not in err
+    assert existing.read_text() == "kept"
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(experiment="converge", levels=())

@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 
 import egflow.assembly as asm
 import egflow.solver as solver
+from egflow.analysis import example1_solution, forcing_from_exact
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
 from egflow.solver import (
@@ -333,6 +334,61 @@ def test_stokes_initialization_runs_and_converges():
     assert len(report.linear_residuals) == report.iterations + 1
 
 
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("data", ["lid", "manufactured"])
+@pytest.mark.parametrize("mu", [1.0, 1e-2])
+def test_a_stokes_start_is_the_zero_start_without_its_first_step(robust, data, mu):
+    # every solve starts from zero, and a Stokes start only leaves the first
+    # step uncounted; in the standard scheme the lid's corners give the data
+    # a normal flux, whose -1/2 (g.n) g load that first step carries either way
+    params = FormParams(viscosity=mu, penalty=10.0, pressure_robust=robust)
+    runs = []
+    for init in ("zero", "stokes"):
+        mesh = build_unit_square_mesh(8)  # a fresh mesh each, so that neither starts from a kept factor
+        if data == "lid":
+            given = dict(boundary=asm.lid_values(mesh))
+        else:
+            given = dict(force=forcing_from_exact(example1_solution(), mu))
+        runs.append(solve_navier_stokes(mesh, params, NonlinearSettings(max_iters=80, init=init), **given))
+    (u_zero, p_zero, zero), (u_stokes, p_stokes, stokes) = runs
+    assert zero.converged and stokes.converged
+    assert np.array_equal(u_stokes, u_zero) and np.array_equal(p_stokes, p_zero)
+    assert stokes.iterations == zero.iterations - 1
+    assert stokes.update_norms == zero.update_norms[1:]
+    assert stokes.linear_residuals == zero.linear_residuals
+    assert stokes.krylov_iterations == zero.krylov_iterations
+    assert stokes.factorizations == zero.factorizations
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_a_zero_iterate_assembles_no_convection(monkeypatch, robust):
+    # the first step of a zero start linearizes at u = 0, which transports
+    # nothing: it assembles no convection, so the pattern of C_s does not
+    # exist yet when the first system is factored
+    assembled = 0
+    convection = asm.assemble_convection
+    factor = solver._factor
+    pattern_built = []
+
+    def counted(mesh, z, params):
+        nonlocal assembled
+        assembled += 1
+        return convection(mesh, z, params)
+
+    def recorded(system):
+        pattern_built.append("pattern" in vars(asm.discretization(mesh).scalar_p1))
+        return factor(system)
+
+    monkeypatch.setattr(asm, "assemble_convection", counted)
+    monkeypatch.setattr(solver, "_factor", recorded)
+    mesh = build_unit_square_mesh(8)
+    params = FormParams(viscosity=1.0, penalty=10.0, pressure_robust=robust)
+    _, _, report = solve_navier_stokes(mesh, params, boundary=asm.lid_values(mesh))
+    assert report.converged
+    assert assembled == report.iterations - 1
+    assert pattern_built[0] is False
+
+
 def test_affine_solution_with_inhomogeneous_data_is_reproduced_exactly():
     # u = (a + b y, c - b x) is divergence free and affine, so it lies in the
     # velocity space itself; with constant pressure the only body force is
@@ -445,8 +501,8 @@ def test_a_refactor_after_a_miss_starts_from_the_stale_iterate(monkeypatch, stal
 def test_oseen_matrices_are_assembled_only_to_be_factored(monkeypatch, mu, init):
     # GMRES applies each step's convection without assembling it; only a
     # factorization reads the matrix.  At mu = 1 the Stokes factor carries
-    # every Oseen step.  At mu = 5e-3 from z = 0 the first step's convection
-    # is empty, so its factorization reads the fixed blocks as they are;
+    # every Oseen step.  At mu = 5e-3 from z = 0 the first step has no
+    # convection, so its factorization reads the fixed blocks as they are;
     # every later factored system is an Oseen one, as the force moves the
     # transport of the first steps far enough from the first factor that
     # GMRES misses its budget
