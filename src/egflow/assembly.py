@@ -673,7 +673,7 @@ class SaddleSystem:
     def matrix(self) -> sp.csr_matrix:
         """The fixed blocks plus the convection block on the free velocity dofs, assembled on first read."""
         fixed = self.blocks.matrix
-        if self.convection is None or self.convection.scalar.nnz == 0:  # Stokes, or a zero transport field
+        if self.convection is None:  # Stokes, or the step at a zero iterate
             return fixed
         free = self.blocks.free
         C_ff = self.convection.matrix()[free][:, free]

@@ -31,12 +31,7 @@ from scipy.spatial import cKDTree
 from .analysis import ConvergenceRow, check_viscosity_list, convergence_study, pressure_robustness_probe
 from .assembly import LID_VELOCITY, FormParams, lid_values, vertex_values
 from .mesh import MeshTopology, build_unit_square_mesh
-from .solver import (
-    DivergedError,
-    NonlinearSettings,
-    SingularSystemError,
-    solve_navier_stokes,
-)
+from .solver import NonlinearSettings, SingularSystemError, solve_navier_stokes
 
 CSV_HEADER = "h,energy_err,energy_eoc,l2u_err,l2u_eoc,l2p_err,l2p_eoc"
 _BLOCK_POINTS = 1024  # points located, and field-dump rows written, at a time
@@ -255,7 +250,7 @@ def _watertight_comparison(mesh: MeshTopology, cfg: RunConfig, leaky: np.ndarray
             cfg.nonlinear_settings(),
             boundary=lid_values(mesh, leaky_corners=False),
         )
-    except (DivergedError, SingularSystemError) as err:
+    except SingularSystemError as err:
         return {"converged": False, "error": str(err)}
     wt = sample_velocity(mesh, u_wt, grid)
     # samples on the boundary read the bubbles' trace, which meets the lid data only weakly
@@ -290,12 +285,8 @@ def run_cavity(cfg: RunConfig) -> int:
         u_h, p_h, report = solve_navier_stokes(
             mesh, cfg.form_params(), cfg.nonlinear_settings(), boundary=boundary
         )
-    except (DivergedError, SingularSystemError) as err:
-        payload = dict(meta, converged=False, error=str(err))
-        if isinstance(err, DivergedError):
-            payload["iterations"] = err.report.iterations
-            payload["update_norms"] = list(err.report.update_norms)
-        _write_report(report_path, payload)
+    except SingularSystemError as err:
+        _write_report(report_path, dict(meta, converged=False, error=str(err)))
         print(f"solver failed: {err}; report at {report_path}", file=sys.stderr)
         return 1
     dump_path = cfg.out_dir / "cavity_field.txt"

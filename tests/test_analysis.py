@@ -328,10 +328,10 @@ def test_attach_eoc_skips_annotated_rows():
     good = ConvergenceRow(h=0.5, energy_err=1.0, energy_r_err=1.0, l2_u_err=1.0, l2_p_err=1.0)
     bad = ConvergenceRow(
         h=0.25, energy_err=float("nan"), energy_r_err=float("nan"),
-        l2_u_err=float("nan"), l2_p_err=float("nan"), note="diverged",
+        l2_u_err=float("nan"), l2_p_err=float("nan"), note="singular: factorization failed",
     )
     out = attach_eoc([good, bad])
-    assert out[1].energy_eoc is None and out[1].note == "diverged"
+    assert out[1].energy_eoc is None and out[1].note == "singular: factorization failed"
 
 
 def test_least_squares_rate_recovers_planted_slope():

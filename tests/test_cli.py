@@ -28,7 +28,7 @@ from egflow.cli import (
     write_field_dump,
 )
 from egflow.mesh import MeshTopology, build_unit_square_mesh
-from egflow.solver import DivergedError, SolveReport
+from egflow.solver import SingularSystemError
 from oracles import EGFunction, field_dump_at_once, locate_points_all_candidates, n_velocity, read_convergence_csv
 from test_assembly import perturbed_mesh
 
@@ -468,14 +468,14 @@ def test_cavity_report_bounds_the_velocity_inside_the_cavity(tmp_path):
 
 def test_cavity_failure_exit_code(tmp_path, monkeypatch):
     def explode(*a, **k):
-        raise DivergedError("update norms grew", SolveReport(iterations=5, update_norms=[1.0] * 5))
+        raise SingularSystemError("sparse factorization failed")
 
     monkeypatch.setattr(cli, "solve_navier_stokes", explode)
     rc = cli_main(["cavity", "--n", "2", "--out", str(tmp_path)])
     assert rc == 1
     report = json.loads((tmp_path / "cavity_report.json").read_text())
     assert report["converged"] is False
-    assert report["iterations"] == 5
+    assert report["error"] == "sparse factorization failed"
 
 
 def test_cavity_builds_viscous_and_divergence_once_and_keeps_them_in_the_blocks(tmp_path, monkeypatch):
