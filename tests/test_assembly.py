@@ -728,6 +728,19 @@ def test_dirichlet_dofs_are_the_boundary_nodal_dofs(make_mesh):
     assert np.array_equal(np.sort(np.concatenate([blocks.dirichlet_dofs, blocks.free])), np.arange(n_velocity(mesh)))
 
 
+def test_zero_transport_field_factors_the_fixed_blocks_themselves():
+    # a zero transport field has a convection C_s without entries, so a zero
+    # iterate's step passes no convection at all, and its saddle matrix is
+    # the kept fixed blocks, not an assembled copy
+    mesh = build_unit_square_mesh(8)
+    C = asm.assemble_convection(mesh, np.zeros(n_velocity(mesh)), PARAMS_PR)
+    assert C.scalar.nnz == 0
+    sysm = asm.build_saddle_system(
+        mesh, PARAMS_PR, None, np.zeros(n_velocity(mesh)), asm.dirichlet_data(mesh, None), np.zeros(mesh.num_triangles)
+    )
+    assert sysm.matrix is sysm.blocks.matrix
+
+
 def test_saddle_system_is_nonsingular_with_dirichlet_rows():
     # the reduced system, with the Dirichlet rows and columns eliminated, is
     # nonsingular, and stays so with convection switched on
