@@ -718,7 +718,10 @@ class _SaddleBlocks:
     columns `viscous_lift` = mu A_fd and `divergence_lift` = B_d that lift
     the data into the right-hand side, the pinned continuity row, the
     number of velocity dofs and the cell areas; A and B are assembled here
-    and kept only restricted.  Each unknown sits at a mesh node,
+    and kept only restricted.  A is scaled by mu in place and dropped once
+    its free rows are taken, and `matrix` is stacked from CSR pieces
+    (sp.bmat would copy all four blocks to COO), so no step holds a second
+    copy of A or a COO copy of the system.  Each unknown sits at a mesh node,
     `nodes[i]`: vertex v for its nodal dofs, num_vertices + t for the
     bubble and the pressure of cell t.
 
@@ -731,17 +734,22 @@ class _SaddleBlocks:
 
     def __init__(self, mesh: MeshTopology, params: FormParams):
         dofs = np.flatnonzero(np.repeat(mesh.is_boundary_vertex, 2))  # dof 2 v + i of boundary vertex v
-        A = params.viscosity * assemble_viscous(mesh, params)
+        A = assemble_viscous(mesh, params)
+        A.data *= params.viscosity
+        self.n_velocity = A.shape[0]
+        free = np.setdiff1d(np.arange(self.n_velocity), dofs)
+        A_free = A[free]
+        del A
         B = assemble_divergence(mesh)
-        free = np.setdiff1d(np.arange(A.shape[0]), dofs)
-        A_free, B_free = A[free], B[:, free]
+        B_free = B[:, free]
         # pinning cell 0 drops its pressure column and sets its continuity row aside
         B_kept = B_free[1:]
         self.free = free
         self.dirichlet_dofs = dofs
-        self.n_velocity = A.shape[0]
         self.areas = mesh.areas
-        self.matrix = _finalize(sp.bmat([[A_free[:, free], -B_kept.T], [B_kept, None]], format="csr"))
+        top = sp.hstack([A_free[:, free], -B_kept.T.tocsr()], format="csr")
+        bottom = sp.hstack([B_kept, sp.csr_matrix((B_kept.shape[0],) * 2)], format="csr")
+        self.matrix = _finalize(sp.vstack([top, bottom], format="csr"))
         self.viscous_lift = A_free[:, dofs]
         self.divergence_lift = B[:, dofs]
         self.pinned_row = sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr")

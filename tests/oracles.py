@@ -11,14 +11,17 @@ point by point, edge traces and jumps one edge at a time, canonical
 interpolants),
 a dense GMRES built from the Krylov space itself, the node order of a
 factorization from a graph formed by sparse products, point location
-testing every candidate at once, the field dump written in one piece, or a
-small utility only the tests need (rates, reading the convergence CSV).
+testing every candidate at once, the field dump written in one piece, the
+fixed saddle blocks stacked by sp.bmat, or a small utility only the tests
+need (rates, reading the convergence CSV, the tracemalloc peak of a call).
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -552,6 +555,40 @@ def least_squares_rate(hs, errors) -> float:
     if len(hs) < 2:
         raise ValueError("need at least two levels for a rate")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+# -- the saddle system and memory ------------------------------------------
+
+
+def saddle_blocks_by_bmat(mesh: MeshTopology, params: asm.FormParams) -> SimpleNamespace:
+    """The matrices of assembly._SaddleBlocks built as sp.bmat of the scaled and sliced A and B.
+
+    mu A is a scaled copy of A, both restrictions are taken from the full
+    matrices, and sp.bmat stacks [mu A_ff, -B_kept^T; B_kept, 0] through COO
+    copies of all four blocks.
+    """
+    dofs = np.flatnonzero(np.repeat(mesh.is_boundary_vertex, 2))
+    A = params.viscosity * asm.assemble_viscous(mesh, params)
+    B = asm.assemble_divergence(mesh)
+    free = np.setdiff1d(np.arange(A.shape[0]), dofs)
+    A_free, B_free = A[free], B[:, free]
+    B_kept = B_free[1:]
+    return SimpleNamespace(
+        matrix=asm._finalize(sp.bmat([[A_free[:, free], -B_kept.T], [B_kept, None]], format="csr")),
+        viscous_lift=A_free[:, dofs],
+        divergence_lift=B[:, dofs],
+        pinned_row=sp.hstack([B_free[0], sp.csr_matrix((1, B_kept.shape[0]))], format="csr"),
+    )
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- linear solves ----------------------------------------------------------

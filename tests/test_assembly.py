@@ -11,8 +11,6 @@ Oracles used here:
   * exact discrete residuals for a linear divergence-free flow.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -41,6 +39,8 @@ from oracles import (
     n_velocity,
     project_pressure,
     reconstruct,
+    saddle_blocks_by_bmat,
+    traced_peak,
     vertex_dof,
 )
 
@@ -958,6 +958,31 @@ def test_cached_operators_belong_to_their_mesh():
     assert abs(other.matrix - blocks_m.matrix).max() > 0.1
 
 
+@pytest.mark.parametrize("mesh", [build_unit_square_mesh(8), perturbed_mesh(8, seed=5)], ids=["unit", "perturbed"])
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("viscosity, penalty", [(1.0, 10.0), (1e-3, 7.0)])
+def test_saddle_blocks_match_bmat_bitwise(mesh, robust, viscosity, penalty):
+    # mu A scaled in place and the CSR stacking keep every stored array of
+    # the blocks that sp.bmat of a scaled copy of A stacked
+    params = FormParams(viscosity=viscosity, penalty=penalty, pressure_robust=robust)
+    blocks, want = asm._SaddleBlocks(mesh, params), saddle_blocks_by_bmat(mesh, params)
+    for name in ("matrix", "viscous_lift", "divergence_lift", "pinned_row"):
+        got, ref = getattr(blocks, name), getattr(want, name)
+        assert got.shape == ref.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part)), (name, part)
+
+
+def test_saddle_blocks_stay_small_in_memory():
+    # A is scaled in place and dropped once its free rows are taken, and the
+    # matrix is stacked from CSR pieces; a scaled copy of A next to A and
+    # sp.bmat's COO copies of the four blocks peaked at 25.8 MB here
+    mesh = build_unit_square_mesh(64)
+    disc = asm.discretization(mesh)
+    disc.embedding, disc.scalar_p1
+    assert traced_peak(asm._SaddleBlocks, mesh, PARAMS) <= 21e6
+
+
 @pytest.mark.parametrize("robust", [False, True])
 def test_first_convection_stays_small_in_memory(robust):
     # both modes assemble P_c^T C_s P_c summed over the two components, with
@@ -967,13 +992,8 @@ def test_first_convection_stays_small_in_memory(robust):
     mesh = build_unit_square_mesh(32)
     asm.discretization(mesh).reconstruction
     z = random_eg(mesh, 91)
-    tracemalloc.start()
-    try:
-        asm.assemble_convection(mesh, z.to_vector(), PARAMS_PR if robust else PARAMS).matrix()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    params = PARAMS_PR if robust else PARAMS
+    assert traced_peak(lambda: asm.assemble_convection(mesh, z.to_vector(), params).matrix()) <= 8e6
 
 
 def test_first_viscous_assembly_stays_small_in_memory():
@@ -982,13 +1002,7 @@ def test_first_viscous_assembly_stays_small_in_memory():
     # enriched basis would scatter millions of entries
     mesh = build_unit_square_mesh(32)
     asm.discretization(mesh).embedding
-    tracemalloc.start()
-    try:
-        asm.assemble_viscous(mesh, PARAMS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    assert traced_peak(asm.assemble_viscous, mesh, PARAMS) <= 8e6
 
 
 def test_first_boundary_load_stays_small_in_memory():
@@ -998,13 +1012,7 @@ def test_first_boundary_load_stays_small_in_memory():
     disc = asm.discretization(mesh)
     disc.embedding, disc.scalar_p1
     g = asm.dirichlet_data(mesh, asm.lid_values(mesh))
-    tracemalloc.start()
-    try:
-        asm.sipg_boundary_load(mesh, g, PARAMS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2e6
+    assert traced_peak(asm.sipg_boundary_load, mesh, g, PARAMS) <= 2e6
 
 
 def test_repeated_convection_builds_mesh_data_once(monkeypatch):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,14 @@ from egflow.cli import (
 )
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.solver import SingularSystemError
-from oracles import EGFunction, field_dump_at_once, locate_points_all_candidates, n_velocity, read_convergence_csv
+from oracles import (
+    EGFunction,
+    field_dump_at_once,
+    locate_points_all_candidates,
+    n_velocity,
+    read_convergence_csv,
+    traced_peak,
+)
 from test_assembly import perturbed_mesh
 
 
@@ -318,13 +324,7 @@ def test_field_dump_stays_small_in_memory(tmp_path):
     rng = np.random.default_rng(4)
     u_h, p_h = rng.standard_normal(n_velocity(mesh)), rng.standard_normal(mesh.num_triangles)
     grid = sample_grid(mesh, 101, 101)
-    tracemalloc.start()
-    try:
-        write_field_dump(mesh, u_h, p_h, grid, tmp_path / "dump.txt")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5e6
+    assert traced_peak(write_field_dump, mesh, u_h, p_h, grid, tmp_path / "dump.txt") <= 1.5e6
 
 
 def test_sampled_velocity_matches_pointwise_value_on_perturbed_mesh():

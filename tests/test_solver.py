@@ -1,7 +1,6 @@
 """Tests for the linear solve wrapper and the Picard driver."""
 
 import logging
-import tracemalloc
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -29,6 +28,7 @@ from oracles import (
     interpolate_velocity,
     n_velocity,
     node_order_by_products,
+    traced_peak,
 )
 from test_assembly import perturbed_mesh
 
@@ -225,13 +225,7 @@ def test_node_order_stays_small_in_memory():
     # float64 products on the unknowns took 5.3 MB here
     system = unit_square_stokes_system(32)
     system.matrix
-    tracemalloc.start()
-    try:
-        solver._node_order(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2e6
+    assert traced_peak(solver._node_order, system) <= 2e6
 
 
 def test_stokes_solve_residual_and_mean_constraint():
