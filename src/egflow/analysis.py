@@ -33,6 +33,7 @@ from . import assembly as asm
 from .assembly import _LAMBDA_MASS, FormParams
 from .mesh import MeshTopology, build_unit_square_mesh
 from .quadrature import edge_rule, map_to_triangle, triangle_rule
+from .reconstruction import field_from_edge_moments
 from .solver import NonlinearSettings, SingularSystemError, solve_navier_stokes
 
 EDGE_ERROR_DEGREE = 7  # 4-point Gauss
@@ -162,10 +163,7 @@ def _reconstructed_error_sq(mesh, u_h, ex):
         h = mesh.edge_length[ids]
         moments[ids, 0] = h * np.einsum("q,eq->e", w, un)
         moments[ids, 1] = h * np.einsum("q,q,eq->e", w, s, un)
-    rhs = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
-    disc = asm.discretization(mesh)
-    coeffs_exact = np.einsum("tij,tj->ti", disc.moment_inverse, rhs).reshape(-1)
-    diff = (coeffs_exact - disc.reconstruction @ u_h).reshape(-1, 3, 2)
+    diff = (field_from_edge_moments(mesh, moments) - asm.discretization(mesh).reconstruction @ u_h).reshape(-1, 3, 2)
     return float(np.einsum("t,kl,tki,tli->", 2.0 * mesh.areas, _LAMBDA_MASS, diff, diff))
 
 
@@ -288,12 +286,7 @@ def convergence_study(
 @dataclass
 class ProbeCell:
     mu: float
-    energy_err: float
-    energy_r_err: float
-    l2_u_err: float
-    iterations: int
-    converged: bool
-    note: str = ""
+    row: ConvergenceRow
     energy_ratio: float | None = None
     energy_r_ratio: float | None = None
 
@@ -314,10 +307,10 @@ def pressure_robustness_probe(
 ) -> dict[str, list[ProbeCell]]:
     """Fixed-mesh error comparison across viscosities for both schemes.
 
-    Returns cells per mode keyed "standard" / "robust"; each cell carries
-    the ratio of its errors to the mu = 1 cell of the same mode.  The
-    viscosity list must span at least three decades so the contrast
-    between the two schemes is visible.  A failed solve gives a cell of
+    Returns cells per mode keyed "standard" / "robust"; each cell holds
+    its solved row and the ratio of its errors to the mu = 1 cell of the
+    same mode.  The viscosity list must span at least three decades so the
+    contrast between the two schemes is visible.  A failed solve gives a cell of
     NaNs with a note, as in convergence_study.
     """
     mu_list = list(mu_list)
@@ -332,23 +325,12 @@ def pressure_robustness_probe(
         cells = []
         for mu in mu_list:
             params = FormParams(viscosity=mu, penalty=penalty, pressure_robust=robust)
-            row = _solved_row(mesh, params, settings, ex)
-            cells.append(
-                ProbeCell(
-                    mu=mu,
-                    energy_err=row.energy_err,
-                    energy_r_err=row.energy_r_err,
-                    l2_u_err=row.l2_u_err,
-                    iterations=row.iterations,
-                    converged=row.converged,
-                    note=row.note,
-                )
-            )
-        base = next((c for c in cells if c.mu == 1.0), cells[0])
+            cells.append(ProbeCell(mu, _solved_row(mesh, params, settings, ex)))
+        base = next((c.row for c in cells if c.mu == 1.0), cells[0].row)
         for c in cells:
             if base.energy_err > 0:
-                c.energy_ratio = c.energy_err / base.energy_err
+                c.energy_ratio = c.row.energy_err / base.energy_err
             if base.energy_r_err > 0:
-                c.energy_r_ratio = c.energy_r_err / base.energy_r_err
+                c.energy_r_ratio = c.row.energy_r_err / base.energy_r_err
         out[mode] = cells
     return out

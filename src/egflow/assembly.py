@@ -56,20 +56,22 @@ and depends only on the mesh is built once per mesh, on first use, in the
 mesh's Discretization (discretization(mesh)) and kept there: E; the scalar
 P1 basis with each edge's endpoint-hat dofs, lengths and normals, and, on
 the first convection assembly, the fixed CSR pattern of C_s with the maps
-from local entries to it; the matrix R with the block inverse L^-1 it was
-built with.  R and the viscous and divergence matrices A and B are all
-built on the P1 basis and read through E: R = L^-1 S D S^T L E averages
-the P1 fields' own edge moments (reconstruction.reconstruction_matrix);
-SIPG acts on each velocity component alone, so A = sum_c E_c^T A_s E_c
-with A_s the scalar DG-P1 SIPG matrix; and B = B_s E.  The SIPG and
-convective boundary loads are E^T of scalar loads on the boundary-edge
-hats, and the error norms read a field's edge traces from its vertex
-values at the same hats and the exact field's reconstruction through
-L^-1.  The solver and analysis.error_norms share all of it.  For the
-viscosity and penalty last asked for, the Discretization also keeps the
-blocks of the saddle system that no step changes (_SaddleBlocks), and
-with them what the solver keeps across steps and solves: the
-minimum-degree orders and the last accepted LU.  The Dirichlet dofs are
+from local entries to it; the matrix R, but not the blocks L and L^-1 it
+was built with.  R and the viscous and divergence matrices A and B are
+all built on the P1 basis and read through E: R = L^-1 S D S^T L E
+averages the P1 fields' own edge moments
+(reconstruction.reconstruction_matrix); SIPG acts on each velocity
+component alone, so A = sum_c E_c^T A_s E_c with A_s the scalar DG-P1
+SIPG matrix; and B = B_s E.  The SIPG and convective boundary loads are
+E^T of scalar loads on the boundary-edge hats, and the error norms read
+a field's edge traces from its vertex values at the same hats and the
+exact field's reconstruction from its edge moments
+(reconstruction.field_from_edge_moments, which builds L^-1 again for
+each evaluation).  The solver and analysis.error_norms share all of
+it.  For the viscosity and penalty last asked for, the Discretization
+also keeps the blocks of the saddle system that no step changes
+(_SaddleBlocks), and with them what the solver keeps across steps and
+solves: the minimum-degree orders and the last accepted LU.  The Dirichlet dofs are
 the boundary nodal dofs whatever the data, so they need no key.  The
 blocks are the only reader of A and B: each build assembles both and
 keeps only their restrictions to the free and Dirichlet unknowns.  A
@@ -263,8 +265,8 @@ class Discretization:
     One per mesh, see discretization().  Each piece is built the first time
     a form asks for it and then kept: the embedding E, the scalar P1 basis
     with its edge dofs and the pattern of convection, and the
-    reconstruction R with its block inverse L^-1.  The mesh arrays are
-    read-only, so none of it can go stale.
+    reconstruction R; the moment blocks L and L^-1 of R's build are not
+    kept.  The mesh arrays are read-only, so none of it can go stale.
     Of the fixed saddle blocks (_SaddleBlocks), which carry the solver's
     orders and kept LU, only those of the last viscosity and penalty asked
     for are kept: a request for another drops them, LU and all, before it
@@ -291,18 +293,9 @@ class Discretization:
         return _embedding_matrix(self.mesh)
 
     @functools.cached_property
-    def _reconstruction(self) -> tuple[sp.csr_matrix, np.ndarray]:
+    def reconstruction(self) -> sp.csr_matrix:
         # through this module's global, which tests and perfbench's tracing replace
         return reconstruction_matrix(self.mesh, self.embedding)
-
-    @property
-    def reconstruction(self) -> sp.csr_matrix:
-        return self._reconstruction[0]
-
-    @property
-    def moment_inverse(self) -> np.ndarray:
-        """(nt, 6, 6) inverses of the triangles' edge-moment blocks L, kept from building R."""
-        return self._reconstruction[1]
 
     def vertex_map(self, params: FormParams) -> sp.csr_matrix:
         """P, through which convection and the body force read a velocity: R if pressure-robust, else E."""

@@ -321,12 +321,13 @@ def run_probe(cfg: RunConfig) -> int:
     lines = [PROBE_HEADER]
     for mode in ("standard", "robust"):
         for c in table[mode]:
-            errors = map(_fmt, (c.mu, c.energy_err, c.energy_r_err, c.l2_u_err))
+            row = c.row
+            errors = map(_fmt, (c.mu, row.energy_err, row.energy_r_err, row.l2_u_err))
             ratios = map(_fmt, (c.energy_ratio, c.energy_r_ratio))
-            lines.append(",".join([mode, *errors, str(c.iterations), str(c.converged).lower(), *ratios]))
-            flag = "" if c.converged else f"  [{c.note or 'not-converged'}]"
+            lines.append(",".join([mode, *errors, str(row.iterations), str(row.converged).lower(), *ratios]))
+            flag = "" if row.converged else f"  [{row.note or 'not-converged'}]"
             print(
-                f"{mode:8s} mu={c.mu:.1e} energy_r={c.energy_r_err:.6e} "
+                f"{mode:8s} mu={c.mu:.1e} energy_r={row.energy_r_err:.6e} "
                 f"ratio_r={c.energy_r_ratio if c.energy_r_ratio is None else f'{c.energy_r_ratio:.3f}'}{flag}"
             )
     out = cfg.out_dir / "probe.csv"

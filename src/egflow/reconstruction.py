@@ -21,6 +21,10 @@ composition of three local pieces after E:
                interior edges and zero on boundary edges (D), scatter back (S)
     L^-1       each triangle's inverse, from moments back to vertex values.
 
+L and L^-1 are temporaries of this module: a caller keeps R, and
+field_from_edge_moments rebuilds L^-1 to map given edge moments, such as
+an exact field's in the error norms, to vertex values.
+
 Everything here treats an edge with its global parameterization: endpoints
 in ascending vertex order, s in [0, 1], shared by both incident triangles,
 and the stored edge normal (out of the plus triangle).
@@ -63,12 +67,8 @@ def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, blocks.size + 1, m)), shape=(nt * m, nt * m))
 
 
-def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse operator R from flat velocity vectors to BDM coefficient vectors, given the embedding E.
-
-    Returns R and the (nt, 6, 6) block inverse L^-1 it was built with, which
-    also turns edge moments of an exact field into its reconstruction.
-    """
+def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> sp.csr_matrix:
+    """Sparse operator R from flat velocity vectors to BDM coefficient vectors, given the embedding E."""
     nt = mesh.num_triangles
     L = local_moment_blocks(mesh)
     # S: triangle t's moment slot 2k + j reads row 2e + j of its k-th edge e
@@ -77,7 +77,16 @@ def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> tuple[sp.csr_
     # D: the mean of both sides on interior edges, zero on boundary edges
     average = select @ sp.diags(np.repeat(np.where(mesh.is_boundary_edge, 0.0, 0.5), 2)) @ select.T
     # SciPy's sparse products drop exact cancellations but leave columns unsorted
-    L_inv = np.linalg.inv(L)
-    R = _block_diagonal(L_inv) @ (average @ (_block_diagonal(L) @ E))
+    R = _block_diagonal(np.linalg.inv(L)) @ (average @ (_block_diagonal(L) @ E))
     R.sort_indices()
-    return R, L_inv
+    return R
+
+
+def field_from_edge_moments(mesh: MeshTopology, moments: np.ndarray) -> np.ndarray:
+    """The flat (6 nt,) P1 coefficients whose edge moments against {1, s} are moments, shape (ne, 2).
+
+    Each triangle applies its own L^-1 to its three edges' moments; L and
+    L^-1 are built for the call and not kept.
+    """
+    local = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
+    return np.einsum("tij,tj->ti", np.linalg.inv(local_moment_blocks(mesh)), local).reshape(-1)

@@ -591,6 +591,16 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def traced_held(fn, *args) -> int:
+    """The tracemalloc memory, in bytes, still allocated after fn(*args) returns and its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 # -- linear solves ----------------------------------------------------------
 
 

@@ -393,11 +393,11 @@ def test_criterion_5_small_viscosity_robustness(capsys):
         capsys,
         f"[criterion 5] {'PASS' if ok else 'FAIL'} robust mu=1e-4 ratios: "
         f"energy={cell.energy_ratio:.3f}, reconstructed={cell.energy_r_ratio:.3f} "
-        f"(both <=10, converged={cell.converged}); standard-mode contrast: "
+        f"(both <=10, converged={cell.row.converged}); standard-mode contrast: "
         f"energy={eg.energy_ratio:.3f}, reconstructed={eg.energy_r_ratio:.3f} "
-        f"(converged={eg.converged}, no threshold)",
+        f"(converged={eg.row.converged}, no threshold)",
     )
-    assert cell.converged
+    assert cell.row.converged
     assert cell.energy_r_ratio <= 10.0
     assert cell.energy_ratio <= 10.0
 

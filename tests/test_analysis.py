@@ -14,7 +14,6 @@ import sympy as sp
 
 import egflow.analysis as analysis
 import egflow.assembly as asm
-import egflow.reconstruction as reconstruction
 from egflow.analysis import (
     ConvergenceRow,
     ExactSolution,
@@ -40,6 +39,7 @@ from oracles import (
     jump_average,
     least_squares_rate,
     n_velocity,
+    traced_held,
 )
 from test_assembly import perturbed_mesh
 
@@ -287,23 +287,15 @@ def test_error_norms_match_pointwise_evaluation_on_perturbed_mesh(seed):
         assert getattr(row, name) == pytest.approx(want, rel=1e-12), name
 
 
-def test_error_norms_reuse_the_block_inverse_of_the_reconstruction(monkeypatch):
-    # the exact field's reconstruction goes through the L^-1 kept from
-    # building R; a later error evaluation builds no moment blocks
-    mesh = perturbed_mesh(5, seed=4)
-    rng = np.random.default_rng(4)
-    u_h = EGFunction(mesh, 0.1 * rng.standard_normal((mesh.num_vertices, 2)), rng.standard_normal(mesh.num_triangles))
-    p_h = rng.standard_normal(mesh.num_triangles)
-    params = FormParams(viscosity=0.37, penalty=7.0)
-    ex = example1_solution()
-    first = error_norms(u_h.to_vector(), p_h, ex, mesh, params)
-
-    def rebuilt(_):
-        raise AssertionError("moment blocks rebuilt")
-
-    for module in (reconstruction, analysis):
-        monkeypatch.setattr(module, "local_moment_blocks", rebuilt, raising=False)
-    assert error_norms(u_h.to_vector(), p_h, ex, mesh, params) == first
+def test_building_the_reconstruction_keeps_only_R():
+    # the moment blocks L and L^-1 of R's build are temporaries: once E is
+    # built, what the build leaves allocated is R and little more
+    mesh = build_unit_square_mesh(32)
+    disc = asm.discretization(mesh)
+    disc.embedding
+    held = traced_held(getattr, disc, "reconstruction")
+    R = disc.reconstruction
+    assert held <= 1.2 * (R.data.nbytes + R.indices.nbytes + R.indptr.nbytes)
 
 
 def test_eoc_is_exactly_one_on_synthetic_halving():
@@ -445,21 +437,21 @@ def test_probe_structure_ratios_and_contrast():
     for cells in probe.values():
         assert [c.mu for c in cells] == [1.0, 1e-2, 1e-4]
         base = cells[0]
-        assert base.energy_r_ratio == 1.0 and base.converged
+        assert base.energy_r_ratio == 1.0 and base.row.converged
     robust_last = probe["robust"][-1]
-    assert robust_last.converged
+    assert robust_last.row.converged
     assert robust_last.energy_r_ratio <= 10.0
     standard_last = probe["standard"][-1]
     # the contrast the probe exists to show: the standard scheme degrades
-    assert (not standard_last.converged) or standard_last.energy_r_ratio > robust_last.energy_r_ratio
-    assert math.isfinite(standard_last.energy_r_err)
+    assert (not standard_last.row.converged) or standard_last.energy_r_ratio > robust_last.energy_r_ratio
+    assert math.isfinite(standard_last.row.energy_r_err)
 
 
 def test_probe_base_cell_matches_convergence_study():
     row = convergence_study([4], FormParams(viscosity=1.0, penalty=10.0, pressure_robust=True))[0]
     cell = pressure_robustness_probe(4, [1.0, 1e-2, 1e-4])["robust"][0]
-    assert cell.energy_err == pytest.approx(row.energy_err, rel=1e-13)
-    assert cell.l2_u_err == pytest.approx(row.l2_u_err, rel=1e-13)
+    assert cell.row.energy_err == pytest.approx(row.energy_err, rel=1e-13)
+    assert cell.row.l2_u_err == pytest.approx(row.l2_u_err, rel=1e-13)
 
 
 def test_singular_solve_is_a_noted_row_in_study_and_probe(monkeypatch):
@@ -479,8 +471,8 @@ def test_singular_solve_is_a_noted_row_in_study_and_probe(monkeypatch):
     for cells in probe.values():
         assert [c.mu for c in cells] == [1.0, 1e-2, 1e-4]
         base, failed, last = cells
-        assert failed.note == "singular: injected" and not failed.converged
-        assert math.isnan(failed.energy_err) and math.isnan(failed.energy_r_ratio)
+        assert failed.row.note == "singular: injected" and not failed.row.converged
+        assert math.isnan(failed.row.energy_err) and math.isnan(failed.energy_r_ratio)
         # the cells around the failed one are still solved
-        assert base.converged and base.energy_r_ratio == 1.0
-        assert math.isfinite(last.energy_r_err) and last.iterations > 0
+        assert base.row.converged and base.energy_r_ratio == 1.0
+        assert math.isfinite(last.row.energy_r_err) and last.row.iterations > 0

@@ -11,6 +11,7 @@ import pytest
 from egflow.mesh import MeshTopology, build_unit_square_mesh
 from egflow.quadrature import edge_rule
 import egflow.assembly as asm
+from egflow.reconstruction import field_from_edge_moments, local_moment_blocks
 from oracles import (
     BDMFunction,
     EGFunction,
@@ -133,6 +134,20 @@ def test_reconstruction_through_embedding_matches_enriched_construction(make_mes
     ref = enriched_reconstruction_matrix(mesh)
     assert R.shape == ref.shape
     assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_edge_moments_of_a_reconstructed_field_map_back_to_it():
+    # a reconstructed field has equal moments on both sides of each edge,
+    # so one side's moments per edge determine it again
+    mesh = perturbed_mesh(5, seed=4)
+    nt = mesh.num_triangles
+    c = enriched_reconstruction_matrix(mesh) @ random_eg(mesh, 12).to_vector()
+    local = np.einsum("tij,tj->ti", local_moment_blocks(mesh), c.reshape(nt, 6)).reshape(nt, 3, 2)
+    moments = np.zeros((mesh.num_edges, 2))
+    for k in range(3):
+        moments[mesh.tri_to_edges[:, k]] = local[:, k]
+    got = field_from_edge_moments(mesh, moments)
+    assert np.abs(got - c).max() <= 1e-12 * np.abs(c).max()
 
 
 def test_reconstruction_linear_in_coefficients():
