@@ -11,19 +11,31 @@ normal boundary trace.
 Representation: on each triangle the reconstruction is stored by its three
 "virtual vertex values" in the local P1 basis, flattened as
 (t, vertex a, component i) -> 6 t + 2 a + i, the rows of the exact embedding
-E of enriched velocities into that basis (assembly._embedding_matrix, the
-only code that knows the bubbles).  The operator is built once per mesh as a
-sparse matrix on the flat velocity vector, R = L^-1 S D S^T L E, a
-composition of three local pieces after E:
+E of enriched velocities into that basis (assembly._embedding_matrix).
 
-    L          each triangle's 6x6 edge moments of its own P1 traces
-    S D S^T    gather each edge's two sides (S^T), take their mean on
-               interior edges and zero on boundary edges (D), scatter back (S)
-    L^-1       each triangle's inverse, from moments back to vertex values.
+Closed form, per triangle vertex.  Both {v}.n_e and the reconstructed
+normal trace are linear along an edge, so matching their two moments is
+matching their values at the two endpoints.  At local vertex a of triangle
+t meet local edges a and (a + 2) mod 3 (edge k joins local vertices k and
+k + 1); let N be the 2x2 matrix whose rows are their normals n_0, n_1.  The
+reconstruction's value there is
 
-L and L^-1 are temporaries of this module: a caller keeps R, and
-field_from_edge_moments rebuilds L^-1 to map given edge moments, such as
-an exact field's in the error norms, to vertex values.
+    (R v)_{t,a} = N^-1 (g_0, g_1),   g_s = {v}(x_a) . n_s on an interior
+                                     edge, 0 on a boundary edge,
+    {v}(x_a)   = c_a + 1/2 sum_X b_X (x_a - x_X)
+
+over the edge's two sides X, with c_a the nodal value at the vertex and b_X
+the bubble of side X, centred at its barycenter x_X.  So a row of R reads
+at most four dofs: its vertex's nodal value through P = sum over interior s
+of N^-1[:, s] n_s^T (the identity when both edges are interior, the
+projection I - N^-1[:, s] n_s^T when edge s is on the boundary, zero when
+both are), the bubble of t through P/2 (x_a - x_t), and the bubble of the
+neighbour across each interior edge s through N^-1[:, s] (x_a - x_X).n_s / 2.
+R stores those entries and no others: an entry that is zero, such as a
+normal component the geometry cancels, is not stored.
+
+field_from_edge_moments uses the same frames: it turns each edge's two
+moments into the trace's endpoint values and applies N^-1 at every vertex.
 
 Everything here treats an edge with its global parameterization: endpoints
 in ascending vertex order, s in [0, 1], shared by both incident triangles,
@@ -37,56 +49,71 @@ import scipy.sparse as sp
 
 from .mesh import MeshTopology
 
-# moments of the endpoint traces against s^j on [0, 1]:
-# int (1-s) ds, int (1-s) s ds, int s ds, int s^2 ds
-_M_A = (0.5, 1.0 / 6.0)
-_M_B = (0.5, 1.0 / 3.0)
+# local edges meeting at local vertex a: edge a (a to a + 1) and edge a + 2 (a + 2 to a)
+_VERTEX_EDGES = np.array([[0, 2], [1, 0], [2, 1]])
 
 
-def local_moment_blocks(mesh: MeshTopology) -> np.ndarray:
-    """Per-triangle 6x6 matrix of basis edge moments; rows (2k + j), cols (2a + i)."""
+def _vertex_frames(mesh: MeshTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per triangle vertex (t, a): its two edges (nt, 3, 2), their normals n[t, a, s] and the columns inv[t, a, s] of N^-1."""
+    edges = mesh.tri_to_edges[:, _VERTEX_EDGES]
+    n = mesh.edge_normal[edges]  # (nt, 3, s, i)
+    (n0x, n0y), (n1x, n1y) = np.moveaxis(n, (-2, -1), (0, 1))
+    det = n0x * n1y - n0y * n1x
+    inv = np.stack([np.stack([n1y, -n1x], axis=-1), np.stack([-n0y, n0x], axis=-1)], axis=-2) / det[..., None, None]
+    return edges, n, inv
+
+
+def _vertex_rows(mesh: MeshTopology) -> tuple[np.ndarray, np.ndarray]:
+    """R's row (t, a, i) as five slots: values (nt, 3, 2, 5) and columns (nt, 3, 1, 5).
+
+    The slots are the vertex's two nodal components, the bubble of t and
+    the bubbles across the vertex's two edges; a boundary edge's slot
+    points at t's own bubble and holds 0.
+    """
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    edges, n, inv = _vertex_frames(mesh)
+    boundary = mesh.is_boundary_edge[edges]
+    cells = np.arange(nt)[:, None, None]
+    neighbour = np.where(boundary, cells, mesh.edge_tplus[edges] + mesh.edge_tminus[edges] - cells)
+    cols = np.empty((nt, 3, 1, 5), dtype=np.int32)
+    cols[:, :, 0, :2] = 2 * mesh.triangles[:, :, None] + np.arange(2)
+    cols[:, :, 0, 2] = 2 * nv + cells[:, :, 0]
+    cols[:, :, 0, 3:] = 2 * nv + neighbour
+    vals = np.empty((nt, 3, 2, 5))
+    # the nodal part P; the identity stays exact where both edges are interior
+    P = vals[..., :2]
+    P[...] = np.eye(2) - np.einsum("tasi,tasj->taij", inv * boundary[..., None], n)
+    P[boundary.all(axis=-1)] = 0.0  # off the axes, I - N^-1 N leaves rounding residue
+    corner = mesh.vertices[mesh.triangles]  # x_a, (nt, 3, 2)
+    vals[..., 2] = 0.5 * np.einsum("taij,taj->tai", P, corner - mesh.barycenters[:, None])
+    reach = np.einsum("tasi,tasi->tas", corner[:, :, None] - mesh.barycenters[neighbour], n)
+    vals[..., 3:] = np.einsum("tas,tasi->tais", np.where(boundary, 0.0, 0.5 * reach), inv)
+    return vals, cols
+
+
+def reconstruction_matrix(mesh: MeshTopology) -> sp.csr_matrix:
+    """Sparse operator R from flat velocity vectors to BDM coefficient vectors, at most four entries a row."""
     nt = mesh.num_triangles
-    cells = np.arange(nt)[:, None]
-    L = np.zeros((nt, 6, 6))
-    for k in range(3):
-        e = mesh.tri_to_edges[:, k]
-        n = mesh.edge_normal[e]  # (nt, 2)
-        h = mesh.edge_length[e]
-        side_plus = (mesh.edge_tplus[e] == cells[:, 0])[:, None]
-        ends = np.where(side_plus, mesh.edge_local_plus[e], mesh.edge_local_minus[e])  # local vertices at s = 0, 1
-        for j in range(2):
-            for end, moment in ((ends[:, :1], _M_A[j]), (ends[:, 1:], _M_B[j])):
-                L[cells, 2 * k + j, 2 * end + np.arange(2)] = (h * moment)[:, None] * n
-    return L
-
-
-def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    """The sparse block-diagonal matrix of a stack of (nt, m, m) blocks."""
-    nt, m, _ = blocks.shape
-    cols = np.broadcast_to(np.arange(nt * m).reshape(nt, 1, m), blocks.shape)
-    return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, blocks.size + 1, m)), shape=(nt * m, nt * m))
-
-
-def reconstruction_matrix(mesh: MeshTopology, E: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse operator R from flat velocity vectors to BDM coefficient vectors, given the embedding E."""
-    nt = mesh.num_triangles
-    L = local_moment_blocks(mesh)
-    # S: triangle t's moment slot 2k + j reads row 2e + j of its k-th edge e
-    src = (2 * mesh.tri_to_edges[:, :, None] + np.arange(2)).ravel()
-    select = sp.csr_matrix((np.ones(6 * nt), src, np.arange(6 * nt + 1)), shape=(6 * nt, 2 * mesh.num_edges))
-    # D: the mean of both sides on interior edges, zero on boundary edges
-    average = select @ sp.diags(np.repeat(np.where(mesh.is_boundary_edge, 0.0, 0.5), 2)) @ select.T
-    # SciPy's sparse products drop exact cancellations but leave columns unsorted
-    R = _block_diagonal(np.linalg.inv(L)) @ (average @ (_block_diagonal(L) @ E))
-    R.sort_indices()
+    vals, cols = _vertex_rows(mesh)
+    keep = vals != 0.0
+    indptr = np.zeros(6 * nt + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=-1).ravel(), out=indptr[1:])
+    R = sp.csr_matrix(
+        (vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr), shape=(6 * nt, 2 * mesh.num_vertices + nt)
+    )
+    R.sort_indices()  # a row's bubble columns are stored own first, then by edge
     return R
 
 
 def field_from_edge_moments(mesh: MeshTopology, moments: np.ndarray) -> np.ndarray:
     """The flat (6 nt,) P1 coefficients whose edge moments against {1, s} are moments, shape (ne, 2).
 
-    Each triangle applies its own L^-1 to its three edges' moments; L and
-    L^-1 are built for the call and not kept.
+    A linear trace g with moments (m0, m1) on an edge of length h has the
+    endpoint values g(0) = (4 m0 - 6 m1) / h and g(1) = (6 m1 - 2 m0) / h;
+    each vertex applies N^-1 to its two edges' values there.
     """
-    local = moments[mesh.tri_to_edges].reshape(mesh.num_triangles, 6)
-    return np.einsum("tij,tj->ti", np.linalg.inv(local_moment_blocks(mesh)), local).reshape(-1)
+    edges, _, inv = _vertex_frames(mesh)
+    m0, m1 = np.moveaxis(moments[edges], -1, 0)
+    at_end = mesh.edge_vertices[edges, 1] == mesh.triangles[:, :, None]  # vertex a sits at s = 1
+    g = np.where(at_end, 6.0 * m1 - 2.0 * m0, 4.0 * m0 - 6.0 * m1) / mesh.edge_length[edges]
+    return np.einsum("tasi,tas->tai", inv, g).reshape(-1)

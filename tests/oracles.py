@@ -34,7 +34,6 @@ from egflow.analysis import EDGE_ERROR_DEGREE, ConvergenceRow
 from egflow.cli import CSV_HEADER, barycentric_coords, sample_velocity
 from egflow.mesh import MeshTopology
 from egflow.quadrature import edge_rule, map_to_triangle, triangle_rule
-from egflow.reconstruction import local_moment_blocks
 from egflow.solver import KRYLOV_BUDGET, KRYLOV_RTOL
 
 VOLUME_QUAD_DEGREE = 6
@@ -379,6 +378,30 @@ _EDGE_MOMENT_A = (0.5, 1.0 / 6.0)
 _EDGE_MOMENT_B = (0.5, 1.0 / 3.0)
 
 
+def local_moment_blocks(mesh: MeshTopology) -> np.ndarray:
+    """Per-triangle 6x6 matrix L of basis edge moments; rows (2k + j), cols (2a + i)."""
+    nt = mesh.num_triangles
+    cells = np.arange(nt)[:, None]
+    L = np.zeros((nt, 6, 6))
+    for k in range(3):
+        e = mesh.tri_to_edges[:, k]
+        n = mesh.edge_normal[e]  # (nt, 2)
+        h = mesh.edge_length[e]
+        side_plus = (mesh.edge_tplus[e] == cells[:, 0])[:, None]
+        ends = np.where(side_plus, mesh.edge_local_plus[e], mesh.edge_local_minus[e])  # local vertices at s = 0, 1
+        for j in range(2):
+            for end, moment in ((ends[:, :1], _EDGE_MOMENT_A[j]), (ends[:, 1:], _EDGE_MOMENT_B[j])):
+                L[cells, 2 * k + j, 2 * end + np.arange(2)] = (h * moment)[:, None] * n
+    return L
+
+
+def block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """The sparse block-diagonal matrix of a stack of (nt, m, m) blocks."""
+    nt, m, _ = blocks.shape
+    cols = np.broadcast_to(np.arange(nt * m).reshape(nt, 1, m), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, blocks.size + 1, m)), shape=(nt * m, nt * m))
+
+
 def edge_moment_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     """Moments int_e {v}.n_e s^j ds (j = 0, 1) as rows 2e + j from the enriched basis; boundary rows zero."""
     nv2 = 2 * mesh.num_vertices
@@ -415,11 +438,7 @@ def enriched_reconstruction_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     tgt = np.arange(6 * nt)
     src = (2 * mesh.tri_to_edges[:, :, None] + np.array([0, 1])[None, None, :]).reshape(-1)
     select = sp.coo_matrix((np.ones(6 * nt), (tgt, src)), shape=(6 * nt, 2 * mesh.num_edges)).tocsr()
-    inv = np.linalg.inv(local_moment_blocks(mesh))
-    rows = np.repeat(np.arange(6 * nt), 6)
-    cols = (6 * np.repeat(np.arange(nt), 36) + np.tile(np.arange(6), 6 * nt)).reshape(-1)
-    blockinv = sp.coo_matrix((inv.reshape(-1), (rows, cols)), shape=(6 * nt, 6 * nt)).tocsr()
-    R = (blockinv @ select @ edge_moment_matrix(mesh)).tocsr()
+    R = (block_diagonal(np.linalg.inv(local_moment_blocks(mesh))) @ select @ edge_moment_matrix(mesh)).tocsr()
     R.sum_duplicates()
     R.eliminate_zeros()
     return R
@@ -427,13 +446,9 @@ def enriched_reconstruction_matrix(mesh: MeshTopology) -> sp.csr_matrix:
 
 def bdm_mass_matrix(mesh: MeshTopology) -> sp.csr_matrix:
     """Block-diagonal L2 mass matrix in the elementwise P1 basis (exact)."""
-    nt = mesh.num_triangles
     scalar = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     block = np.kron(scalar, np.eye(2))  # ordering (2a + i)
-    blocks = mesh.areas[:, None, None] * block[None, :, :]
-    rows = np.repeat(np.arange(6 * nt), 6)
-    cols = (6 * np.repeat(np.arange(nt), 36) + np.tile(np.arange(6), 6 * nt)).reshape(-1)
-    return sp.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(6 * nt, 6 * nt)).tocsr()
+    return block_diagonal(mesh.areas[:, None, None] * block[None, :, :])
 
 
 def bdm_divergence_matrix(mesh: MeshTopology) -> sp.csr_matrix:

@@ -27,7 +27,6 @@ from egflow.analysis import (
 from egflow.assembly import FormParams
 from egflow.mesh import build_unit_square_mesh
 from egflow.quadrature import edge_rule, triangle_rule
-from egflow.reconstruction import local_moment_blocks
 from egflow.solver import NonlinearSettings, SingularSystemError
 from oracles import (
     BDMFunction,
@@ -38,6 +37,7 @@ from oracles import (
     edge_points,
     jump_average,
     least_squares_rate,
+    local_moment_blocks,
     n_velocity,
     traced_held,
 )

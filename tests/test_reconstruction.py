@@ -8,10 +8,12 @@ the sparse operator construction.
 import numpy as np
 import pytest
 
-from egflow.mesh import MeshTopology, build_unit_square_mesh
+from egflow.mesh import MeshTopology, build_unit_square_mesh, refine_uniform
 from egflow.quadrature import edge_rule
 import egflow.assembly as asm
-from egflow.reconstruction import field_from_edge_moments, local_moment_blocks
+from egflow.assembly import FormParams
+from egflow.reconstruction import field_from_edge_moments, reconstruction_matrix
+from egflow.solver import NonlinearSettings, solve_navier_stokes
 from oracles import (
     BDMFunction,
     EGFunction,
@@ -20,8 +22,10 @@ from oracles import (
     edge_points,
     enriched_reconstruction_matrix,
     jump_average,
+    local_moment_blocks,
     local_p1_embedding,
     reconstruct,
+    traced_peak,
 )
 from test_assembly import perturbed_mesh
 
@@ -127,13 +131,71 @@ def test_two_triangle_bubble_moments_against_quadrature():
     ids=["n8", "n64", "perturbed-n8"],
 )
 def test_reconstruction_through_embedding_matches_enriched_construction(make_mesh):
-    # R = L^-1 S D S^T L E averages the P1 fields' own edge moments; the
-    # reference takes the moments of {v}.n from the enriched basis directly
+    # R matches {v}.n at each vertex of each edge; the reference inverts
+    # each triangle's moment blocks on the moments of {v}.n from the enriched basis
     mesh = make_mesh()
     R = asm.discretization(mesh).reconstruction
     ref = enriched_reconstruction_matrix(mesh)
     assert R.shape == ref.shape
     assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: perturbed_mesh(8, seed=4),
+        lambda: refine_uniform(perturbed_mesh(4, seed=3)),
+        lambda: build_unit_square_mesh(8),
+        # corners off the axes, where N^-1 N is the identity only up to rounding
+        lambda: MeshTopology([[0.0, 0.0], [1.0, 0.2], [1.1, 1.3], [0.1, 0.9]], [[0, 1, 2], [0, 2, 3]]),
+    ],
+    ids=["perturbed-n8", "refined-perturbed", "n8", "skewed-quad"],
+)
+def test_reconstruction_rows_hold_only_their_vertex_and_bubbles(make_mesh):
+    # row (t, a, i) reads vertex a's nodal value, t's bubble and the bubbles
+    # across the two edges meeting at a: at most four stored entries
+    mesh = make_mesh()
+    R = reconstruction_matrix(mesh)
+    ref = enriched_reconstruction_matrix(mesh)
+    assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
+    counts = np.diff(R.indptr).reshape(-1, 3, 2)
+    assert counts.max() <= 4
+    # local edges a and a + 2 meet at local vertex a
+    boundary = mesh.is_boundary_edge[mesh.tri_to_edges]
+    meeting = np.stack([boundary, np.roll(boundary, 1, axis=1)], axis=-1)
+    assert (counts[meeting.all(axis=-1)] == 0).all()
+    nodal = R[:, : 2 * mesh.num_vertices].toarray().reshape(mesh.num_triangles, 3, 2, -1)
+    for t, a in np.argwhere(~meeting.any(axis=-1)):
+        want = np.zeros((2, nodal.shape[-1]))
+        want[:, 2 * mesh.triangles[t, a] : 2 * mesh.triangles[t, a] + 2] = np.eye(2)
+        assert (nodal[t, a] == want).all()
+
+
+def test_reconstruction_build_stays_small_in_memory():
+    # R is filled row by row from the vertex frames: no 6x6 moment blocks, no
+    # inverse and no sparse product sit beside it (the triple product peaked at 19.6 MB)
+    mesh = build_unit_square_mesh(64)
+    disc = asm.discretization(mesh)
+    disc.embedding, disc.scalar_p1
+    assert traced_peak(getattr, disc, "reconstruction") <= 11e6
+
+
+def test_lid_solve_with_the_enriched_oracle_reconstruction_is_the_same(monkeypatch):
+    params = FormParams(viscosity=1e-2, penalty=10.0, pressure_robust=True)
+    settings = NonlinearSettings(tol=1e-10, max_iters=200, init="stokes")
+
+    def lid_solve():
+        mesh = perturbed_mesh(8, seed=6)  # a new mesh builds its own R
+        return solve_navier_stokes(mesh, params, settings, boundary=asm.lid_values(mesh))
+
+    u, _, report = lid_solve()
+    monkeypatch.setattr(asm, "reconstruction_matrix", enriched_reconstruction_matrix)
+    u_ref, _, ref = lid_solve()
+    assert report.converged and ref.converged
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert report.iterations == ref.iterations
+    assert report.krylov_iterations == ref.krylov_iterations
+    assert report.factorizations == ref.factorizations
 
 
 def test_edge_moments_of_a_reconstructed_field_map_back_to_it():
